@@ -37,14 +37,13 @@ from .closedform import (
 from .motivic import (
     FiltMatrix,
     build_matrix,
-    check_hoffman_level,
-    check_saha_level,
+    check_level,
+    d1_project,
     deriv_D,
     deriv_D1_fast,
     deriv_D_star,
     det_mod2_structure,
     graded_partial,
-    hoffman_log_derivation,
     singular_lambda,
 )
 from .numoracle import (

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
-from .closedform import eval_t22, eval_t2212_star, eval_t2232_tilde
+from .closedform import eval_t22, eval_t2212_star, eval_t2232
 from .indexcore import (
     SignedIndex,
     basis_sets,
@@ -24,6 +24,7 @@ from .indexcore import (
     format_signed,
     format_word,
     parse_argument,
+    split_2a_x_2b,
 )
 from .motivic import build_matrix, det_mod2_structure, deriv_D, reduce_deriv, singular_lambda
 from .numoracle import NumEnv, altz_num, t_num
@@ -32,10 +33,18 @@ from .symring import SymPoly
 from .wordalg import stuffle, shuffle as shuffle_product
 
 
+def _num_setting(args, name: str, default: int) -> int:
+    """--name if given, else $MTV_NAME, else the default; must be >= 1."""
+    value = getattr(args, name, None)
+    if value is None:
+        value = int(os.environ.get(f"MTV_{name.upper()}", default))
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return value
+
+
 def _env_from_args(args) -> NumEnv:
-    prec = getattr(args, "prec", None) or int(os.environ.get("MTV_PREC", 128))
-    cutoff = getattr(args, "cutoff", None) or int(os.environ.get("MTV_CUTOFF", 10 ** 6))
-    return NumEnv(prec=prec, cutoff=cutoff)
+    return NumEnv(prec=_num_setting(args, "prec", 128), cutoff=_num_setting(args, "cutoff", 10 ** 6))
 
 
 def _print_lincomb(lc: dict, fmt: str):
@@ -61,8 +70,10 @@ def cmd_eval(args) -> int:
     if m:
         parts = tuple(int(x) for x in m.group(1).split(","))
         param = SymPoly.gen(m.group(2)) if m.group(2) else SymPoly.gen("V")
-        a, b = _split_2a12b(parts, 1)
-        value = eval_t2212_star(a, b, param)
+        ab = split_2a_x_2b(parts, 1)
+        if ab is None:
+            raise ValueError(f"expected a {{2}}^a,1,{{2}}^b pattern, got {parts}")
+        value = eval_t2212_star(*ab, param)
         print(json.dumps(value.to_json()) if args.format == "json" else value.text())
         return 0
     idx = parse_argument(text)
@@ -77,27 +88,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _split_2a12b(parts, letter):
-    hits = [i for i, x in enumerate(parts) if x == letter]
-    if len(hits) != 1 or any(x != 2 for j, x in enumerate(parts) if j != hits[0]):
-        raise SystemExit(f"expected a {{2}}^a,{letter},{{2}}^b pattern, got {parts}")
-    return hits[0], len(parts) - hits[0] - 1
-
-
 def _closed_form_t(idx):
     if all(x == 2 for x in idx):
         return eval_t22(len(idx))
-    ones = [i for i, x in enumerate(idx) if x == 1]
-    threes = [i for i, x in enumerate(idx) if x == 3]
-    if len(ones) == 1 and not threes and all(x == 2 for i, x in enumerate(idx) if i != ones[0]):
-        a, b = ones[0], len(idx) - ones[0] - 1
-        if b >= 1:
-            return eval_t2212_star(a, b, SymPoly.zero())
+    ab = split_2a_x_2b(idx, 1)
+    if ab is not None:
+        if ab[1] >= 1:
+            return eval_t2212_star(*ab, SymPoly.zero())
         return None  # divergent without a parameter; use t*( ;V)
-    if len(threes) == 1 and not ones and all(x == 2 for i, x in enumerate(idx) if i != threes[0]):
-        a, b = threes[0], len(idx) - threes[0] - 1
-        return SymPoly.const(Fraction(1, 2 ** (2 * a + 2 * b + 3))) * eval_t2232_tilde(a, b)
-    return None
+    ab = split_2a_x_2b(idx, 3)
+    return None if ab is None else eval_t2232(*ab)
 
 
 def cmd_reg(args) -> int:
@@ -126,10 +126,21 @@ def cmd_stuffle(args) -> int:
     return 0
 
 
+def _parse_word(text: str) -> tuple:
+    """A word over {0, 1, -1}: a digit string ("10") or comma-separated letters ("1,-1")."""
+    text = text.replace(" ", "")
+    letters = text.split(",") if "," in text or text.startswith("-") else list(text)
+    try:
+        word = tuple(int(x) for x in letters)
+    except ValueError:
+        word = None
+    if word is None or any(x not in (0, 1, -1) for x in word):
+        raise ValueError(f"a word is a string of 0s and 1s or comma-separated letters 0, 1, -1; got {text!r}")
+    return word
+
+
 def cmd_shuffle(args) -> int:
-    u = tuple(int(c) for c in args.left.replace(",", "").replace(" ", ""))
-    v = tuple(int(c) for c in args.right.replace(",", "").replace(" ", ""))
-    out = shuffle_product(u, v)
+    out = shuffle_product(_parse_word(args.left), _parse_word(args.right))
     if args.format == "json":
         print(json.dumps({"".join(map(str, w)): str(c) for w, c in sorted(out.items())}, indent=1))
     else:
@@ -236,6 +247,8 @@ def cmd_coeff(args) -> int:
     if fn is None:
         print(f"no coefficient family {args.family} {args.pattern}", file=sys.stderr)
         return 2
+    if args.a < 0 or args.b < 0:
+        raise ValueError(f"--a and --b must be non-negative, got {args.a} and {args.b}")
     print(fn(args.a, args.b))
     return 0
 
@@ -243,7 +256,8 @@ def cmd_coeff(args) -> int:
 def _explicit_env(args):
     """Build an environment only when the user pinned precision or cutoff;
     otherwise the suites pick their own tuned defaults."""
-    if args.prec or args.cutoff or os.environ.get("MTV_PREC") or os.environ.get("MTV_CUTOFF"):
+    pinned = args.prec is not None or args.cutoff is not None
+    if pinned or os.environ.get("MTV_PREC") or os.environ.get("MTV_CUTOFF"):
         return _env_from_args(args)
     return None
 
@@ -257,7 +271,6 @@ def cmd_verify(args) -> int:
 
 
 def _verify_identity(args, env) -> int:
-    from .closedform import eval_t2232
     from .numoracle import eval_num, t_num, t_star_a1_num
 
     a, b = args.a, args.b

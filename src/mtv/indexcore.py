@@ -43,9 +43,13 @@ class SignedIndex(NamedTuple):
         return self.lead_zeros == 0 and (not self.parts or self.parts[-1] != 1)
 
     def validate(self) -> "SignedIndex":
-        assert all(isinstance(k, int) and k != 0 for k in self.parts)
-        assert self.lead_zeros >= 0
-        assert self.parts or self.lead_zeros == 0, "zeta_l of the empty index"
+        for k in self.parts:
+            if not isinstance(k, int) or k == 0:
+                raise ValueError(f"signed index entries must be nonzero integers, got {k!r} in {self.parts}")
+        if self.lead_zeros < 0:
+            raise ValueError(f"negative count of leading zeros: {self.lead_zeros}")
+        if not self.parts and self.lead_zeros:
+            raise ValueError("zeta_l of the empty index")
         return self
 
 
@@ -88,11 +92,10 @@ def to_int_word(s: SignedIndex) -> IntWord:
 
 
 def from_int_word(w: IntWord) -> SignedIndex:
-    if not any(x != 0 for x in w):
+    """Inverse of to_int_word; the empty word is the empty index."""
+    if w and not any(x != 0 for x in w):
         raise ValueError("all-zero word has no index form")
-    lz = 0
-    while w[lz] == 0:
-        lz += 1
+    lz = trailing_run(w[::-1], 0)
     body = w[lz:]
     etas = []
     ks = []
@@ -215,13 +218,25 @@ def basis_sets(kind: str, N: int, ell: int):
     return sort_words(B), sort_words(Bp)
 
 
-def trailing_ones(w) -> int:
+def trailing_run(w, letter) -> int:
+    """Length of the final run of ``letter`` in w (leading run: pass w[::-1])."""
     n = 0
     for x in reversed(w):
-        if x != 1:
+        if x != letter:
             break
         n += 1
     return n
+
+
+def split_2a_x_2b(idx: tuple, letter: int):
+    """Match {2}^a letter {2}^b; returns (a, b) or None."""
+    hits = [i for i, x in enumerate(idx) if x == letter]
+    if len(hits) != 1:
+        return None
+    i = hits[0]
+    if all(x == 2 for x in idx[:i]) and all(x == 2 for x in idx[i + 1:]):
+        return i, len(idx) - i - 1
+    return None
 
 
 def phi_inverse(w):
@@ -239,9 +254,9 @@ def trailing_ones_partition(B, Bp, N: int, ell: int):
     classes_B = [[] for _ in range(ell)]
     classes_Bp = [[] for _ in range(ell)]
     for u in Bp:
-        classes_Bp[trailing_ones(u)].append(u)
+        classes_Bp[trailing_run(u, 1)].append(u)
     for w in B:
-        classes_B[trailing_ones(phi_inverse(w))].append(w)
+        classes_B[trailing_run(phi_inverse(w), 1)].append(w)
     return classes_B, classes_Bp
 
 

@@ -24,11 +24,13 @@ from .indexcore import (
     basis_sets,
     is_hoffman_word,
     is_saha_word,
+    split_2a_x_2b,
     trailing_ones_partition,
+    trailing_run,
     word_level,
 )
 from .ratmatrix import det_bareiss, det_exact, is_integer, parity
-from .symring import SymPoly
+from .symring import SymPoly, lc_put
 
 LOG = ("log",)
 
@@ -44,15 +46,6 @@ class IrreducibleLeftFactor(Exception):
 # ---------------------------------------------------------------------------
 # the derivations
 # ---------------------------------------------------------------------------
-
-def _add_term(out: dict, tag, right: tuple, coeff):
-    key = (tag, right)
-    c = out.get(key, Fraction(0)) + coeff
-    if c == 0:
-        out.pop(key, None)
-    else:
-        out[key] = c
-
 
 def deriv_D(r: int, k: tuple) -> dict:
     """Full expansion of D_r on the rescaled t value of index k.
@@ -70,7 +63,7 @@ def deriv_D(r: int, k: tuple) -> dict:
     # deconcatenation of a weight-r prefix
     for j in range(1, d + 1):
         if sum(k[:j]) == r:
-            _add_term(out, ("t", k[:j]), k[j:], Fraction(1))
+            lc_put(out, (("t", k[:j]), k[j:]), Fraction(1))
 
     for i in range(1, d):
         for j in range(i + 1, d + 1):
@@ -81,15 +74,15 @@ def deriv_D(r: int, k: tuple) -> dict:
             # zero-headed cut
             w_in = sum(k[i:j])
             if w_in <= r:
-                _add_term(out, ("zl", r - w_in, k[i:j]), right, Fraction(1))
+                lc_put(out, (("zl", r - w_in, k[i:j]), right), Fraction(1))
                 if r == 1:
-                    _add_term(out, LOG, right, Fraction(-1))
+                    lc_put(out, (LOG, right), Fraction(-1))
             # zero-tailed cut, with the subindex reversed
             w_out = sum(k[i - 1:j - 1])
             if w_out <= r:
-                _add_term(out, ("zl", r - w_out, tuple(reversed(k[i - 1:j - 1]))), right, Fraction(-1))
+                lc_put(out, (("zl", r - w_out, tuple(reversed(k[i - 1:j - 1]))), right), Fraction(-1))
                 if r == 1:
-                    _add_term(out, LOG, right, Fraction(1))
+                    lc_put(out, (LOG, right), Fraction(1))
     return out
 
 
@@ -99,9 +92,9 @@ def deriv_D1_fast(k: tuple) -> dict:
     k = tuple(k)
     out: dict = {}
     if k and k[0] == 1:
-        _add_term(out, LOG, k[1:], Fraction(2))
+        lc_put(out, (LOG, k[1:]), Fraction(2))
     if k and k[-1] == 1:
-        _add_term(out, LOG, k[:-1], Fraction(-1))
+        lc_put(out, (LOG, k[:-1]), Fraction(-1))
     return out
 
 
@@ -114,25 +107,14 @@ def deriv_D_star(r: int, k: tuple) -> dict:
     """
     out = deriv_D(r, k)
     k = tuple(k)
-    if len(k) >= r and all(x == 1 for x in k[-r:]):
-        _add_term(out, ("zst1", r), k[:-r], Fraction(1))
+    if trailing_run(k, 1) >= r:
+        lc_put(out, (("zst1", r), k[:-r]), Fraction(1))
     return out
 
 
 # ---------------------------------------------------------------------------
 # reduction of left factors
 # ---------------------------------------------------------------------------
-
-def _split_2a_x_2b(idx: tuple, letter: int):
-    """Match {2}^a letter {2}^b; returns (a, b) or None."""
-    hits = [i for i, x in enumerate(idx) if x == letter]
-    if len(hits) != 1:
-        return None
-    i = hits[0]
-    if all(x == 2 for x in idx[:i]) and all(x == 2 for x in idx[i + 1:]):
-        return i, len(idx) - i - 1
-    return None
-
 
 def lie_reduce(tag):
     """Reduce a left tag to (coefficient, generator) with generator
@@ -147,11 +129,11 @@ def lie_reduce(tag):
             return Fraction(1), LOG
         if all(x == 2 for x in idx):
             return Fraction(0), None
-        m = _split_2a_x_2b(idx, 1)
+        m = split_2a_x_2b(idx, 1)
         if m is not None:
             a, b = m
             return coeff_d_121(a, b), _zgen(2 * a + 2 * b + 1)
-        m = _split_2a_x_2b(idx, 3)
+        m = split_2a_x_2b(idx, 3)
         if m is not None:
             a, b = m
             return coeff_d_232(a, b), _zgen(2 * a + 2 * b + 3)
@@ -166,13 +148,13 @@ def lie_reduce(tag):
                 if n == 1 or n % 2 == 0:
                     return Fraction(0), None
                 return Fraction(1), _zgen(n)
-            m = _split_2a_x_2b(idx, 1)
+            m = split_2a_x_2b(idx, 1)
             if m is not None:
                 a, b = m
                 w = 2 * a + 2 * b + 1
                 c = zl_2212(a, b)
                 return (c, _zgen(w)) if c else (Fraction(0), None)
-            m = _split_2a_x_2b(idx, 3)
+            m = split_2a_x_2b(idx, 3)
             if m is not None:
                 a, b = m
                 return coeff_c_231(a, b), _zgen(2 * a + 2 * b + 3)
@@ -209,12 +191,7 @@ def reduce_deriv(terms: dict) -> dict:
         red, gen = lie_reduce(tag)
         if gen is None:
             continue
-        key = (gen, right)
-        cur = out.get(key, Fraction(0)) + coeff * red
-        if (isinstance(cur, SymPoly) and cur.is_zero) or (not isinstance(cur, SymPoly) and cur == 0):
-            out.pop(key, None)
-        else:
-            out[key] = cur
+        lc_put(out, (gen, right), coeff * red)
     return out
 
 
@@ -255,14 +232,7 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple, star: bool | None = No
             red, gen = lie_reduce(tag)
             if gen is None:
                 continue
-            contribution = coeff * red * pitilde(gen)
-            cur = out.get(right, Fraction(0)) + contribution
-            if isinstance(cur, SymPoly) and cur.is_zero:
-                out.pop(right, None)
-            elif not isinstance(cur, SymPoly) and cur == 0:
-                out.pop(right, None)
-            else:
-                out[right] = cur
+            lc_put(out, right, coeff * red * pitilde(gen))
     return out
 
 
@@ -453,28 +423,17 @@ def singular_lambda(N: int) -> Fraction:
     return -a / b
 
 
-def check_saha_level(w: tuple, r: int) -> bool:
-    """Every surviving term of D_r on a one-two-three word has a valid
-    right factor of strictly smaller level."""
-    lv = word_level(w, "S")
+def check_level(w: tuple, r: int, kind: str) -> bool:
+    """Every surviving term of D_r on a basis word of the given kind
+    ("S" one-two-three, "H" one-two) has a valid right factor of
+    strictly smaller level."""
+    lv = word_level(w, kind)
     for (tag, right), coeff in deriv_D(r, tuple(w)).items():
         if coeff == 0:
             continue
         if right == ():
             continue
-        if not is_saha_word(right) or word_level(right, "S") > lv - 1:
-            return False
-    return True
-
-
-def check_hoffman_level(w: tuple, r: int) -> bool:
-    lv = word_level(w, "H")
-    for (tag, right), coeff in deriv_D(r, tuple(w)).items():
-        if coeff == 0:
-            continue
-        if right == ():
-            continue
-        if not is_hoffman_word(right) or word_level(right, "H") > lv - 1:
+        if not _valid_word(right, kind) or word_level(right, kind) > lv - 1:
             return False
     return True
 
@@ -533,16 +492,5 @@ def d1_project(expr: dict) -> dict:
             rest = mono[:i] + mono[i + 1:]
             for replacement, factor in _d1_atom(atom):
                 new = rest if replacement is None else mot_mono(*rest, replacement)
-                key = tuple(new)
-                v = out.get(key, Fraction(0)) + c * factor
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+                lc_put(out, tuple(new), c * factor)
     return out
-
-
-def hoffman_log_derivation(expr: dict) -> dict:
-    """The implied identity obtained by differentiating with respect to
-    the logarithm: D_1 followed by the projection log -> 1."""
-    return d1_project(expr)

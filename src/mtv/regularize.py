@@ -23,43 +23,17 @@ result.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .closedform import zbar_reduce
-from .indexcore import IntWord, SignedIndex, from_int_word, to_int_word
-from .symring import LOG2, SymPoly, lc_add, lc_is_zero, lc_scale, lc_sub, zeta_sym
-from .wordalg import _stuffle_parts, shuffle, shuffle_lincomb, stuffle_lincomb, t_to_zeta
+from .indexcore import IntWord, SignedIndex, from_int_word, to_int_word, trailing_run
+from .symring import LOG2, SymPoly, lc_iadd, lc_is_zero, lc_put, lc_scale, lc_sub, zeta_sym
+from .wordalg import _stuffle_parts, shuffle, shuffle_lincomb, t_to_zeta
 
 EMPTY = SignedIndex((), 0)
-
-
-@dataclass(frozen=True)
-class RegPoly:
-    """Linear combination of convergent signed indices with polynomial
-    coefficients in at most one regularization parameter."""
-
-    terms: dict
-    param: str | None = None
-
-    def __post_init__(self):
-        for key, coeff in self.terms.items():
-            assert key.is_convergent(), f"divergent key {key} in RegPoly"
-            extra = coeff.generators() & {"V", "U", "W", "T", "S"}
-            if self.param is None:
-                assert not extra, f"unexpected parameters {extra}"
-            else:
-                assert extra <= {self.param}, f"mixed parameters {extra}"
-
-    def coeff(self, key) -> SymPoly:
-        return self.terms.get(key, SymPoly.zero())
-
-    def degree(self) -> int:
-        if self.param is None:
-            return 0
-        return max((c.max_degree(self.param) for c in self.terms.values()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,26 +62,17 @@ def stuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
         out = {s: SymPoly.one()}
     else:
         parts = s.parts
-        alpha = 0
-        for x in reversed(parts):
-            if x != 1:
-                break
-            alpha += 1
+        alpha = trailing_run(parts, 1)
         u = parts[:-1]
         out: dict = lc_scale(stuffle_reg(SignedIndex(u, 0), param), param)
         for v, m in _stuffle_parts(u, (1,)):
             if v == parts:
                 assert m == alpha
                 continue
-            out = lc_add(out, lc_scale(stuffle_reg(SignedIndex(v, 0), param), SymPoly.const(-m)))
+            lc_iadd(out, lc_scale(stuffle_reg(SignedIndex(v, 0), param), SymPoly.const(-m)))
         out = lc_scale(out, Fraction(1, alpha))
     _st_cache[key] = out
     return out
-
-
-def stuffle_reg_mul(a: dict, b: dict) -> dict:
-    """Product of two stuffle-presentation combinations (index stuffle)."""
-    return stuffle_lincomb(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -133,46 +98,23 @@ def word_shuffle_reg(w: IntWord, wval: SymPoly) -> dict:
         return hit
     if not w:
         out = {(): SymPoly.one()}
-    elif w[-1] == 1:
-        alpha = 0
-        for x in reversed(w):
-            if x != 1:
-                break
-            alpha += 1
-        u = w[:-1]
+    elif w[-1] == 1 or w[0] == 0:
+        # peel one letter off the divergent run: w = u 1 or w = 0 u
+        if w[-1] == 1:
+            letter, run, u = 1, trailing_run(w, 1), w[:-1]
+        else:
+            letter, run, u = 0, trailing_run(w[::-1], 0), w[1:]
         out = lc_scale(word_shuffle_reg(u, wval), wval)
-        for v, m in shuffle(u, (1,)).items():
+        for v, m in shuffle(u, (letter,)).items():
             if v == w:
-                assert m == alpha
+                assert m == run
                 continue
-            out = lc_add(out, lc_scale(word_shuffle_reg(v, wval), SymPoly.const(-m)))
-        out = lc_scale(out, Fraction(1, alpha))
-    elif w[0] == 0:
-        beta = 0
-        for x in w:
-            if x != 0:
-                break
-            beta += 1
-        u = w[1:]
-        out = lc_scale(word_shuffle_reg(u, wval), wval)
-        for v, m in shuffle(u, (0,)).items():
-            if v == w:
-                assert m == beta
-                continue
-            out = lc_add(out, lc_scale(word_shuffle_reg(v, wval), SymPoly.const(-m)))
-        out = lc_scale(out, Fraction(1, beta))
+            lc_iadd(out, lc_scale(word_shuffle_reg(v, wval), SymPoly.const(-m)))
+        out = lc_scale(out, Fraction(1, run))
     else:
         out = {w: SymPoly.one()}
     _word_cache[key] = out
     return out
-
-
-def _word_to_index(w: IntWord):
-    return EMPTY if not w else from_int_word(w)
-
-
-def _index_to_word(s: SignedIndex):
-    return to_int_word(s)
 
 
 def zeta_lc_to_words(lc: dict) -> dict:
@@ -180,16 +122,16 @@ def zeta_lc_to_words(lc: dict) -> dict:
     out: dict = {}
     for s, c in lc.items():
         sign = (-1) ** s.depth
-        out = lc_add(out, {_index_to_word(s): sign * SymPoly.coerce(c)})
+        lc_put(out, to_int_word(s), sign * SymPoly.coerce(c))
     return out
 
 
 def words_to_zeta_lc(lc: dict) -> dict:
     out: dict = {}
     for w, c in lc.items():
-        s = _word_to_index(w)
+        s = from_int_word(w)
         sign = (-1) ** s.depth
-        out = lc_add(out, {s: sign * SymPoly.coerce(c)})
+        lc_put(out, s, sign * SymPoly.coerce(c))
     return out
 
 
@@ -207,8 +149,8 @@ def shuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
     sign_s = (-1) ** s.depth
     out: dict = {}
     for w, c in expansion.items():
-        idx = _word_to_index(w)
-        out = lc_add(out, {idx: Fraction(sign_s * (-1) ** idx.depth) * c})
+        idx = from_int_word(w)
+        lc_put(out, idx, Fraction(sign_s * (-1) ** idx.depth) * c)
     return out
 
 
@@ -238,7 +180,7 @@ def unshuffle_zeros(s: SignedIndex) -> dict:
             coeff *= math.comb(abs(k) + i - 1, i)
             new_parts.append((1 if k > 0 else -1) * (abs(k) + i))
         key = SignedIndex(tuple(new_parts), 0)
-        out = lc_add(out, {key: SymPoly.const(coeff)})
+        lc_put(out, key, SymPoly.const(coeff))
     return out
 
 
@@ -257,11 +199,7 @@ def _compositions(total: int, parts: int):
 # ---------------------------------------------------------------------------
 
 def _split_trailing_ones(parts: tuple):
-    alpha = 0
-    for x in reversed(parts):
-        if x != 1:
-            break
-        alpha += 1
+    alpha = trailing_run(parts, 1)
     return parts[: len(parts) - alpha], alpha
 
 
@@ -278,7 +216,7 @@ def shift_param(scheme: str, s: SignedIndex, old, new) -> dict:
     for i in range(alpha + 1):
         si = SignedIndex(prefix + (1,) * (alpha - i), 0)
         factor = (new - old) ** i * Fraction(1, math.factorial(i))
-        out = lc_add(out, lc_scale(reg(si, old), factor))
+        lc_iadd(out, lc_scale(reg(si, old), factor))
     return out
 
 
@@ -329,9 +267,7 @@ def rho_apply(p: SymPoly, param: str = "T") -> SymPoly:
 def rho_apply_lincomb(lc: dict, param: str = "T") -> dict:
     out: dict = {}
     for key, c in lc.items():
-        img = rho_apply(SymPoly.coerce(c), param)
-        if not img.is_zero:
-            out[key] = img
+        lc_put(out, key, rho_apply(SymPoly.coerce(c), param))
     return out
 
 
@@ -365,7 +301,7 @@ def st_via_sh0(s: SignedIndex, param) -> dict:
     out: dict = {}
     for i in range(alpha + 1):
         si = SignedIndex(prefix + (1,) * (alpha - i), 0)
-        out = lc_add(out, lc_scale(shuffle_reg(si, SymPoly.zero()), zeta_ones(i, param)))
+        lc_iadd(out, lc_scale(shuffle_reg(si, SymPoly.zero()), zeta_ones(i, param)))
     return out
 
 
@@ -378,7 +314,7 @@ def t_shuffle_reg0(k: tuple) -> dict:
     combination of convergent signed indices."""
     out: dict = {}
     for s, c in t_to_zeta(k).items():
-        out = lc_add(out, lc_scale(shuffle_reg(s, SymPoly.zero()), c))
+        lc_iadd(out, lc_scale(shuffle_reg(s, SymPoly.zero()), c))
     return out
 
 
@@ -389,7 +325,7 @@ def t_stuffle_reg(k: tuple, V) -> dict:
     reg = stuffle_reg(SignedIndex(tuple(k), 0), V)
     out: dict = {}
     for idx, c in reg.items():
-        out = lc_add(out, lc_scale(t_to_zeta(idx.parts), c))
+        lc_iadd(out, lc_scale(t_to_zeta(idx.parts), c))
     return out
 
 
@@ -406,7 +342,7 @@ def t_st_from_sh(k: tuple, V) -> dict:
     for i in range(alpha + 1):
         ki = prefix + (1,) * (alpha - i)
         factor = zeta_ones(i, u_param) * Fraction(1, 2 ** i)
-        out = lc_add(out, lc_scale(t_shuffle_reg0(ki), factor))
+        lc_iadd(out, lc_scale(t_shuffle_reg0(ki), factor))
     return out
 
 
@@ -419,14 +355,14 @@ def reduce_depth1(lc: dict) -> dict:
     out: dict = {}
     for s, c in lc.items():
         if s.depth != 1:
-            out = lc_add(out, {s: c})
+            lc_put(out, s, c)
             continue
         k = s.parts[0]
         if k > 0:
             val = zeta_sym(k)  # k >= 2 because the key is convergent
         else:
             val = zbar_reduce(-k)
-        out = lc_add(out, {EMPTY: val * SymPoly.coerce(c)})
+        lc_put(out, EMPTY, val * SymPoly.coerce(c))
     return out
 
 
@@ -437,22 +373,16 @@ def distribution_rewrite(lc: dict) -> dict:
     out: dict = {}
     for s, c in lc.items():
         if s.depth < 2 or any(x < 0 for x in s.parts):
-            out = lc_add(out, {s: c})
+            lc_put(out, s, c)
             continue
         w, d = s.weight, s.depth
         factor = Fraction(2 ** (w - d), 1 - 2 ** (w - d))
-        for signs in _sign_choices(d):
+        for signs in itertools.product((1, -1), repeat=d):
             if all(e > 0 for e in signs):
                 continue
             key = SignedIndex(tuple(e * x for e, x in zip(signs, s.parts)), 0)
-            out = lc_add(out, {key: factor * SymPoly.coerce(c)})
+            lc_put(out, key, factor * SymPoly.coerce(c))
     return out
-
-
-def _sign_choices(d: int):
-    import itertools
-
-    return itertools.product((1, -1), repeat=d)
 
 
 def canonicalize(lc: dict) -> dict:
@@ -481,10 +411,10 @@ def distribution_residual(k: tuple, alpha: int, ell: int, param=None) -> dict:
     d = len(k)
     w = sum(k)
     lhs: dict = {}
-    for eps in _sign_choices(d):
-        for delta in _sign_choices(alpha):
+    for eps in itertools.product((1, -1), repeat=d):
+        for delta in itertools.product((1, -1), repeat=alpha):
             parts = tuple(e * x for e, x in zip(eps, k)) + delta
-            lhs = lc_add(lhs, shuffle_reg(SignedIndex(parts, ell), param))
+            lc_iadd(lhs, shuffle_reg(SignedIndex(parts, ell), param))
     lhs = lc_scale(lhs, Fraction(2 ** (w + ell - d)))
 
     neg_log2 = {SignedIndex((-1,), 0): SymPoly.one()}  # zeta(bar 1) = -log 2
@@ -492,7 +422,7 @@ def distribution_residual(k: tuple, alpha: int, ell: int, param=None) -> dict:
     power: dict = {EMPTY: SymPoly.one()}
     for i in range(alpha + 1):
         term = zeta_lc_word_mul(shuffle_reg(SignedIndex(k + (1,) * (alpha - i), ell), param), power)
-        rhs = lc_add(rhs, lc_scale(term, Fraction(1, math.factorial(i))))
+        lc_iadd(rhs, lc_scale(term, Fraction(1, math.factorial(i))))
         power = zeta_lc_word_mul(power, neg_log2)
 
     return canonicalize(lc_sub(lhs, rhs))

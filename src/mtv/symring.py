@@ -349,32 +349,32 @@ LOG2 = SymPoly.gen("log2")
 # ---------------------------------------------------------------------------
 #
 # A LinComb is a plain dict {basis term: SymPoly}.  Zero coefficients are
-# never stored; the helpers below maintain that invariant.
+# never stored: lc_put is the one place that invariant lives.  Every sum
+# of coefficients goes through it; lc_scale only multiplies by a nonzero
+# scalar, which cannot make a coefficient vanish.
 
 def coeff_is_zero(c) -> bool:
     return c.is_zero if isinstance(c, SymPoly) else c == 0
 
 
-def lc_make(pairs) -> dict:
-    out: dict = {}
-    for k, c in pairs:
-        s = out.get(k, 0) + c
-        if coeff_is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
+def lc_put(out: dict, key, coeff) -> None:
+    """Add coeff to out[key] in place, removing the key if the sum is zero."""
+    s = out.get(key, 0) + coeff
+    if coeff_is_zero(s):
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def lc_iadd(out: dict, lc: dict) -> dict:
+    """Add lc into out in place and return out."""
+    for k, c in lc.items():
+        lc_put(out, k, c)
     return out
 
 
 def lc_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
-        if coeff_is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+    return lc_iadd(dict(a), b)
 
 
 def lc_sub(a: dict, b: dict) -> dict:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .indexcore import SignedIndex, index_depth, index_weight
-from .symring import lc_add, lc_scale
+from .symring import lc_add, lc_iadd, lc_scale
 
 
 def _merge_entry(x: int, y: int) -> int:
@@ -60,7 +60,7 @@ def stuffle_lincomb(a: dict, b: dict) -> dict:
     out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            out = lc_add(out, lc_scale(stuffle(ka, kb), ca * cb))
+            lc_iadd(out, lc_scale(stuffle(ka, kb), ca * cb))
     return out
 
 
@@ -89,7 +89,7 @@ def shuffle_lincomb(a: dict, b: dict) -> dict:
     out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            out = lc_add(out, lc_scale(shuffle(ka, kb), ca * cb))
+            lc_iadd(out, lc_scale(shuffle(ka, kb), ca * cb))
     return out
 
 
@@ -118,7 +118,7 @@ def stuffle_compat_check(r: tuple, s: tuple) -> bool:
     """t(r *_t s) expands to the same signed combination as t(r) *_z t(s)."""
     lhs: dict = {}
     for parts, m in _stuffle_parts(tuple(r), tuple(s)):
-        lhs = lc_add(lhs, lc_scale(t_to_zeta(parts), m))
+        lc_iadd(lhs, lc_scale(t_to_zeta(parts), m))
     rhs = stuffle_lincomb(t_to_zeta(tuple(r)), t_to_zeta(tuple(s)))
     diff = lc_add(lhs, lc_scale(rhs, -1))
     return all(c == 0 for c in diff.values())

@@ -38,6 +38,8 @@ def test_eval(capsys):
     assert code == 0 and "z3" in out
     code, out, err = run_cli(capsys, "eval", "t(2,1)")
     assert code == 2
+    code, out, err = run_cli(capsys, "eval", "t*(2,2)")
+    assert code == 2 and "pattern" in err
 
 
 def test_reg(capsys):
@@ -54,6 +56,16 @@ def test_stuffle_shuffle(capsys):
     code, out, _ = run_cli(capsys, "shuffle", "10", "10", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"1010": "2", "1100": "4"}
+    code, out, _ = run_cli(capsys, "shuffle", "1,0", "1, 0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"1010": "2", "1100": "4"}
+    code, out, _ = run_cli(capsys, "shuffle", "1,-1", "0")
+    assert code == 0 and out.splitlines() == ["1 * 01-1", "1 * 1-10", "1 * 10-1"]
+    for bad in ("12", "1,2", "1-1", "x"):
+        code, out, err = run_cli(capsys, "shuffle", bad, "1")
+        assert code == 2 and bad in err
+    code, out, err = run_cli(capsys, "stuffle", "z(0)", "t(1)")
+    assert code == 2 and "nonzero" in err
 
 
 def test_dr(capsys):
@@ -74,9 +86,29 @@ def test_det(capsys):
     assert code == 0 and out.strip() == "0"
 
 
-def test_num(capsys):
+def test_num(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "num", "t(2)", "--prec", "53", "--cutoff", "20000")
     assert code == 0 and out.startswith("1.2337")
+    code, out, err = run_cli(capsys, "num", "z(0,2)")
+    assert code == 2 and "nonzero" in err
+    for flag in ("--prec", "--cutoff"):
+        code, out, err = run_cli(capsys, "num", "t(2)", flag, "0")
+        assert code == 2 and flag[2:] in err
+    for var in ("MTV_PREC", "MTV_CUTOFF"):
+        with monkeypatch.context() as m:
+            m.setenv(var, "0")
+            code, out, err = run_cli(capsys, "num", "t(2)")
+            assert code == 2 and var[4:].lower() in err
+            code, out, err = run_cli(capsys, "verify", "--suite", "counting")
+            assert code == 2 and var[4:].lower() in err
+
+
+def test_coeff(capsys):
+    code, out, _ = run_cli(capsys, "coeff", "c", "2a1", "--a", "2")
+    assert code == 0 and out.strip() == "2"
+    for args in (("c", "2a1", "--a", "-1"), ("d", "2a12b", "--a", "1", "--b", "-2")):
+        code, out, err = run_cli(capsys, "coeff", *args)
+        assert code == 2 and "non-negative" in err
 
 
 def test_verify_counting(capsys):

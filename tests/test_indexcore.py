@@ -55,6 +55,9 @@ def test_round_trip_exhaustive():
                 for lz in range(0, 4):
                     s = SignedIndex(tuple(a * k for a, k in zip(signs, comp)), lz)
                     assert from_int_word(to_int_word(s)) == s
+    # the empty index is the empty word
+    empty = SignedIndex((), 0)
+    assert to_int_word(empty) == () and from_int_word(()) == empty
 
 
 def test_enumerate_saha_weight4():
@@ -146,3 +149,6 @@ def test_parse_and_format():
     assert format_word((2, 1)) == "21"
     with pytest.raises(ValueError):
         parse_argument("t(0,2)")
+    for text in ("z(0,2)", "z(0)", "z_1()"):
+        with pytest.raises(ValueError, match="."):
+            parse_argument(text)

@@ -6,13 +6,12 @@ from mtv.indexcore import enumerate_hoffman, enumerate_saha
 from mtv.motivic import (
     IrreducibleLeftFactor,
     LOG,
-    check_hoffman_level,
-    check_saha_level,
+    check_level,
+    d1_project,
     deriv_D,
     deriv_D1_fast,
     deriv_D_star,
     graded_partial,
-    hoffman_log_derivation,
     lie_reduce,
     mot_mono,
     reduce_deriv,
@@ -108,27 +107,29 @@ def test_level_checks_sweep():
     for N in range(2, 10):
         for w in enumerate_saha(N):
             for r in range(1, N + 1, 2):
-                assert check_saha_level(w, r)
+                assert check_level(w, r, "S")
     for N in range(1, 10):
         for w in enumerate_hoffman(N):
             for r in range(1, N + 1, 2):
-                assert check_hoffman_level(w, r)
+                assert check_level(w, r, "H")
+    # D_1 t(1,3) has the right factor (3): valid for "S", not a one-two word
+    assert check_level((1, 3), 1, "S") and not check_level((1, 3), 1, "H")
 
 
 def test_leibniz_on_primitive_products():
     # D_1(x y) = (1 (x) y) D_1 x + (1 (x) x) D_1 y on log2-monomials
     expr = {mot_mono(("log2",), ("log2",)): Fraction(1)}
-    out = hoffman_log_derivation(expr)
+    out = d1_project(expr)
     assert out == {(("log2",),): Fraction(2)}
     expr = {mot_mono(("z", 3), ("log2",)): Fraction(1)}
-    out = hoffman_log_derivation(expr)
+    out = d1_project(expr)
     assert out == {(("z", 3),): Fraction(1)}
 
 
 def test_hoffman_derivation_trivial():
     # identities without unit arguments derive to 0 = 0
     expr = {mot_mono(("t", (3, 2))): Fraction(1), mot_mono(("t", (5,))): Fraction(-1)}
-    assert hoffman_log_derivation(expr) == {}
+    assert d1_project(expr) == {}
 
 
 def test_singular_lambda_small():

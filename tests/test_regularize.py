@@ -2,8 +2,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import pytest
-
 from mtv.indexcore import SignedIndex, zi
 from mtv.regularize import (
     EMPTY,
@@ -13,6 +11,7 @@ from mtv.regularize import (
     sh_from_st,
     shift_param,
     shuffle_reg,
+    st_via_sh0,
     stuffle_reg,
     t_shuffle_reg0,
     t_st_from_sh,
@@ -22,7 +21,7 @@ from mtv.regularize import (
     zeta_lc_word_mul,
     zeta_ones,
 )
-from mtv.symring import LOG2, PI2, SymPoly, lc_add, lc_is_zero, lc_scale, lc_sub
+from mtv.symring import LOG2, PARAMS, PI2, SymPoly, lc_add, lc_is_zero, lc_scale, lc_sub
 from mtv.wordalg import shuffle, stuffle, stuffle_lincomb
 
 T = SymPoly.gen("T")
@@ -294,16 +293,39 @@ def test_word_product_on_zeta_side():
     }
 
 
-def test_regpoly_wrapper_validates():
-    from mtv.regularize import RegPoly
+def test_regularized_keys_convergent_in_one_parameter():
+    # every key is convergent and no parameter but the chosen one occurs
+    for s in _signed_indices(5):
+        for out, param in ((stuffle_reg(s, U), "U"), (shuffle_reg(s, W), "W")):
+            for key, coeff in out.items():
+                assert key.is_convergent(), (s, key)
+                assert coeff.generators() & set(PARAMS) <= {param}, (s, key, coeff)
+    out = stuffle_reg(zi(2, 1, 1), U)
+    assert max(c.max_degree("U") for c in out.values()) == 2
+    assert out[zi(1, 1, 2)] == SymPoly.one()
 
-    out = RegPoly(stuffle_reg(zi(2, 1, 1), U), "U")
-    assert out.degree() == 2
-    assert out.coeff(zi(1, 1, 2)) == SymPoly.one()
-    with pytest.raises(AssertionError):
-        RegPoly({zi(2, 1): SymPoly.one()}, "U")  # divergent key
-    with pytest.raises(AssertionError):
-        RegPoly({zi(2): SymPoly.gen("W")}, "U")  # wrong parameter
+
+def test_memo_values_survive_regularization_sweep():
+    # results are accumulated in place; a memoised value must never be the
+    # dict that receives the sums
+    from mtv import regularize
+
+    small = list(_signed_indices(4))
+    snapshot = {(s, p): (dict(stuffle_reg(s, p)), dict(shuffle_reg(s, p))) for s in small for p in (T, ZERO)}
+    st_cache = {k: dict(v) for k, v in regularize._st_cache.items()}
+    word_cache = {k: dict(v) for k, v in regularize._word_cache.items()}
+    for s in small:
+        lc_sub(stuffle_reg(s, ZERO), shift_param("stuffle", s, T, ZERO))
+        lc_sub(stuffle_reg(s, T), st_via_sh0(s, T))
+        lc_sub(shuffle_reg(s, T), shift_param("shuffle", s, ZERO, T))
+        lc_add(sh_from_st(s, "T"), st_via_sh0(s, T))
+        stuffle_lincomb(stuffle_reg(s, T), stuffle_reg(s, ZERO))
+    distribution_residual((2,), 2, 0)
+    t_st_from_sh((2, 1, 1), V)
+    for (s, p), (st, sh) in snapshot.items():
+        assert stuffle_reg(s, p) == st and shuffle_reg(s, p) == sh, (s, p)
+    assert all(regularize._st_cache[k] == v for k, v in st_cache.items())
+    assert all(regularize._word_cache[k] == v for k, v in word_cache.items())
 
 
 def test_regularization_output_weight_homogeneous():
