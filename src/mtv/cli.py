@@ -9,10 +9,14 @@ on verification failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
+import math
 import os
 import sys
 from fractions import Fraction
+
+import mpmath
 
 from . import verify as verify_mod
 from .closedform import eval_t22, eval_t2212_star, eval_t2232
@@ -228,10 +232,22 @@ def cmd_num(args) -> int:
         v = altz_num(idx, env)
     else:
         v = t_num(tuple(idx), env)
-    import mpmath
-
-    print(mpmath.nstr(mpmath.mpf(v.val), max(8, int(env.prec * 0.3))), "+-", f"{v.err:.3e}")
+    print(_certified_digits(v))
     return 0
+
+
+def _certified_digits(v) -> str:
+    """The value rounded to the decimal place of the bound's leading digit,
+    and the bound widened by that rounding and rounded up, so the printed
+    interval contains every value the bound allows."""
+    if not v.err:
+        return f"{v.val} +- 0"
+    val = Fraction(int(mpmath.sign(v.val)) * v.val.man) * Fraction(2) ** v.val.exp  # exact; mpf() would round
+    place = math.floor(math.log10(v.err))
+    q = round(val / Fraction(10) ** place)
+    bound = Fraction(v.err) + abs(q * Fraction(10) ** place - val)
+    up = decimal.Context(prec=4, rounding=decimal.ROUND_CEILING).divide(bound.numerator, bound.denominator)
+    return f"{decimal.Decimal(f'{q}e{place}'):f} +- {float(up):.3e}"
 
 
 def cmd_coeff(args) -> int:
@@ -285,9 +301,9 @@ def _verify_identity(args, env) -> int:
         return 2
     resid = abs(float(closed.val - direct.val))
     bound = closed.err + direct.err
-    ok = resid <= max(bound, 1e-6)
+    ok = resid <= bound <= 1e-6
     print(f"value {float(direct.val):.12f}  closed {float(closed.val):.12f}  "
-          f"residual {resid:.3e}  bound {max(bound, 1e-6):.3e}  {'PASS' if ok else 'FAIL'}")
+          f"residual {resid:.3e}  bound {bound:.3e}  {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

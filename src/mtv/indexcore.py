@@ -91,20 +91,25 @@ def to_int_word(s: SignedIndex) -> IntWord:
     return tuple(word)
 
 
-def from_int_word(w: IntWord) -> SignedIndex:
-    """Inverse of to_int_word; the empty word is the empty index."""
-    if w and not any(x != 0 for x in w):
-        raise ValueError("all-zero word has no index form")
-    lz = trailing_run(w[::-1], 0)
-    body = w[lz:]
-    etas = []
-    ks = []
-    for x in body:
+def word_blocks(w: IntWord) -> tuple:
+    """Split a word with nonzero first letter into blocks, each a nonzero
+    letter followed by zeros; returns (block lengths, nonzero letters)."""
+    ks, etas = [], []
+    for x in w:
         if x == 0:
             ks[-1] += 1
         else:
             etas.append(x)
             ks.append(1)
+    return ks, etas
+
+
+def from_int_word(w: IntWord) -> SignedIndex:
+    """Inverse of to_int_word; the empty word is the empty index."""
+    if w and not any(x != 0 for x in w):
+        raise ValueError("all-zero word has no index form")
+    lz = trailing_run(w[::-1], 0)
+    ks, etas = word_blocks(w[lz:])
     parts = []
     for i, k in enumerate(ks):
         nxt = etas[i + 1] if i + 1 < len(etas) else 1

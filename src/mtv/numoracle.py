@@ -8,10 +8,12 @@ polylogarithmic growth envelope on the inner partial sums, alternating
 tails through the Leibniz bound.  Every reported value carries an
 absolute error bound that is propagated through arithmetic.
 
-Two summation backends: a numpy float64 path for survey-scale work
-(precision at most 53 bits) and an integer fixed-point path for higher
-precision.  Constants and the digamma function come from mpmath at the
-working precision.
+One engine per precision: up to 53 bits the numpy float64 nested sums,
+whose accuracy is set by the cutoff; above 53 bits the path split at 1/2
+(Hoelder convolution), whose truncation is sized from its own geometric
+tail bound, so its accuracy follows the precision.  The float64 sums stay
+the independent cross-check of the path split.  Constants and the
+digamma function come from mpmath at the working precision.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import math
 import mpmath
 import numpy as np
 
-from .indexcore import SignedIndex
+from .indexcore import SignedIndex, to_int_word, word_blocks, word_is_convergent
 from .symring import SymPoly
+from .wordalg import t_to_zeta
 
 _EPS64 = 2.220446049250313e-16
 
@@ -82,15 +85,12 @@ class NumEnv:
     """Precision, cutoff and cached constants for the oracle."""
 
     def __init__(self, prec: int = 128, cutoff: int = 10 ** 6):
+        if prec > 1000:  # error bounds are floats; 2^-(prec+15) must not underflow
+            raise ValueError(f"prec must be at most 1000 bits, got {prec}")
         self.prec = prec
         self.cutoff = cutoff
         self._consts: dict = {}
         self._sums: dict = {}
-
-    def _mp(self):
-        ctx = mpmath.mp.clone()
-        ctx.prec = self.prec + 15
-        return ctx
 
     def work(self):
         """Context manager raising the global precision for MPFloat
@@ -100,19 +100,19 @@ class NumEnv:
     def const(self, name: str):
         hit = self._consts.get(name)
         if hit is None:
-            ctx = self._mp()
-            if name == "pi":
-                hit = +ctx.pi
-            elif name == "pi2":
-                hit = ctx.pi ** 2
-            elif name == "log2":
-                hit = ctx.log(2)
-            elif name == "euler":
-                hit = +ctx.euler
-            elif name.startswith("z"):
-                hit = ctx.zeta(int(name[1:]))
-            else:
-                raise KeyError(name)
+            with self.work():
+                if name == "pi":
+                    hit = +mpmath.pi
+                elif name == "pi2":
+                    hit = mpmath.pi ** 2
+                elif name == "log2":
+                    hit = mpmath.log(2)
+                elif name == "euler":
+                    hit = +mpmath.euler
+                elif name.startswith("z"):
+                    hit = mpmath.zeta(int(name[1:]))
+                else:
+                    raise KeyError(name)
             self._consts[name] = hit
         return hit
 
@@ -163,24 +163,6 @@ def _dp_float(ks, signs, odd: bool, M: int):
     return tops
 
 
-def _dp_fixed(ks, signs, odd: bool, M: int, bits: int):
-    """Fixed-point integer DP; floor errors stay below M*d units."""
-    scale = 1 << bits
-    d = len(ks)
-    A = [scale] + [0] * d
-    for m in range(1, M + 1):
-        q = (2 * m - 1) if odd else m
-        neg = (m % 2 == 1)
-        for i in range(d, 0, -1):
-            prev = A[i - 1]
-            if prev:
-                delta = prev // q ** ks[i - 1] if prev > 0 else -((-prev) // q ** ks[i - 1])
-                if signs[i - 1] < 0 and neg:
-                    delta = -delta
-                A[i] += delta
-    return A[1:], scale
-
-
 def _poly_mul_linear(p, c):
     q = [0.0] * (len(p) + 1)
     for j, a in enumerate(p):
@@ -224,10 +206,10 @@ def _tail_I(j: int, k: int, odd: bool, M: int) -> float:
     return integral + sup
 
 
-def _nested_sum(env: NumEnv, ks, signs, odd: bool, M=None) -> MPFloat:
+def _nested_sum(env: NumEnv, ks, signs, odd: bool) -> MPFloat:
     ks = tuple(int(k) for k in ks)
     signs = tuple(int(s) for s in signs)
-    M = int(M or env.cutoff)
+    M = env.cutoff
     key = (ks, signs, odd, M, env.prec)
     hit = env._sums.get(key)
     if hit is not None:
@@ -235,24 +217,10 @@ def _nested_sum(env: NumEnv, ks, signs, odd: bool, M=None) -> MPFloat:
     assert ks, "empty index handled by callers"
     assert ks[-1] >= 2 or signs[-1] < 0, f"divergent sum {ks, signs}"
     d = len(ks)
-    with env.work():
-        out = _nested_sum_impl(env, ks, signs, odd, M, d)
-    env._sums[key] = out
-    return out
-
-
-def _nested_sum_impl(env: NumEnv, ks, signs, odd: bool, M: int, d: int) -> MPFloat:
-
-    if env.prec <= 53:
-        tops = _dp_float(ks, signs, odd, M)
-        round_err = 4.0 * d * M * _EPS64
-    else:
-        ctx = env._mp()
-        ints, scale = _dp_fixed(ks, signs, odd, M, env.prec + 16)
-        tops = [ctx.mpf(a) / scale for a in ints]
-        round_err = 4.0 * d * M * 2.0 ** (-env.prec - 16)
+    tops = _dp_float(ks, signs, odd, M)
+    round_err = 4.0 * d * M * _EPS64
     if all(s > 0 for s in signs):
-        abs_tops = [abs(float(t)) for t in tops]
+        abs_tops = [abs(t) for t in tops]
     else:
         abs_tops = _dp_float(ks, [1] * d, odd, M)
 
@@ -271,7 +239,7 @@ def _nested_sum_impl(env: NumEnv, ks, signs, odd: bool, M: int, d: int) -> MPFlo
     #                                          integral+supremum bound)
     # Alternating outer factors drop the correction: the frozen part obeys
     # the Leibniz bound, the growth part is bounded in absolute value.
-    inner_abs = abs(float(inner_top))
+    inner_abs = abs(inner_top)
     if signs[-1] > 0:
         if odd:
             U = (2 * M - 1.0) ** (1 - k_out) / (2 * (k_out - 1))
@@ -298,28 +266,36 @@ def _nested_sum_impl(env: NumEnv, ks, signs, odd: bool, M: int, d: int) -> MPFlo
                 sup = (float(j) ** j) * math.exp(-j) / M if j else 1.0 / (M + 1)
                 err += 2.0 * c * sup
 
-    return MPFloat(mpmath.mpf(value), err + round_err)
+    out = MPFloat(mpmath.mpf(value), err + round_err)  # float to mpf is exact
+    env._sums[key] = out
+    return out
 
 
-def t_num(k: tuple, env: NumEnv, M=None) -> MPFloat:
-    """t(k), the nested sum over odd denominators; needs k_d >= 2."""
+def t_num(k: tuple, env: NumEnv) -> MPFloat:
+    """t(k), the nested sum over odd denominators; needs k_d >= 2.  Above
+    53 bits it is the path-split value of its alternating expansion."""
     k = tuple(k)
     if not k:
         return MPFloat(mpmath.mpf(1), 0.0)
     if k[-1] < 2:
         raise ValueError(f"divergent t index {k}")
-    return _nested_sum(env, k, [1] * len(k), True, M)
+    if env.prec > 53:
+        return lincomb_num(t_to_zeta(k), env)
+    return _nested_sum(env, k, [1] * len(k), True)
 
 
-def altz_num(s: SignedIndex, env: NumEnv, M=None) -> MPFloat:
-    """Alternating zeta value of a convergent signed index."""
+def altz_num(s: SignedIndex, env: NumEnv) -> MPFloat:
+    """Alternating zeta value of a convergent signed index: the nested
+    sums up to 53 bits, the path split above."""
     if not s.parts:
         return MPFloat(mpmath.mpf(1), 0.0)
     if not s.is_convergent():
         raise ValueError(f"divergent signed index {s}")
+    if env.prec > 53:
+        return altz_num_holder(s, env)
     ks = tuple(abs(x) for x in s.parts)
     signs = tuple(1 if x > 0 else -1 for x in s.parts)
-    return _nested_sum(env, ks, signs, False, M)
+    return _nested_sum(env, ks, signs, False)
 
 
 # ---------------------------------------------------------------------------
@@ -332,50 +308,52 @@ def altz_num(s: SignedIndex, env: NumEnv, M=None) -> MPFloat:
 # geometric bounds.  This is the evaluator behind the exactness verdicts;
 # the plain nested sums above serve as its independent cross-check.
 
-def _word_split_data(w):
-    """Parse a word over {0, 1, -1, 2} starting nonzero into (ks, etas)."""
-    assert w and w[0] != 0
-    ks, etas = [], []
-    for x in w:
-        if x == 0:
-            ks[-1] += 1
-        else:
-            etas.append(x)
-            ks.append(1)
-    return ks, etas
-
-
-def _poly_at_half(w, ctx, terms: int):
+def _poly_at_half(w, env: NumEnv):
     """I(0; w; 1/2) for a word over {0, 1, -1, 2}; returns (value, err).
+    Runs under env.work() and is memoised per word and precision.
 
     After telescoping, the series runs over increasing n_1 < ... < n_d
     with per-level ratios y_i = (1/2)/eta_i, all of modulus <= 1/2.
     """
     if not w:
-        return ctx.mpf(1), 0.0
-    ks, etas = _word_split_data(w)
+        return mpmath.mpf(1), 0.0
+    key = ("half", w, env.prec)
+    hit = env._sums.get(key)
+    if hit is not None:
+        return hit
+    ks, etas = word_blocks(w)
     d = len(ks)
-    ys = [ctx.mpf(1) / (2 * e) for e in etas]
-    carry = [ctx.mpf(0)] * d
-    prev_b = [ctx.mpf(0)] * d  # B_i(n-1)
-    total = ctx.mpf(0)
-    for n in range(1, terms + 1):
-        newb = []
-        below = ctx.mpf(1) if n == 1 else ctx.mpf(0)  # B_0(n-1)
+    n0 = 2 * d - 1  # the first dropped n_d: the least with tail <= 2^-(prec+8)
+    while _tail_bound(n0, d) > 2.0 ** (-env.prec - 8):
+        n0 += 1
+    ys = [mpmath.mpf(1) / (2 * e) for e in etas]
+    carry = [mpmath.mpf(0)] * d
+    prev_b = [mpmath.mpf(0)] * d  # B_i(n-1), overwritten level by level with B_i(n)
+    total = mpmath.mpf(0)
+    for n in range(1, n0):
+        below = mpmath.mpf(1) if n == 1 else mpmath.mpf(0)  # B_0(n-1)
         for i in range(d):
             carry[i] = ys[i] * (carry[i] + below)
-            below = prev_b[i]
-            b = carry[i] / ctx.mpf(n) ** ks[i]
-            newb.append(b)
-        prev_b = newb
-        total += newb[-1]
-    # all dropped configurations have n_d > terms and absolute weight
-    # <= C(n-1, d-1) (1/2)^n; the term ratio is below 0.6 once n > 2d
-    n0 = terms + 1
-    a = _binom_float(n0 - 1, d - 1) * 0.5 ** n0
-    tail = 2.0 * a / (1 - 0.6) if n0 > 2 * d else 1.0
-    value = total * (-1) ** d
-    return value, tail
+            below, prev_b[i] = prev_b[i], carry[i] / mpmath.mpf(n) ** ks[i]
+        total += prev_b[-1]
+    # the ratios y are powers of two, so along a configuration (absolute
+    # weight 2^-n_d, total at most 1) only the carry additions, a power and
+    # a division per level and the running sum round: 2 n0 + 2d roundings
+    rounding = (2 * n0 + 2 * d) * 2.0 ** (-env.prec - 15)
+    out = (total * (-1) ** d, _tail_bound(n0, d) + rounding)
+    env._sums[key] = out
+    return out
+
+
+def _tail_bound(n0: int, d: int) -> float:
+    """Bound on sum_{n >= n0} C(n-1, d-1) 2^-n, the absolute weight of the
+    configurations with n_d >= n0 that a depth-d series at 1/2 drops.  The
+    term ratio n/(2(n-d+1)) decreases in n and is below 1 once n0 > 2(d-1);
+    below that the sum, a binomial probability, is at most 1."""
+    if n0 <= 2 * (d - 1):
+        return 1.0
+    ratio = n0 / (2 * (n0 - d + 1))
+    return 2.0 * _binom_float(n0 - 1, d - 1) * 0.5 ** n0 / (1 - ratio)
 
 
 def _binom_float(n, k):
@@ -398,20 +376,15 @@ def altz_num_holder(s: SignedIndex, env: NumEnv) -> MPFloat:
     hit = env._sums.get(key)
     if hit is not None:
         return hit
-    from .indexcore import to_int_word, word_is_convergent
-
     w = to_int_word(s)
     if not word_is_convergent(w):
         raise ValueError(f"divergent signed index {s}")
-    ctx = env._mp()
-    terms = int((env.prec + 30) * 1.5) + 8 * len(w)
     with env.work():
-        total = ctx.mpf(0)
+        total = mpmath.mpf(0)
         err = 0.0
         for j in range(len(w) + 1):
-            v1, e1 = _poly_at_half(w[:j], ctx, terms)
-            upper = _transform_upper(w[j:])
-            v2, e2 = _poly_at_half(upper, ctx, terms)
+            v1, e1 = _poly_at_half(w[:j], env)
+            v2, e2 = _poly_at_half(_transform_upper(w[j:]), env)
             sign = (-1) ** (len(w) - j)
             total += sign * v1 * v2
             err += abs(float(v1)) * e2 + abs(float(v2)) * e1 + e1 * e2
@@ -452,14 +425,10 @@ def _eval_num_impl(p: SymPoly, env: NumEnv, bindings) -> MPFloat:
     return total
 
 
-def lincomb_num(lc: dict, env: NumEnv, bindings=None, evaluator: str = "holder") -> MPFloat:
-    """Evaluate {SignedIndex: SymPoly} numerically.
-
-    The default path-split evaluator carries geometric error bounds and
-    is the decisive one; evaluator="sums" runs the plain nested sums.
-    """
-    fn = altz_num_holder if evaluator == "holder" else altz_num
-    vals = [(fn(key, env), SymPoly.coerce(coeff)) for key, coeff in lc.items()]
+def lincomb_num(lc: dict, env: NumEnv, bindings=None) -> MPFloat:
+    """Evaluate {SignedIndex: SymPoly} numerically through the path-split
+    evaluator, whose geometric error bounds make it the decisive one."""
+    vals = [(altz_num_holder(key, env), SymPoly.coerce(coeff)) for key, coeff in lc.items()]
     with env.work():
         total = MPFloat(mpmath.mpf(0), 0.0)
         for v, coeff in vals:
@@ -474,20 +443,19 @@ def lincomb_num(lc: dict, env: NumEnv, bindings=None, evaluator: str = "holder")
 def digamma_A(z, env: NumEnv) -> MPFloat:
     """A(z) = psi(1) - (psi(1+z) + psi(1-z))/2 = sum zeta(2r+1) z^(2r),
     computed both ways and cross-checked."""
-    ctx = env._mp()
     with env.work():
-        return _digamma_A_impl(ctx.mpf(z), ctx, env)
+        return _digamma_A_impl(mpmath.mpf(z), env)
 
 
-def _digamma_A_impl(z, ctx, env: NumEnv) -> MPFloat:
+def _digamma_A_impl(z, env: NumEnv) -> MPFloat:
     if abs(z) >= 1:
         raise ValueError("need |z| < 1")
-    via_psi = -ctx.euler - (ctx.digamma(1 + z) + ctx.digamma(1 - z)) / 2
-    acc = ctx.mpf(0)
+    via_psi = -mpmath.euler - (mpmath.digamma(1 + z) + mpmath.digamma(1 - z)) / 2
+    acc = mpmath.mpf(0)
     r = 1
-    tol = ctx.mpf(2) ** (-env.prec - 8)
+    tol = mpmath.mpf(2) ** (-env.prec - 8)
     while True:
-        term = ctx.zeta(2 * r + 1) * z ** (2 * r)
+        term = mpmath.zeta(2 * r + 1) * z ** (2 * r)
         acc += term
         if abs(term) < tol and r > 2:
             break
@@ -505,9 +473,8 @@ def _digamma_A_impl(z, ctx, env: NumEnv) -> MPFloat:
 
 def digamma_B(z, env: NumEnv) -> MPFloat:
     a1 = digamma_A(z, env)
-    ctx = env._mp()
     with env.work():
-        a2 = digamma_A(ctx.mpf(z) / 2, env)
+        a2 = digamma_A(mpmath.mpf(z) / 2, env)
         return a1 - a2
 
 
@@ -541,16 +508,15 @@ def genseries_residual(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
     from the convergent reduction of t*({2}^a, 1); the right side runs
     through the digamma evaluation of A and B.
     """
-    ctx = env._mp()
     with env.work():
-        return _genseries_impl(ctx.mpf(x), ctx.mpf(y), _coerce(V), a_max, env, ctx)
+        return _genseries_impl(mpmath.mpf(x), mpmath.mpf(y), _coerce(V), a_max, env)
 
 
-def _genseries_impl(x, y, V, a_max: int, env: NumEnv, ctx) -> MPFloat:
+def _genseries_impl(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
     if not (abs(x + y) < 1 and abs(x - y) < 1):
         raise ValueError("need |x+y| < 1 and |x-y| < 1")
 
-    lhs = MPFloat(ctx.mpf(0), 0.0)
+    lhs = MPFloat(mpmath.mpf(0), 0.0)
     for a in range(a_max + 1):
         for b in range(a_max + 1 - a):
             if b == 0:
@@ -569,12 +535,12 @@ def _genseries_impl(x, y, V, a_max: int, env: NumEnv, ctx) -> MPFloat:
     lhs.err += sup_t * tail_geo
 
     log2 = env.const_mpf("log2")
-    cosx = MPFloat(ctx.cos(ctx.pi * x), 2.0 ** (-env.prec - 6))
-    cosy = MPFloat(ctx.cos(ctx.pi * y), 2.0 ** (-env.prec - 6))
+    cosx = MPFloat(mpmath.cos(mpmath.pi * x), 2.0 ** (-env.prec - 6))
+    cosy = MPFloat(mpmath.cos(mpmath.pi * y), 2.0 ** (-env.prec - 6))
     rhs = (
-        MPFloat(ctx.mpf(1) / 2) * cosx
+        MPFloat(mpmath.mpf(1) / 2) * cosx
         * (digamma_A(x - y, env) + digamma_A(x + y, env) + 2 * (V - log2))
-        + MPFloat(ctx.mpf(1) / 2) * cosy
+        + MPFloat(mpmath.mpf(1) / 2) * cosy
         * (digamma_B(x - y, env) + digamma_B(x + y, env) + 2 * log2)
     )
     diff = lhs - rhs

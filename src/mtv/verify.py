@@ -423,12 +423,10 @@ def derivation_checks(env=None, **_) -> list:
 
     val_in = _mot_value(diff, env)
     val_out = _mot_value(derived, env)
-    ok_in = abs(float(val_in.val)) <= max(val_in.err, 1e-6)
-    ok_out = abs(float(val_out.val)) <= max(val_out.err, 1e-6)
-    out.append(_check("input identity verifies numerically", "hoffman-derivation-input",
-                      ok_in, residual=abs(float(val_in.val)), bound=1e-6))
-    out.append(_check("derived identity verifies numerically", "hoffman-derivation-output",
-                      ok_out, residual=abs(float(val_out.val)), bound=1e-6))
+    for name, ref, val in (("input identity verifies numerically", "hoffman-derivation-input", val_in),
+                           ("derived identity verifies numerically", "hoffman-derivation-output", val_out)):
+        resid = abs(float(val.val))
+        out.append(_check(name, ref, resid <= val.err <= 1e-6, residual=resid, bound=val.err))
 
     ok = True
     for total in range(0, 5):

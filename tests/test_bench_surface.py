@@ -61,6 +61,14 @@ def test_tracer_names_resolve():
     assert not missing, missing
 
 
+def test_tracer_reads_env_as_second_argument():
+    tracer = _load_tracer()
+    for key in tracer.NUM_ENGINES:
+        fn = getattr(importlib.import_module("mtv." + key.split(".")[0]), key.split(".")[1])
+        params = list(inspect.signature(fn).parameters.values())
+        assert params[1].name == "env" and params[1].kind == params[1].POSITIONAL_OR_KEYWORD, key
+
+
 def test_tracer_hooks_exist():
     assert isinstance(regularize._st_cache, dict)
     assert isinstance(regularize._word_cache, dict)

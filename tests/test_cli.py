@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import pytest
 
 from mtv.cli import main
@@ -94,6 +95,8 @@ def test_num(capsys, monkeypatch):
     for flag in ("--prec", "--cutoff"):
         code, out, err = run_cli(capsys, "num", "t(2)", flag, "0")
         assert code == 2 and flag[2:] in err
+    code, out, err = run_cli(capsys, "num", "t(2)", "--prec", "1001")
+    assert code == 2 and "prec" in err
     for var in ("MTV_PREC", "MTV_CUTOFF"):
         with monkeypatch.context() as m:
             m.setenv(var, "0")
@@ -101,6 +104,26 @@ def test_num(capsys, monkeypatch):
             assert code == 2 and var[4:].lower() in err
             code, out, err = run_cli(capsys, "verify", "--suite", "counting")
             assert code == 2 and var[4:].lower() in err
+
+
+def test_num_prints_certified_digits(capsys):
+    mp = mpmath.mp.clone()
+    mp.prec = 200
+    t212 = -mp.mpf(7) / 128 * mp.pi ** 2 * mp.zeta(3) + mp.mpf(93) / 128 * mp.zeta(5)
+    cases = [
+        (("t(2,1,2)", "--prec", "53", "--cutoff", "1000"), t212),
+        (("t(2,1,2)",), t212),
+        (("t(1,2)", "--prec", "64"), -mp.mpf(7) / 16 * mp.zeta(3) + mp.pi ** 2 / 8 * mp.log(2)),
+        (("z(-1)", "--prec", "53", "--cutoff", "1000"), -mp.log(2)),
+    ]
+    for args, true in cases:
+        code, out, _ = run_cli(capsys, "num", *args)
+        value, bound = out.split(" +- ")
+        decimals = len(value.split(".")[1])
+        assert code == 0 and 10 ** -decimals <= float(bound) < 2 * 10 ** (1 - decimals), out
+        assert abs(mp.mpf(value) - true) <= mp.mpf(bound), out
+    code, out, _ = run_cli(capsys, "num", "t(2,1,2)")
+    assert float(out.split(" +- ")[1]) <= 1e-35
 
 
 def test_coeff(capsys):

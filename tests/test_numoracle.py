@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from mtv.indexcore import zi
+from mtv.indexcore import to_int_word, zi
 from mtv.numoracle import (
     NumEnv,
+    _tail_bound,
     altz_num,
     altz_num_holder,
     digamma_A,
@@ -78,10 +80,42 @@ def test_bound_self_consistency_on_halving():
         assert abs(float(big.val) - float(small.val)) <= big.err + small.err
 
 
-def test_fixed_point_path_matches_float_path():
+def test_float_and_path_split_engines_agree():
+    # 53 bits runs the float64 nested sums, 90 bits the path split
     lo = t_num((2, 1, 2), NumEnv(prec=53, cutoff=50_000))
     hi = t_num((2, 1, 2), NumEnv(prec=90, cutoff=50_000))
-    assert abs(float(lo.val) - float(hi.val)) < 1e-12
+    assert abs(MP.mpf(lo.val) - MP.mpf(hi.val)) <= lo.err + hi.err
+    assert hi.err <= 2.0 ** -80
+
+
+def test_high_precision_matches_mpmath():
+    env = NumEnv(prec=80)
+    cases = [(t_num((k,), env), (1 - MP.mpf(2) ** -k) * MP.zeta(k)) for k in range(2, 6)]
+    cases.append((t_num((1, 2), env), -MP.mpf(7) / 16 * MP.zeta(3) + MP.pi ** 2 / 8 * MP.log(2)))
+    cases.append((altz_num(zi(-1), env), -MP.log(2)))
+    for v, true in cases:
+        assert v.err <= 2.0 ** -70
+        assert abs(MP.mpf(v.val) - true) <= v.err
+
+
+def test_tail_bound_dominates_exact_tail():
+    # sum_{n >= n0} C(n-1, d-1) 2^-n = P(Bin(n0-1, 1/2) <= d-1)
+    for d in range(1, 15):
+        for n0 in range(1, 120):
+            exact = Fraction(sum(math.comb(n0 - 1, j) for j in range(d)), 2 ** (n0 - 1))
+            assert Fraction(_tail_bound(n0, d)) >= exact, (d, n0)
+
+
+def test_holder_memo_warm_equals_cold():
+    warm = NumEnv(prec=80)
+    for s in [zi(1, 2), zi(2, -1), zi(1, 1, 2), zi(-1, -2)]:
+        altz_num_holder(s, warm)
+    target = zi(1, 1, -1, 2)
+    halves = len([k for k in warm._sums if k[0] == "half"])
+    a = altz_num_holder(target, warm)
+    b = altz_num_holder(target, NumEnv(prec=80))
+    assert a.val == b.val and a.err == b.err
+    assert len([k for k in warm._sums if k[0] == "half"]) - halves < 2 * (len(to_int_word(target)) + 1)
 
 
 def test_eval_num():
