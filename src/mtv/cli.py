@@ -143,13 +143,19 @@ def _parse_word(text: str) -> tuple:
     return word
 
 
+def _format_word(w: tuple) -> str:
+    """The inverse of _parse_word: digits run together over {0, 1}, the
+    comma form once a -1 letter occurs."""
+    return ",".join(map(str, w)) if -1 in w else "".join(map(str, w))
+
+
 def cmd_shuffle(args) -> int:
     out = shuffle_product(_parse_word(args.left), _parse_word(args.right))
     if args.format == "json":
-        print(json.dumps({"".join(map(str, w)): str(c) for w, c in sorted(out.items())}, indent=1))
+        print(json.dumps({_format_word(w): str(c) for w, c in sorted(out.items())}, indent=1))
     else:
         for w, c in sorted(out.items()):
-            print(f"{c} * {''.join(map(str, w))}")
+            print(f"{c} * {_format_word(w)}")
     return 0
 
 

@@ -11,9 +11,13 @@ absolute error bound that is propagated through arithmetic.
 One engine per precision: up to 53 bits the numpy float64 nested sums,
 whose accuracy is set by the cutoff; above 53 bits the path split at 1/2
 (Hoelder convolution), whose truncation is sized from its own geometric
-tail bound, so its accuracy follows the precision.  The float64 sums stay
-the independent cross-check of the path split.  Constants and the
-digamma function come from mpmath at the working precision.
+tail bound, so its accuracy follows the precision.  Its series run in
+exact integer fixed point, 20 guard bits below the precision: the ratios
+are +-1/2 or 1/4, so each step is a shift or an integer floor division,
+and the bound counts each such rounding (fewer than 3 d (n0 - 1) units
+for a depth-d series cut at n0).  The float64 sums stay the independent
+cross-check of the path split.  Constants and the digamma function come
+from mpmath at the working precision.
 """
 
 from __future__ import annotations
@@ -214,8 +218,10 @@ def _nested_sum(env: NumEnv, ks, signs, odd: bool) -> MPFloat:
     hit = env._sums.get(key)
     if hit is not None:
         return hit
-    assert ks, "empty index handled by callers"
-    assert ks[-1] >= 2 or signs[-1] < 0, f"divergent sum {ks, signs}"
+    if not ks:
+        raise ValueError("nested sum of the empty index")
+    if ks[-1] < 2 and signs[-1] > 0:
+        raise ValueError(f"divergent nested sum {ks, signs}")
     d = len(ks)
     tops = _dp_float(ks, signs, odd, M)
     round_err = 4.0 * d * M * _EPS64
@@ -308,12 +314,20 @@ def altz_num(s: SignedIndex, env: NumEnv) -> MPFloat:
 # geometric bounds.  This is the evaluator behind the exactness verdicts;
 # the plain nested sums above serve as its independent cross-check.
 
+_GUARD_BITS = 20  # fixed-point bits kept below the precision
+_RATIO_SHIFT = {1: 1, -1: 1, 2: 2}  # letter eta -> s with |y| = |1/(2 eta)| = 2^-s
+
+
 def _poly_at_half(w, env: NumEnv):
     """I(0; w; 1/2) for a word over {0, 1, -1, 2}; returns (value, err).
-    Runs under env.work() and is memoised per word and precision.
+    Memoised per word and precision; the value is an exact mpf.
 
     After telescoping, the series runs over increasing n_1 < ... < n_d
-    with per-level ratios y_i = (1/2)/eta_i, all of modulus <= 1/2.
+    with per-level ratios y_i = (1/2)/eta_i = +-2^-1 or 2^-2.  It runs in
+    integer fixed point with P = prec + 20 fractional bits: the product by
+    y_i is a right shift and a sign, the division by n^k_i an integer floor
+    division, and the bound counts fewer than 3 d (n0 - 1) units 2^-P of
+    rounding on top of the tail.
     """
     if not w:
         return mpmath.mpf(1), 0.0
@@ -326,21 +340,26 @@ def _poly_at_half(w, env: NumEnv):
     n0 = 2 * d - 1  # the first dropped n_d: the least with tail <= 2^-(prec+8)
     while _tail_bound(n0, d) > 2.0 ** (-env.prec - 8):
         n0 += 1
-    ys = [mpmath.mpf(1) / (2 * e) for e in etas]
-    carry = [mpmath.mpf(0)] * d
-    prev_b = [mpmath.mpf(0)] * d  # B_i(n-1), overwritten level by level with B_i(n)
-    total = mpmath.mpf(0)
+    P = env.prec + _GUARD_BITS
+    levels = [(_RATIO_SHIFT[e], e < 0, k) for e, k in zip(etas, ks)]
+    carry = [0] * d
+    prev_b = [0] * d  # B_i(n-1), overwritten level by level with B_i(n)
+    total = 0
+    # Rounding: every shift and every floor is off by less than one unit
+    # 2^-P, and |y| <= 1/2.  By induction on n, from the exact B_0, the
+    # carry of level i is off by less than ((3i - 1) + 3(i - 1))/2 + 1
+    # = 3i - 1 units (half its own and B_{i-1}'s error, plus the shift) and
+    # B_i by less than 3i (plus the floor).  The n0 - 1 terms B_d(n),
+    # summed exactly, are then off by less than 3 d (n0 - 1) units.
     for n in range(1, n0):
-        below = mpmath.mpf(1) if n == 1 else mpmath.mpf(0)  # B_0(n-1)
-        for i in range(d):
-            carry[i] = ys[i] * (carry[i] + below)
-            below, prev_b[i] = prev_b[i], carry[i] / mpmath.mpf(n) ** ks[i]
+        below = 1 << P if n == 1 else 0  # B_0(n-1)
+        for i, (shift, negative, k) in enumerate(levels):
+            c = (carry[i] + below) >> shift
+            carry[i] = c = -c if negative else c
+            below, prev_b[i] = prev_b[i], c // n ** k
         total += prev_b[-1]
-    # the ratios y are powers of two, so along a configuration (absolute
-    # weight 2^-n_d, total at most 1) only the carry additions, a power and
-    # a division per level and the running sum round: 2 n0 + 2d roundings
-    rounding = (2 * n0 + 2 * d) * 2.0 ** (-env.prec - 15)
-    out = (total * (-1) ** d, _tail_bound(n0, d) + rounding)
+    rounding = 3 * d * (n0 - 1) * 2.0 ** -P
+    out = (mpmath.ldexp(-total if d % 2 else total, -P), _tail_bound(n0, d) + rounding)
     env._sums[key] = out
     return out
 
@@ -467,7 +486,8 @@ def _digamma_A_impl(z, env: NumEnv) -> MPFloat:
     ulp = abs(float(via_psi)) * 2.0 ** (-env.prec - 4) + float(tol) * r
     series = MPFloat(acc, tail + ulp)
     psi_val = MPFloat(via_psi, ulp)
-    assert series.agrees_with(psi_val, slack=2.0 ** (-env.prec + 6)), "digamma and series paths disagree"
+    if not series.agrees_with(psi_val, slack=2.0 ** (-env.prec + 6)):
+        raise RuntimeError(f"A({mpmath.nstr(z, 15)}): digamma path {psi_val} and series path {series} disagree")
     return MPFloat(acc, tail + 2 * ulp)
 
 

@@ -64,6 +64,14 @@ def _check(name, ref, ok, detail="", residual=None, bound=None) -> CheckResult:
     return CheckResult(name, ref, "PASS" if ok else "FAIL", detail, residual, bound)
 
 
+def _certified_check(name: str, ref: str, diffs: list) -> CheckResult:
+    """PASS iff every difference is within its certified bound and every
+    bound is at most 1e-6; reports the worst residual and the worst bound."""
+    resids = [abs(float(d.val)) for d in diffs]
+    ok = all(r <= d.err <= 1e-6 for r, d in zip(resids, diffs))
+    return _check(name, ref, ok, residual=max(resids), bound=max(d.err for d in diffs))
+
+
 def _load_golden(name: str) -> dict:
     with resources.files("mtv.data").joinpath(name).open() as fh:
         return json.load(fh)
@@ -198,8 +206,7 @@ def closedform_checks(env=None, **_) -> list:
     out.append(_check("coefficient tables have the required parities", "coeff-parity", ok))
 
     log2 = env.const("log2")
-    worst = 0.0
-    ok = True
+    one, three = [], []
     for a in range(0, 4):
         for b in range(0, 4 - a):
             closed = eval_num(eval_t2212_star(a, b), env, {"V": log2})
@@ -207,24 +214,13 @@ def closedform_checks(env=None, **_) -> list:
                 direct = t_num((2,) * a + (1,) + (2,) * b, env)
             else:
                 direct = t_star_a1_num(a, log2, env)
-            resid = abs(float(closed.val - direct.val))
-            worst = max(worst, resid)
-            if resid > 1e-6:
-                ok = False
-    out.append(_check("one-insertion closed form matches the oracle (a+b <= 3)",
-                      "t2212-oracle", ok, residual=worst, bound=1e-6))
-    worst = 0.0
-    ok = True
-    for a in range(0, 4):
-        for b in range(0, 4 - a):
-            closed = eval_num(eval_t2232(a, b), env)
-            direct = t_num((2,) * a + (3,) + (2,) * b, env)
-            resid = abs(float(closed.val - direct.val))
-            worst = max(worst, resid)
-            if resid > 1e-6:
-                ok = False
-    out.append(_check("three-insertion closed form matches the oracle (a+b <= 3)",
-                      "t2232-oracle", ok, residual=worst, bound=1e-6))
+            with env.work():
+                one.append(closed - direct)
+                three.append(eval_num(eval_t2232(a, b), env) - t_num((2,) * a + (3,) + (2,) * b, env))
+    out.append(_certified_check("one-insertion closed form matches the oracle (a+b <= 3)",
+                                "t2212-oracle", one))
+    out.append(_certified_check("three-insertion closed form matches the oracle (a+b <= 3)",
+                                "t2232-oracle", three))
     return out
 
 
@@ -240,9 +236,8 @@ def genseries_checks(env=None, **_) -> list:
     ]
     for x, y, v in points:
         r = genseries_residual(x, y, v, 8, env)
-        out.append(_check(f"generating series at x={x}, y={y}, V={v:.4f}",
-                          f"genseries-{x}-{y}", float(r.val) < 1e-6,
-                          residual=float(r.val), bound=1e-6))
+        out.append(_certified_check(f"generating series at x={x}, y={y}, V={v:.4f}",
+                                    f"genseries-{x}-{y}", [r]))
     return out
 
 
@@ -425,8 +420,7 @@ def derivation_checks(env=None, **_) -> list:
     val_out = _mot_value(derived, env)
     for name, ref, val in (("input identity verifies numerically", "hoffman-derivation-input", val_in),
                            ("derived identity verifies numerically", "hoffman-derivation-output", val_out)):
-        resid = abs(float(val.val))
-        out.append(_check(name, ref, resid <= val.err <= 1e-6, residual=resid, bound=val.err))
+        out.append(_certified_check(name, ref, [val]))
 
     ok = True
     for total in range(0, 5):

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from mtv.cli import main
+from mtv.cli import _parse_word, main
+from mtv.wordalg import shuffle as shuffle_product
 
 
 def run_cli(capsys, *argv):
@@ -61,12 +63,25 @@ def test_stuffle_shuffle(capsys):
     assert code == 0
     assert json.loads(out) == {"1010": "2", "1100": "4"}
     code, out, _ = run_cli(capsys, "shuffle", "1,-1", "0")
-    assert code == 0 and out.splitlines() == ["1 * 01-1", "1 * 1-10", "1 * 10-1"]
+    assert code == 0 and out.splitlines() == ["1 * 0,1,-1", "1 * 1,-1,0", "1 * 1,0,-1"]
     for bad in ("12", "1,2", "1-1", "x"):
         code, out, err = run_cli(capsys, "shuffle", bad, "1")
         assert code == 2 and bad in err
     code, out, err = run_cli(capsys, "stuffle", "z(0)", "t(1)")
     assert code == 2 and "nonzero" in err
+
+
+@pytest.mark.parametrize("left, right", [("1,-1", "0"), ("0,-1", "1,-1"), ("10", "-1"), ("110", "10")])
+def test_shuffle_output_parses_back(capsys, left, right):
+    # every printed word, text or JSON, reads back as the word it names
+    product = shuffle_product(_parse_word(left), _parse_word(right))
+    code, out, _ = run_cli(capsys, "shuffle", left, right)
+    assert code == 0
+    text = dict(line.split(" * ")[::-1] for line in out.splitlines())
+    code, out, _ = run_cli(capsys, "shuffle", left, right, "--format", "json")
+    assert code == 0
+    for printed in (text, json.loads(out)):
+        assert {_parse_word(w): Fraction(c) for w, c in printed.items()} == product
 
 
 def test_dr(capsys):

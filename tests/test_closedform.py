@@ -125,3 +125,20 @@ def test_unshuffle_lie_projection_cross_check():
     for a in (1, 2, 3):
         total = sum(coeff_c_231(j, a - 1 - j) for j in range(a))
         assert -2 * total == coeff_c_21(a)
+
+
+def test_oracle_checks_hold_each_residual_to_its_certified_bound():
+    from mtv.numoracle import MPFloat, NumEnv
+    from mtv.verify import _certified_check, closedform_checks, genseries_checks
+
+    env = NumEnv(prec=53, cutoff=200_000)
+    results = [r for r in closedform_checks(env=env) if r.residual is not None] + genseries_checks(env=env)
+    assert len(results) == 6
+    for r in results:
+        assert r.status == "PASS" and r.residual <= r.bound < 1e-6, r.ref
+    # the verdict is per entry: one residual outside its own bound fails the
+    # check even when it is below the worst bound, and so does a bound above 1e-6
+    assert _certified_check("n", "r", [MPFloat(2e-9, 1e-9), MPFloat(0.0, 1e-7)]).status == "FAIL"
+    assert _certified_check("n", "r", [MPFloat(0.0, 2e-6)]).status == "FAIL"
+    r = _certified_check("n", "r", [MPFloat(-5e-10, 1e-9), MPFloat(1e-8, 1e-7)])
+    assert (r.status, r.residual, r.bound) == ("PASS", 1e-8, 1e-7)

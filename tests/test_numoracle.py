@@ -4,10 +4,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from mtv import numoracle
 from mtv.indexcore import to_int_word, zi
 from mtv.numoracle import (
     NumEnv,
+    _nested_sum,
+    _poly_at_half,
     _tail_bound,
+    _transform_upper,
     altz_num,
     altz_num_holder,
     digamma_A,
@@ -19,6 +23,7 @@ from mtv.numoracle import (
     t_star_a1_num,
 )
 from mtv.symring import LOG2, PI2, SymPoly
+from mtv.verify import _signed_indices
 
 ENV = NumEnv(prec=53, cutoff=200_000)
 HENV = NumEnv(prec=80)
@@ -106,6 +111,71 @@ def test_tail_bound_dominates_exact_tail():
             assert Fraction(_tail_bound(n0, d)) >= exact, (d, n0)
 
 
+def _ref_at_half(w, bits):
+    """I(0; w; 1/2) in mpmath at the given precision, level by level over
+    the whole range of n, truncated where the exact dropped weight
+    P(Bin(N-1, 1/2) <= d-1) is below 2^-bits; returns (value, err)."""
+    blocks = []  # [eta, k]: a nonzero letter and the zeros after it
+    for x in w:
+        if x:
+            blocks.append([x, 1])
+        else:
+            blocks[-1][1] += 1
+    d = len(blocks)
+    N = d
+    while Fraction(sum(math.comb(N - 1, j) for j in range(d)), 2 ** (N - 1)) > Fraction(1, 2 ** bits):
+        N += 1
+    with mpmath.workprec(bits + 16):
+        f = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (N - 1)  # level 0: the empty sum at n = 0
+        for eta, k in blocks:
+            y = mpmath.mpf(1) / (2 * eta)
+            carry = mpmath.mpf(0)
+            level = [mpmath.mpf(0)] * N
+            for n in range(1, N):
+                carry = y * (carry + f[n - 1])
+                level[n] = carry / mpmath.mpf(n) ** k
+            f = level
+        return (-1) ** d * mpmath.fsum(f), 2.0 ** (1 - bits)
+
+
+def _holder_subwords(max_weight):
+    out = set()
+    for s in _signed_indices(max_weight):
+        if s.is_convergent():
+            w = to_int_word(s)
+            for j in range(len(w) + 1):
+                out.update((w[:j], _transform_upper(w[j:])))
+    out.discard(())
+    return sorted(out)
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_fixed_point_path_split_matches_mpmath_reference(prec):
+    # every sub-word of weight <= 6 keeps its bound, and those of weight
+    # <= 5 lie within it of the reference
+    env = NumEnv(prec=prec)
+    checked = set(_holder_subwords(5))
+    assert len(checked) == 353
+    for w in _holder_subwords(6):
+        v, err = _poly_at_half(w, env)
+        assert err <= 2.0 ** -(prec + 5), w
+        if w in checked:
+            ref, ref_err = _ref_at_half(w, prec + 64)
+            assert abs(v - ref) <= err + ref_err, w
+
+
+def test_fixed_point_rounding_count(monkeypatch):
+    # Without guard bits, P = prec = 12, the rounding term 3 d (n0 - 1) 2^-P
+    # outweighs the 2^-20 tail by far, so this checks the count itself.
+    monkeypatch.setattr(numoracle, "_GUARD_BITS", 0)
+    env = NumEnv(prec=12)
+    for w in _holder_subwords(5):
+        v, err = _poly_at_half(w, env)
+        ref, ref_err = _ref_at_half(w, 12 + 64)
+        assert err >= 3 * 2.0 ** -12
+        assert abs(v - ref) <= err + ref_err, w
+
+
 def test_holder_memo_warm_equals_cold():
     warm = NumEnv(prec=80)
     for s in [zi(1, 2), zi(2, -1), zi(1, 1, 2), zi(-1, -2)]:
@@ -164,6 +234,22 @@ def test_digamma_paths_and_symmetry():
     a1 = digamma_A(0.3, env)
     a2 = digamma_A(0.15, env)
     assert abs(float(b.val) - (float(a1.val) - float(a2.val))) < 1e-15
+
+
+def test_nested_sum_rejects_bad_input():
+    env = NumEnv(prec=53, cutoff=1000)
+    with pytest.raises(ValueError, match="empty index"):
+        _nested_sum(env, (), (), True)
+    with pytest.raises(ValueError, match="divergent"):
+        _nested_sum(env, (2, 1), (1, 1), False)
+    assert _nested_sum(env, (2, 1), (1, -1), False).err < 1e-2  # an alternating last sign converges
+
+
+def test_digamma_disagreement_raises(monkeypatch):
+    env = NumEnv(prec=64)
+    monkeypatch.setattr(mpmath, "digamma", lambda x: mpmath.mpf(0))
+    with pytest.raises(RuntimeError, match="digamma path MPFloat.*series path MPFloat"):
+        digamma_A(0.3, env)
 
 
 def test_t_star_boundary_reduction():
