@@ -13,6 +13,7 @@ import decimal
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -351,6 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_stuffle)
 
     sp = sub.add_parser("shuffle", help="shuffle product of two words over 0/1/-1 digits")
+    # an argument such as "-1,0" is a word that begins with the letter -1, not an option
+    sp._negative_number_matcher = re.compile(r"-\d")
     sp.add_argument("left")
     sp.add_argument("right")
     common(sp)

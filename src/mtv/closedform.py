@@ -130,21 +130,10 @@ def eval_t2212_star(a: int, b: int, V=None) -> SymPoly:
 
 
 def eval_t2212_sh(a: int, b: int, W=None) -> SymPoly:
-    """Shuffle-regularized variant; differs only in the b = 0 boundary
-    term, and equals the stuffle form at V = (W + log2)/2."""
-    if a < 0 or b < 0:
-        raise ValueError("need a, b >= 0")
+    """Shuffle-regularized variant: the stuffle form at V = (W + log2)/2,
+    which changes only the b = 0 boundary term, to (W - log2)/2 t({2}^a)."""
     W = SymPoly.gen("W") if W is None else SymPoly.coerce(W)
-    out = SymPoly.zero()
-    for r in range(1, a + b + 1):
-        bracket = Fraction(math.comb(2 * r, 2 * a)) + Fraction(4 ** r, 4 ** r - 1) * math.comb(2 * r, 2 * b)
-        coeff = -Fraction((-1) ** r, 4 ** r) * bracket
-        out = out + SymPoly.const(coeff) * zbar_reduce(2 * r + 1) * eval_t22(a + b - r)
-    if a == 0:
-        out = out + LOG2 * eval_t22(b)
-    if b == 0:
-        out = out + Fraction(1, 2) * (W - LOG2) * eval_t22(a)
-    return out
+    return eval_t2212_star(a, b, V=(W + LOG2) * Fraction(1, 2))
 
 
 def eval_t12n(n: int) -> SymPoly:

@@ -69,6 +69,16 @@ def all_plus(k: Index) -> SignedIndex:
     return SignedIndex(tuple(k), 0)
 
 
+def compositions(n: int):
+    """Every index of weight n: the ordered compositions of n into positive parts."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
 # ---------------------------------------------------------------------------
 # index <-> integral word
 # ---------------------------------------------------------------------------

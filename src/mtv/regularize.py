@@ -52,7 +52,8 @@ def stuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
     to its trailing-1 run, and every other term has a strictly shorter
     run.
     """
-    assert s.lead_zeros == 0, "stuffle regularization needs lead_zeros = 0"
+    if s.lead_zeros != 0:
+        raise ValueError(f"stuffle regularization needs lead_zeros = 0, got {s.lead_zeros}")
     param = SymPoly.coerce(param)
     key = (s.parts, param)
     hit = _st_cache.get(key)
@@ -67,7 +68,8 @@ def stuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
         out: dict = lc_scale(stuffle_reg(SignedIndex(u, 0), param), param)
         for v, m in _stuffle_parts(u, (1,)):
             if v == parts:
-                assert m == alpha
+                if m != alpha:
+                    raise RuntimeError(f"{parts} occurs {m} times in its own stuffle with (1), not {alpha}")
                 continue
             lc_iadd(out, lc_scale(stuffle_reg(SignedIndex(v, 0), param), SymPoly.const(-m)))
         out = lc_scale(out, Fraction(1, alpha))
@@ -107,7 +109,8 @@ def word_shuffle_reg(w: IntWord, wval: SymPoly) -> dict:
         out = lc_scale(word_shuffle_reg(u, wval), wval)
         for v, m in shuffle(u, (letter,)).items():
             if v == w:
-                assert m == run
+                if m != run:
+                    raise RuntimeError(f"{w} occurs {m} times in its own shuffle with ({letter},), not {run}")
                 continue
             lc_iadd(out, lc_scale(word_shuffle_reg(v, wval), SymPoly.const(-m)))
         out = lc_scale(out, Fraction(1, run))
@@ -208,7 +211,8 @@ def shift_param(scheme: str, s: SignedIndex, old, new) -> dict:
 
         reg_new(k, 1^a) = sum_i reg_old(k, 1^(a-i)) (new - old)^i / i!
     """
-    assert s.lead_zeros == 0
+    if s.lead_zeros != 0:
+        raise ValueError(f"parameter shifts need lead_zeros = 0, got {s.lead_zeros}")
     old, new = SymPoly.coerce(old), SymPoly.coerce(new)
     prefix, alpha = _split_trailing_ones(s.parts)
     reg = {"stuffle": stuffle_reg, "shuffle": shuffle_reg}[scheme]
@@ -294,10 +298,12 @@ def st_via_sh0(s: SignedIndex, param) -> dict:
 
         reg*_P(k, 1^a) = sum_i reg_sh0(k, 1^(a-i)) zeta*_P(1^i).
     """
-    assert s.lead_zeros == 0
+    if s.lead_zeros != 0:
+        raise ValueError(f"stuffle regularization needs lead_zeros = 0, got {s.lead_zeros}")
     param = SymPoly.coerce(param)
     prefix, alpha = _split_trailing_ones(s.parts)
-    assert not prefix or prefix[-1] != 1
+    if prefix and prefix[-1] == 1:
+        raise RuntimeError(f"prefix {prefix} of {s.parts} still ends in 1 after stripping {alpha} ones")
     out: dict = {}
     for i in range(alpha + 1):
         si = SignedIndex(prefix + (1,) * (alpha - i), 0)
@@ -402,9 +408,11 @@ def distribution_residual(k: tuple, alpha: int, ell: int, param=None) -> dict:
     the parameter must be 0; for ell = 0 it may stay symbolic.
     """
     k = tuple(k)
-    assert k and k[-1] != 1, "prefix must end above 1"
+    if not k or k[-1] == 1:
+        raise ValueError(f"the prefix must be nonempty and end above 1, got {k}")
     if ell > 0:
-        assert param is None or SymPoly.coerce(param).is_zero
+        if param is not None and not SymPoly.coerce(param).is_zero:
+            raise ValueError(f"with leading zeros (l = {ell}) the parameter must be 0, got {param}")
         param = SymPoly.zero()
     param = SymPoly.gen("W") if param is None else SymPoly.coerce(param)
 

@@ -14,6 +14,22 @@ equal closed forms have identical canonical representations.
 Monomials are formally independent; equality is equality of canonical
 form.  Coefficients are ``fractions.Fraction`` throughout, floating
 point never enters this module.
+
+Canonical form.  ``terms`` maps monomials to coefficients.  A monomial
+is a tuple of (generator, exponent) pairs sorted by ``_gen_key``, with
+every generator known and every exponent positive; every coefficient is
+a nonzero ``Fraction``.  Only the public constructor ``SymPoly(terms)``,
+``gen`` and ``parse`` validate: they accept arbitrary input and bring it
+into this form.  Every other result comes from the trusted constructor
+``_canonical``, which stores a dict that is already canonical without
+checking it: the ring operations, ``const``/``coerce`` of an int or
+Fraction, ``deriv`` and ``coeff_of_power``.  Each keeps the invariant by
+construction.  Monomial products come sorted from ``_mono_mul``; a
+scalar (an int, a Fraction or a constant polynomial) multiplies the
+coefficients directly; sums are accumulated first and their zeros
+dropped once, so the surviving terms keep the order the validating
+constructor gives.  ``==`` on ``terms`` is equality of polynomials only
+because every instance holds this invariant.
 """
 
 from __future__ import annotations
@@ -48,13 +64,17 @@ def _gen_key(g: str):
     return (0, gen_weight(g), g)
 
 
+def _ge_key(ge):
+    return _gen_key(ge[0])
+
+
 def _normalize_terms(terms):
     out = {}
     for mono, c in terms.items():
         c = Fraction(c)
         if c == 0:
             continue
-        mono = tuple(sorted(((g, e) for g, e in mono if e != 0), key=lambda ge: _gen_key(ge[0])))
+        mono = tuple(sorted(((g, e) for g, e in mono if e != 0), key=_ge_key))
         for g, e in mono:
             if not _GEN_RE.match(g):
                 raise ValueError(f"unknown generator {g!r}")
@@ -64,10 +84,32 @@ def _normalize_terms(terms):
     return {m: c for m, c in out.items() if c != 0}
 
 
+@lru_cache(maxsize=None)
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    """Product of two canonical monomials, itself canonical."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    d = dict(m1)
+    for g, e in m2:
+        d[g] = d.get(g, 0) + e
+    return tuple(sorted(d.items(), key=_ge_key))
+
+
+def _canonical(terms: dict) -> "SymPoly":
+    """The trusted constructor: terms must already be in canonical form
+    (see the module docstring); it is stored without a check."""
+    p = object.__new__(SymPoly)
+    p.terms = terms
+    return p
+
+
 class SymPoly:
     """Polynomial with Fraction coefficients over the fixed generator set.
 
-    Immutable by convention: all operations return new instances.
+    Immutable by convention: no operation modifies an operand, and a
+    result may be an operand itself (p + 0 is p).
     """
 
     __slots__ = ("terms",)
@@ -79,7 +121,11 @@ class SymPoly:
 
     @staticmethod
     def const(c) -> "SymPoly":
-        return SymPoly({(): Fraction(c)})
+        if not isinstance(c, (int, Fraction)):
+            return SymPoly({(): c})
+        if not c:
+            return _canonical({})
+        return _canonical({(): c if type(c) is Fraction else Fraction(c)})
 
     @staticmethod
     def gen(name: str, exp: int = 1, coeff=1) -> "SymPoly":
@@ -87,7 +133,7 @@ class SymPoly:
 
     @staticmethod
     def zero() -> "SymPoly":
-        return SymPoly({})
+        return _canonical({})
 
     @staticmethod
     def one() -> "SymPoly":
@@ -103,15 +149,22 @@ class SymPoly:
 
     def __add__(self, other):
         other = SymPoly.coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return SymPoly(terms)
+            if m in terms:
+                terms[m] += c
+            else:
+                terms[m] = c
+        return _canonical({m: c for m, c in terms.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly({m: -c for m, c in self.terms.items()})
+        return _canonical({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-SymPoly.coerce(other))
@@ -119,19 +172,28 @@ class SymPoly:
     def __rsub__(self, other):
         return SymPoly.coerce(other) - self
 
+    def _scale(self, q) -> "SymPoly":
+        if not q:
+            return _canonical({})
+        return _canonical({m: c * q for m, c in self.terms.items()})
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
         other = SymPoly.coerce(other)
+        if other.is_const():
+            return self._scale(other.terms.get((), 0))
+        if self.is_const():
+            return other._scale(self.terms.get((), 0))
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                d = {}
-                for g, e in m1:
-                    d[g] = d.get(g, 0) + e
-                for g, e in m2:
-                    d[g] = d.get(g, 0) + e
-                mono = tuple(sorted(d.items(), key=lambda ge: _gen_key(ge[0])))
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return SymPoly(terms)
+                m = _mono_mul(m1, m2)
+                if m in terms:
+                    terms[m] += c1 * c2
+                else:
+                    terms[m] = c1 * c2
+        return _canonical({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -163,7 +225,7 @@ class SymPoly:
     # -- structure ----------------------------------------------------
 
     def is_const(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def const_value(self) -> Fraction:
         if not self.is_const():
@@ -192,25 +254,24 @@ class SymPoly:
 
     def coeff_of_power(self, gen: str, k: int) -> "SymPoly":
         """Coefficient of gen**k, as a polynomial without gen."""
+        # deleting gen^k maps distinct monomials to distinct monomials
         terms = {}
         for m, c in self.terms.items():
-            e = dict(m).get(gen, 0)
-            if e == k:
-                rest = tuple((g, x) for g, x in m if g != gen)
-                terms[rest] = terms.get(rest, Fraction(0)) + c
-        return SymPoly(terms)
+            if dict(m).get(gen, 0) == k:
+                terms[tuple(ge for ge in m if ge[0] != gen)] = c
+        return _canonical(terms)
 
     def deriv(self, gen: str) -> "SymPoly":
+        # lowering the exponent of gen by one is injective on the
+        # monomials that contain gen, and keeps them sorted
         terms = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(gen, 0)
-            if e == 0:
-                continue
-            d[gen] = e - 1
-            mono = tuple(sorted(((g, x) for g, x in d.items() if x != 0), key=lambda ge: _gen_key(ge[0])))
-            terms[mono] = terms.get(mono, Fraction(0)) + c * e
-        return SymPoly(terms)
+            for i, (g, e) in enumerate(m):
+                if g == gen:
+                    lowered = ((g, e - 1),) if e > 1 else ()
+                    terms[m[:i] + lowered + m[i + 1:]] = c * e
+                    break
+        return _canonical(terms)
 
     def substitute(self, bindings: dict) -> "SymPoly":
         """Ring-homomorphic substitution; keys must be parameters or lam."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, eval_t12n, eval_t22, eval_t2212_star, eval_t2232
-from .indexcore import SignedIndex, basis_sets, enumerate_hoffman, enumerate_saha, fibonacci
+from .indexcore import SignedIndex, basis_sets, compositions, enumerate_hoffman, enumerate_saha, fibonacci
 from .motivic import (
     build_matrix,
     d1_project,
@@ -243,18 +243,9 @@ def genseries_checks(env=None, **_) -> list:
 
 def _signed_indices(max_weight):
     for w in range(1, max_weight + 1):
-        for comp in _compositions_of(w):
+        for comp in compositions(w):
             for signs in itertools.product((1, -1), repeat=len(comp)):
                 yield SignedIndex(tuple(s * k for s, k in zip(signs, comp)), 0)
-
-
-def _compositions_of(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions_of(n - first):
-            yield (first,) + rest
 
 
 def _lincomb_layers_zero(diff: dict, env, params=("T", "V", "W", "U", "S")) -> tuple:
@@ -355,7 +346,7 @@ def coherence_checks(max_weight=6, env=None, **_) -> list:
     V = SymPoly.gen("V")
     ok_all, worst_r, worst_b = True, 0.0, 0.0
     for w in range(1, 6):
-        for comp in _compositions_of(w):
+        for comp in compositions(w):
             diff = lc_sub(t_stuffle_reg(comp, V), t_st_from_sh(comp, V))
             ok, r, b = _lincomb_layers_zero(diff, env)
             ok_all = ok_all and ok
@@ -375,8 +366,8 @@ def coherence_checks(max_weight=6, env=None, **_) -> list:
     ok = all(
         stuffle_compat_check(r, s)
         for wr in range(0, 8)
-        for r in _compositions_of(wr)
-        for s in _compositions_of(7 - wr)
+        for r in compositions(wr)
+        for s in compositions(7 - wr)
         if sum(r) + sum(s) <= 7
     )
     out.append(_check("index product is compatible with the signed expansion (weight <= 7)",

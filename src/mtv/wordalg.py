@@ -51,7 +51,8 @@ def _stuffle_parts(a: tuple, b: tuple) -> tuple:
 
 def stuffle(a: SignedIndex, b: SignedIndex) -> dict:
     """Full quasi-shuffle expansion of a * b as {SignedIndex: coeff}."""
-    assert a.lead_zeros == 0 and b.lead_zeros == 0, "stuffle needs lead_zeros = 0"
+    if a.lead_zeros or b.lead_zeros:
+        raise ValueError(f"stuffle needs lead_zeros = 0, got {a.lead_zeros} and {b.lead_zeros}")
     return {SignedIndex(parts, 0): Fraction(m) for parts, m in _stuffle_parts(a.parts, b.parts)}
 
 

@@ -71,7 +71,8 @@ def test_stuffle_shuffle(capsys):
     assert code == 2 and "nonzero" in err
 
 
-@pytest.mark.parametrize("left, right", [("1,-1", "0"), ("0,-1", "1,-1"), ("10", "-1"), ("110", "10")])
+@pytest.mark.parametrize("left, right", [("1,-1", "0"), ("0,-1", "1,-1"), ("10", "-1"), ("110", "10"),
+                                         ("-1,0", "1"), ("1", "-1,0,1")])
 def test_shuffle_output_parses_back(capsys, left, right):
     # every printed word, text or JSON, reads back as the word it names
     product = shuffle_product(_parse_word(left), _parse_word(right))
@@ -82,6 +83,15 @@ def test_shuffle_output_parses_back(capsys, left, right):
     assert code == 0
     for printed in (text, json.loads(out)):
         assert {_parse_word(w): Fraction(c) for w, c in printed.items()} == product
+
+
+def test_shuffle_reads_leading_minus_one_word(capsys):
+    # "-1,0" is a word, not an option, with or without a "--" before it
+    for argv in (("-1,0", "1"), ("--", "-1,0", "1"), ("-1,0", "1", "--format", "text")):
+        code, out, _ = run_cli(capsys, "shuffle", *argv)
+        assert code == 0 and out.splitlines() == ["1 * -1,0,1", "1 * -1,1,0", "1 * 1,-1,0"]
+    code, _, err = run_cli(capsys, "shuffle", "-1,2", "1")
+    assert code == 2 and "-1,2" in err
 
 
 def test_dr(capsys):

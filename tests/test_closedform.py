@@ -78,6 +78,9 @@ def test_t2212_sh_equals_star_at_shifted_parameter():
             star = eval_t2212_star(a, b, (W + LOG2) * Fraction(1, 2))
             sh = eval_t2212_sh(a, b, W)
             assert (star - sh).is_zero
+            # against the star form at an independent V, only the b = 0 term moves
+            boundary = ((W - LOG2) * Fraction(1, 2) - (V - LOG2)) * eval_t22(a) if b == 0 else 0
+            assert sh - eval_t2212_star(a, b, V) == boundary
 
 
 def test_t12n_equals_boundary_family():

@@ -6,6 +6,7 @@ from mtv.indexcore import (
     SignedIndex,
     basis_sets,
     colex_key,
+    compositions,
     enumerate_hoffman,
     enumerate_saha,
     fibonacci,
@@ -39,14 +40,6 @@ def test_from_int_word_examples():
 
 
 def test_round_trip_exhaustive():
-    def compositions(n):
-        if n == 0:
-            yield ()
-            return
-        for first in range(1, n + 1):
-            for rest in compositions(n - first):
-                yield (first,) + rest
-
     for w in range(1, 8):
         for comp in compositions(w):
             if len(comp) > 6:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mtv.indexcore import enumerate_hoffman, enumerate_saha
+from mtv.indexcore import compositions, enumerate_hoffman, enumerate_saha
 from mtv.motivic import (
     IrreducibleLeftFactor,
     LOG,
@@ -42,16 +42,8 @@ def test_d3_examples():
 
 
 def test_d1_fast_equals_full_reduced():
-    def comps(n):
-        if n == 0:
-            yield ()
-            return
-        for first in range(1, n + 1):
-            for rest in comps(n - first):
-                yield (first,) + rest
-
     for w in range(1, 9):
-        for k in comps(w):
+        for k in compositions(w):
             assert reduce_deriv(deriv_D(1, k)) == reduce_deriv(deriv_D1_fast(k))
 
 
@@ -162,16 +154,8 @@ def _tag_weight(tag):
 
 
 def test_derivation_terms_weight_homogeneous():
-    def comps(n):
-        if n == 0:
-            yield ()
-            return
-        for first in range(1, n + 1):
-            for rest in comps(n - first):
-                yield (first,) + rest
-
     for w in range(1, 9):
-        for k in comps(w):
+        for k in compositions(w):
             for r in range(1, w + 1, 2):
                 for (tag, right), coeff in deriv_D(r, k).items():
                     assert _tag_weight(tag) == r

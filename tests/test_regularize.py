@@ -2,7 +2,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from mtv.indexcore import SignedIndex, zi
+import pytest
+
+from mtv import regularize
+from mtv.indexcore import SignedIndex, compositions, zi
 from mtv.regularize import (
     EMPTY,
     check_distribution,
@@ -155,16 +158,8 @@ def test_unshuffle_matches_shuffle_reg_at_zero():
 
 
 def _signed_indices(max_weight):
-    def comps(n):
-        if n == 0:
-            yield ()
-            return
-        for first in range(1, n + 1):
-            for rest in comps(n - first):
-                yield (first,) + rest
-
     for w in range(1, max_weight + 1):
-        for comp in comps(w):
+        for comp in compositions(w):
             for signs in itertools.product((1, -1), repeat=len(comp)):
                 yield SignedIndex(tuple(s * k for s, k in zip(signs, comp)), 0)
 
@@ -338,3 +333,32 @@ def test_regularization_output_weight_homogeneous():
                 assert cw is not None
                 weights.add(cw + key.weight)
             assert weights == {s.weight}
+
+
+def test_input_preconditions_raise():
+    for call in (lambda: stuffle_reg(zi(2, lz=1), T),
+                 lambda: shift_param("stuffle", zi(2, 1, lz=1), ZERO, T),
+                 lambda: st_via_sh0(zi(2, 1, lz=1), T)):
+        with pytest.raises(ValueError, match="lead_zeros = 0, got 1"):
+            call()
+    for k in ((), (2, 1)):
+        with pytest.raises(ValueError, match="end above 1"):
+            distribution_residual(k, 1, 0)
+    with pytest.raises(ValueError, match="parameter must be 0"):
+        distribution_residual((2,), 1, 1, param=W)
+    assert lc_is_zero(distribution_residual((2,), 0, 1, param=ZERO))
+
+
+def test_broken_multiplicities_raise(monkeypatch):
+    # a product that miscounts the input's own multiplicity breaks the peeling recursion
+    monkeypatch.setattr(regularize, "_st_cache", {})
+    monkeypatch.setattr(regularize, "_word_cache", {})
+    monkeypatch.setattr(regularize, "_stuffle_parts", lambda u, v: ((u + v, 2),))
+    with pytest.raises(RuntimeError, match=r"\(2, 1\) occurs 2 times .* not 1"):
+        stuffle_reg(zi(2, 1), T)
+    monkeypatch.setattr(regularize, "shuffle", lambda u, v: {u + v: Fraction(3)})
+    with pytest.raises(RuntimeError, match=r"\(1, 0, 1\) occurs 3 times .* not 1"):
+        word_shuffle_reg((1, 0, 1), -W)
+    monkeypatch.setattr(regularize, "_split_trailing_ones", lambda parts: (parts, 0))
+    with pytest.raises(RuntimeError, match="still ends in 1"):
+        st_via_sh0(zi(2, 1), T)

@@ -3,17 +3,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtv.symring import PI2, LOG2, SymPoly, bernoulli, even_zeta, zeta_sym
+from mtv.symring import PI2, LOG2, SymPoly, _gen_key, _mono_mul, bernoulli, even_zeta, zeta_sym
 
 GENS = ["pi2", "log2", "z3", "z5", "V", "T", "lam"]
 
 
-def sympolys(max_terms=4):
-    monos = st.dictionaries(st.sampled_from(GENS), st.integers(0, 3), max_size=3).map(
+def monomials():
+    return st.dictionaries(st.sampled_from(GENS), st.integers(0, 3), max_size=3).map(
         lambda d: tuple(sorted((g, e) for g, e in d.items() if e))
     )
+
+
+def sympolys(max_terms=4):
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-    return st.dictionaries(monos, coeffs, max_size=max_terms).map(SymPoly)
+    return st.dictionaries(monomials(), coeffs, max_size=max_terms).map(SymPoly)
+
+
+SCALARS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
 
 def test_even_zeta_small():
@@ -100,3 +106,64 @@ def test_text_form():
     p = SymPoly.gen("z3", 1, Fraction(-7, 16)) + PI2 * LOG2 * Fraction(1, 8)
     assert p.text() == "-7/16*z3 + 1/8*pi2*log2"
     assert SymPoly.parse("-7/16*z3 + 1/8*pi2*log2") == p
+
+
+def _assert_canonical(r):
+    for m, c in r.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert all(e > 0 for _, e in m) and list(m) == sorted(m, key=lambda ge: _gen_key(ge[0]))
+    assert SymPoly(r.terms).terms == r.terms
+
+
+def _validated_sum(a, b):
+    terms = dict(a.terms)
+    for m, c in b.terms.items():
+        terms[m] = terms.get(m, 0) + c
+    return SymPoly(terms)
+
+
+def _validated_product(a, b):
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            d = dict(m1)
+            for g, e in m2:
+                d[g] = d.get(g, 0) + e
+            m = tuple(d.items())
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return SymPoly(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sympolys(), sympolys(), SCALARS, st.sampled_from(GENS), st.integers(0, 3))
+def test_trusted_results_are_canonical(a, b, q, g, k):
+    results = [a + b, a - b, -a, a * b, a * q, q * a, a + q, q - a, a.deriv(g), a.coeff_of_power(g, k),
+               SymPoly.const(q), SymPoly.coerce(q)]
+    for r in results:
+        _assert_canonical(r)
+    # the same terms, in the same order, as the validating constructor gives
+    for fast, slow in ((a + b, _validated_sum(a, b)), (a * b, _validated_product(a, b)),
+                       (a * q, _validated_product(a, SymPoly({(): q})))):
+        assert list(fast.terms.items()) == list(slow.terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials(), monomials())
+def test_mono_mul_matches_dict_merge(m1, m2):
+    m1, m2 = (next(iter(SymPoly({m: 1}).terms)) for m in (m1, m2))
+    merged = dict(m1)
+    for g, e in m2:
+        merged[g] = merged.get(g, 0) + e
+    assert _mono_mul(m1, m2) == _mono_mul(m2, m1) == next(iter(SymPoly({tuple(merged.items()): 1}).terms))
+
+
+def test_validation_stays_in_public_constructors():
+    for bad in ({(("x", 1),): 1}, {(("V", -1),): 1}):
+        with pytest.raises(ValueError):
+            SymPoly(bad)
+    with pytest.raises(ValueError, match="unknown generator"):
+        SymPoly.gen("zeta3")
+    with pytest.raises(ValueError, match="negative exponent"):
+        SymPoly.gen("V", -2)
+    with pytest.raises(ValueError, match="unknown generator"):
+        SymPoly.parse("2*V + y^2")

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtv.indexcore import zi
+from mtv.indexcore import compositions, zi
 from mtv.symring import lc_eq, lc_scale, lc_sub, lc_is_zero
 from mtv.wordalg import (
     shuffle,
@@ -25,6 +26,12 @@ def test_stuffle_depth_1_2():
         zi(7, 3): Fraction(1),
         zi(2, 8): Fraction(1),
     }
+
+
+def test_stuffle_rejects_leading_zeros():
+    for a, b in ((zi(2, lz=1), zi(3)), (zi(3), zi(2, lz=2))):
+        with pytest.raises(ValueError, match="lead_zeros = 0"):
+            stuffle(a, b)
 
 
 def test_stuffle_unit_and_signs():
@@ -61,19 +68,10 @@ def test_t_to_zeta():
     assert lc_eq(t_tilde_to_zeta((3, 2)), lc_scale(t_to_zeta((3, 2)), Fraction(32)))
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
 def test_stuffle_compat_exhaustive_weight7():
     for wr in range(0, 8):
-        for r in _compositions(wr):
-            for s in _compositions(7 - wr):
+        for r in compositions(wr):
+            for s in compositions(7 - wr):
                 assert stuffle_compat_check(r, s)
 
 
