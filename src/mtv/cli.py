@@ -3,7 +3,8 @@
 Subcommands: eval, reg, stuffle, shuffle, dr, matrix, det,
 singular-lambda, enumerate, num, verify, report.  Results go to stdout,
 diagnostics to stderr; exit code 0 on success or verification pass, 1
-on verification failure, 2 on usage errors.
+on verification failure, 2 on usage errors, 3 when an internal
+invariant of the computation breaks.
 """
 
 from __future__ import annotations
@@ -430,9 +431,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Index and word data types, conversions, orderings and basis enumeration.
+"""Index and word data types, conversions, orderings and basis generation by level.
 
 Three interchangeable presentations of the same objects appear throughout:
 
@@ -16,9 +16,9 @@ plain tuples of small ints and are freely reinterpreted as indices.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
-Index = tuple  # of positive ints
 IntWord = tuple  # over {0, +1, -1}
 
 
@@ -55,18 +55,6 @@ class SignedIndex(NamedTuple):
 
 def zi(*parts, lz: int = 0) -> SignedIndex:
     return SignedIndex(tuple(parts), lz).validate()
-
-
-def index_weight(k: Index) -> int:
-    return sum(k)
-
-
-def index_depth(k: Index) -> int:
-    return len(k)
-
-
-def all_plus(k: Index) -> SignedIndex:
-    return SignedIndex(tuple(k), 0)
 
 
 def compositions(n: int):
@@ -132,10 +120,6 @@ def word_is_convergent(w: IntWord) -> bool:
     return bool(w) and w[0] != 0 and w[-1] != 1
 
 
-def word_depth(w: IntWord) -> int:
-    return sum(1 for x in w if x != 0)
-
-
 # ---------------------------------------------------------------------------
 # one-two and one-two-three words
 # ---------------------------------------------------------------------------
@@ -173,42 +157,42 @@ def sort_words(words) -> list:
     return sorted(words, key=colex_key)
 
 
-def _onetwo_words(weight: int):
-    """All {1,2} words of the given total weight."""
-    if weight == 0:
-        yield ()
-        return
-    if weight >= 1:
-        for w in _onetwo_words(weight - 1):
-            yield (1,) + w
-    if weight >= 2:
-        for w in _onetwo_words(weight - 2):
-            yield (2,) + w
+def _words_of_level(kind: str, weight: int, level: int) -> list:
+    """The words of one weight and level, built directly; [] if there are none.
+
+    A level-l {1,2} word (kind "H") of weight n places its l ones among
+    l + (n - l)/2 letters.  A one-two-three word (kind "S") is a level-l
+    {1,2} word of weight n - 2 followed by a 2, or a level-(l-1) one of
+    weight n - 3 followed by a 3.
+    """
+    if kind == "S":
+        return ([w + (2,) for w in _words_of_level("H", weight - 2, level)]
+                + [w + (3,) for w in _words_of_level("H", weight - 3, level - 1)])
+    twos = weight - level
+    if level < 0 or twos < 0 or twos % 2:
+        return []
+    n = level + twos // 2
+    words = []
+    for ones in itertools.combinations(range(n), level):
+        w = [2] * n
+        for i in ones:
+            w[i] = 1
+        words.append(tuple(w))
+    return words
 
 
 def enumerate_hoffman(N: int) -> list:
     """All {1,2} words of weight N, in reverse colexicographic order."""
     if N < 1:
         raise ValueError("weight must be >= 1")
-    return sort_words(_onetwo_words(N))
+    return sort_words(w for ell in range(N + 1) for w in _words_of_level("H", N, ell))
 
 
 def enumerate_saha(N: int) -> list:
     """All words of weight N ending in 2 or 3, {1,2} before; sorted."""
     if N < 2:
         raise ValueError("weight must be >= 2")
-    words = [w + (2,) for w in _onetwo_words(N - 2)]
-    if N >= 3:
-        words += [w + (3,) for w in _onetwo_words(N - 3)]
-    return sort_words(words)
-
-
-def _words_of_level(kind: str, weight: int, level: int):
-    if kind == "S":
-        pool = enumerate_saha(weight) if weight >= 2 else []
-    else:
-        pool = enumerate_hoffman(weight) if weight >= 1 else []
-    return [w for w in pool if word_level(w, kind) == level]
+    return sort_words(w for ell in range(N + 1) for w in _words_of_level("S", N, ell))
 
 
 def basis_sets(kind: str, N: int, ell: int):
@@ -291,10 +275,6 @@ def fibonacci(n: int) -> int:
 #   z(2,-3)       signed index, negative entry = barred argument
 #   z_1(2,1)      one leading zero
 #   21122         word as digit string
-
-def format_index(k: Index) -> str:
-    return "t(" + ",".join(str(x) for x in k) + ")"
-
 
 def format_signed(s: SignedIndex) -> str:
     head = "z" if s.lead_zeros == 0 else f"z_{s.lead_zeros}"

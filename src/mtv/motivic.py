@@ -6,7 +6,7 @@ rescaled t value).  Left factors are kept as formal tags until a graded
 map needs them, at which point they must reduce to a rational multiple
 of log2 or of a single odd zeta through the closed-form families
 2^a 1 2^b, 2^a 3 2^b, 2^a 1 and 2^a; any other pattern raises, turning
-the structural lemmas behind the construction into runtime assertions.
+the structural lemmas behind the construction into runtime checks.
 
 Matrix conventions: rows are indexed by the weight-N level-l words B,
 columns by the lower-level words B'; entry (w, w') is the coefficient
@@ -179,7 +179,8 @@ def pitilde(gen) -> Fraction:
     if gen == LOG:
         return Fraction(1, 2)
     m = gen[1]
-    assert m % 2 == 1 and m >= 3
+    if m % 2 == 0 or m < 3:
+        raise RuntimeError(f"pitilde needs log2 or an odd zeta of weight >= 3, got {gen}")
     return Fraction(2 ** (m - 2))
 
 
@@ -217,7 +218,8 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple, star: bool | None = No
         star = kind == "Hstar"
     word_kind = "S" if kind == "S" else "H"
     w = tuple(w)
-    assert _valid_word(w, word_kind) and sum(w) == N and word_level(w, word_kind) == ell
+    if not (_valid_word(w, word_kind) and sum(w) == N and word_level(w, word_kind) == ell):
+        raise ValueError(f"{w} is not a kind-{word_kind} word of weight {N} and level {ell}")
     out: dict = {}
     for r in range(1, N + 1, 2):
         terms = deriv_D_star(r, w) if star else deriv_D(r, w)
@@ -226,7 +228,8 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple, star: bool | None = No
                 if ell != 1:
                     continue
             else:
-                assert _valid_word(right, word_kind), f"invalid right factor {right}"
+                if not _valid_word(right, word_kind):
+                    raise RuntimeError(f"D_{r} of {w} has the invalid right factor {right}")
                 if word_level(right, word_kind) != ell - 1:
                     continue
             red, gen = lie_reduce(tag)
@@ -274,14 +277,19 @@ class FiltMatrix:
 
 def build_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
     """The matrix of the graded derivation with respect to (B, B')."""
-    assert kind in ("S", "H", "Hstar")
+    if kind not in ("S", "H", "Hstar"):
+        raise ValueError(f"kind must be 'S', 'H' or 'Hstar', got {kind!r}")
+    if kind == "S" and N < 2:
+        raise ValueError(f"kind S has no words of weight {N}; need N >= 2")
     B, Bp = basis_sets("S" if kind == "S" else "H", N, ell)
-    assert len(B) == len(Bp)
+    if len(B) != len(Bp):
+        raise RuntimeError(f"bases of unequal size at {kind} N={N} level {ell}: {len(B)} and {len(Bp)}")
     entries = []
     for w in B:
         row_map = graded_partial(kind, N, ell, w)
         unknown = set(row_map) - set(Bp)
-        assert not unknown, f"row {w} hit non-basis words {unknown}"
+        if unknown:
+            raise RuntimeError(f"row {w} hit non-basis words {sorted(unknown)}")
         entries.append([row_map.get(wp, Fraction(0)) for wp in Bp])
     return FiltMatrix(kind, N, ell, list(B), list(Bp), entries)
 

@@ -2,7 +2,7 @@
 
 Entries are Fractions, or SymPolys affine in lam for the parametric
 matrices; the determinant of a parametric matrix is recovered from
-evaluations at lam = 0 and lam = 1, with a third evaluation asserting
+evaluations at lam = 0 and lam = 1, with a third evaluation checking
 that the determinant really is affine.
 """
 
@@ -36,7 +36,8 @@ def det_bareiss(rows) -> Fraction:
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    assert all(len(r) == n for r in rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"non-square matrix: {n} rows of lengths {sorted({len(r) for r in rows})}")
     m, scale = _row_scaled_int([[Fraction(x) for x in row] for row in rows])
     sign = 1
     prev = 1
@@ -69,20 +70,21 @@ def det_exact(rows):
     affine in lam.  Returns a Fraction, or a SymPoly affine in lam.
 
     Parametric determinants are interpolated from lam = 0 and lam = 1
-    and cross-checked at lam = 2; matrices whose determinant were not
-    affine would fail that assertion.
+    and cross-checked at lam = 2; a determinant that is not affine raises
+    RuntimeError.
     """
     has_lam = any(isinstance(x, SymPoly) and x.max_degree("lam") > 0 for row in rows for x in row)
     if not has_lam:
         return det_bareiss([[_entry_to_fraction(x, Fraction(0)) for x in row] for row in rows])
     for row in rows:
         for x in row:
-            if isinstance(x, SymPoly):
-                assert x.max_degree("lam") <= 1, "entries must be affine in lam"
+            if isinstance(x, SymPoly) and x.max_degree("lam") > 1:
+                raise ValueError(f"entries must be affine in lam, got {x}")
     d0 = det_bareiss([[_entry_to_fraction(x, Fraction(0)) for x in row] for row in rows])
     d1 = det_bareiss([[_entry_to_fraction(x, Fraction(1)) for x in row] for row in rows])
     d2 = det_bareiss([[_entry_to_fraction(x, Fraction(2)) for x in row] for row in rows])
-    assert d2 == 2 * d1 - d0, "determinant is not affine in lam"
+    if d2 != 2 * d1 - d0:
+        raise RuntimeError(f"determinant is not affine in lam: {d0}, {d1}, {d2} at lam = 0, 1, 2")
     return SymPoly.const(d0) + SymPoly.gen("lam", 1, d1 - d0)
 
 
@@ -92,5 +94,6 @@ def is_integer(x: Fraction) -> bool:
 
 def parity(x: Fraction) -> int:
     x = Fraction(x)
-    assert x.denominator == 1
+    if x.denominator != 1:
+        raise ValueError(f"parity of a non-integer: {x}")
     return x.numerator % 2

@@ -13,18 +13,19 @@ equal closed forms have identical canonical representations.
 
 Monomials are formally independent; equality is equality of canonical
 form.  Coefficients are ``fractions.Fraction`` throughout, floating
-point never enters this module.
+point never enters this module: every constructor takes only ints and
+Fractions and raises TypeError for a float or any other number.
 
 Canonical form.  ``terms`` maps monomials to coefficients.  A monomial
 is a tuple of (generator, exponent) pairs sorted by ``_gen_key``, with
 every generator known and every exponent positive; every coefficient is
 a nonzero ``Fraction``.  Only the public constructor ``SymPoly(terms)``,
-``gen`` and ``parse`` validate: they accept arbitrary input and bring it
-into this form.  Every other result comes from the trusted constructor
-``_canonical``, which stores a dict that is already canonical without
-checking it: the ring operations, ``const``/``coerce`` of an int or
-Fraction, ``deriv`` and ``coeff_of_power``.  Each keeps the invariant by
-construction.  Monomial products come sorted from ``_mono_mul``; a
+``gen`` and ``parse`` validate: they accept arbitrary monomials with int
+or Fraction coefficients and bring them into this form.  Every other
+result comes from the trusted constructor ``_canonical``, which stores a
+dict that is already canonical without checking it: the ring operations,
+``const``/``coerce``, ``deriv`` and ``coeff_of_power``.  Each keeps the
+invariant by construction.  Monomial products come sorted from ``_mono_mul``; a
 scalar (an int, a Fraction or a constant polynomial) multiplies the
 coefficients directly; sums are accumulated first and their zeros
 dropped once, so the surviving terms keep the order the validating
@@ -68,10 +69,17 @@ def _ge_key(ge):
     return _gen_key(ge[0])
 
 
+def _rational(c) -> Fraction:
+    """c as a Fraction; only ints and Fractions are exact rationals here."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__} {c!r}")
+    return c if type(c) is Fraction else Fraction(c)
+
+
 def _normalize_terms(terms):
     out = {}
     for mono, c in terms.items():
-        c = Fraction(c)
+        c = _rational(c)
         if c == 0:
             continue
         mono = tuple(sorted(((g, e) for g, e in mono if e != 0), key=_ge_key))
@@ -121,15 +129,12 @@ class SymPoly:
 
     @staticmethod
     def const(c) -> "SymPoly":
-        if not isinstance(c, (int, Fraction)):
-            return SymPoly({(): c})
-        if not c:
-            return _canonical({})
-        return _canonical({(): c if type(c) is Fraction else Fraction(c)})
+        c = _rational(c)
+        return _canonical({(): c} if c else {})
 
     @staticmethod
     def gen(name: str, exp: int = 1, coeff=1) -> "SymPoly":
-        return SymPoly({((name, exp),): Fraction(coeff)})
+        return SymPoly({((name, exp),): coeff})
 
     @staticmethod
     def zero() -> "SymPoly":

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .indexcore import SignedIndex, index_depth, index_weight
+from .indexcore import SignedIndex
 from .symring import lc_add, lc_iadd, lc_scale
 
 
@@ -111,8 +111,7 @@ def t_to_zeta(k: tuple) -> dict:
 
 def t_tilde_to_zeta(k: tuple) -> dict:
     """Rescaled version: coefficient 2^(|k|-d) instead of 2^-d."""
-    w, d = index_weight(k), index_depth(k)
-    return lc_scale(t_to_zeta(k), Fraction(2 ** w))
+    return lc_scale(t_to_zeta(k), Fraction(2 ** sum(k)))
 
 
 def stuffle_compat_check(r: tuple, s: tuple) -> bool:

@@ -188,3 +188,18 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "--kind", "X", "--N", "8", "--level", "2"])
     assert exc.value.code == 2
+    code, _, err = run_cli(capsys, "matrix", "--kind", "S", "--N", "1", "--level", "1")
+    assert code == 2 and "need N >= 2" in err
+
+
+def test_broken_invariant_exit_code(capsys, monkeypatch):
+    # a stuffle product that miscounts breaks the regularization's peeling
+    # invariant; the CLI reports it with its own exit code, not a traceback
+    from mtv import regularize
+
+    monkeypatch.setattr(regularize, "_st_cache", {})
+    monkeypatch.setattr(regularize, "_word_cache", {})
+    monkeypatch.setattr(regularize, "_stuffle_parts", lambda u, v: ((u + v, 2),))
+    code, out, err = run_cli(capsys, "reg", "--scheme", "stuffle", "t(2,1)")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "occurs 2 times" in err and "Traceback" not in err

@@ -1,9 +1,11 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
 from mtv.indexcore import (
     SignedIndex,
+    _words_of_level,
     basis_sets,
     colex_key,
     compositions,
@@ -99,6 +101,71 @@ def test_basis_sets_sizes_match():
                     continue
                 B, Bp = basis_sets(kind, N, ell)
                 assert len(B) == len(Bp)
+
+
+def _reference_onetwo_words(weight):
+    """All {1,2} words of the given weight, by first letter."""
+    if weight == 0:
+        return [()]
+    words = [(1,) + w for w in _reference_onetwo_words(weight - 1)]
+    if weight >= 2:
+        words += [(2,) + w for w in _reference_onetwo_words(weight - 2)]
+    return words
+
+
+@lru_cache(maxsize=None)
+def _reference_pool(kind, weight):
+    """Every word of a weight, sorted: the enumerate-then-sort path."""
+    if kind == "H":
+        return sort_words(_reference_onetwo_words(weight)) if weight >= 1 else []
+    if weight < 2:
+        return []
+    words = [w + (2,) for w in _reference_onetwo_words(weight - 2)]
+    if weight >= 3:
+        words += [w + (3,) for w in _reference_onetwo_words(weight - 3)]
+    return sort_words(words)
+
+
+def _reference_level(kind, weight, level):
+    return [w for w in _reference_pool(kind, weight) if word_level(w, kind) == level]
+
+
+def _reference_basis_sets(kind, N, ell):
+    Bp = [w for m in range(1, N) for w in _reference_level(kind, m, ell - 1)]
+    if ell == 1:
+        Bp.append(())
+    return sort_words(_reference_level(kind, N, ell)), sort_words(Bp)
+
+
+def test_level_generation_matches_enumerate_sort_filter():
+    for kind in ("S", "H"):
+        for N in range(1, 17):
+            if kind == "H" or N >= 2:
+                enumerate_all = enumerate_hoffman if kind == "H" else enumerate_saha
+                assert enumerate_all(N) == _reference_pool(kind, N), (kind, N)
+            for ell in range(N + 2):
+                words = _words_of_level(kind, N, ell)
+                ref = _reference_level(kind, N, ell)
+                assert sort_words(words) == ref and len(set(words)) == len(words), (kind, N, ell)
+                if ell < 1 or (N - ell) % 2:
+                    with pytest.raises(ValueError):
+                        basis_sets(kind, N, ell)
+                else:
+                    assert basis_sets(kind, N, ell) == _reference_basis_sets(kind, N, ell), (kind, N, ell)
+
+
+def test_levels_outside_the_range_are_empty():
+    assert _words_of_level("H", 0, 0) == [()]
+    for kind in ("S", "H"):
+        for N in range(0, 12):
+            for ell in (-1, N + 1, N + 2):
+                assert _words_of_level(kind, N, ell) == []
+            assert _words_of_level(kind, -1, 0) == []
+    for N in range(1, 12):
+        # a {1,2} word's level has the parity of its weight
+        assert all(_words_of_level("H", N, ell) == [] for ell in range(N % 2 + 1, N + 1, 2))
+        # a one-two-three word has level at most N - 2
+        assert _words_of_level("S", N, N - 1) == [] and _words_of_level("S", N, N) == []
 
 
 def test_ordering_total_and_idempotent():

@@ -116,3 +116,21 @@ def test_matrix_json_shape():
     assert m["cols"] == ["2", ""]
     assert m["entries"][1][0] == {"const": "-1", "lambda": "1"}
     assert m["entries"][0] == ["1", "-7"]
+
+
+def test_singular_lambda_past_19_by_a_second_determinant_route():
+    # the affine interpolation in det_exact gives the root; substituting it
+    # into the entries and eliminating again must give a singular matrix
+    from mtv.motivic import singular_lambda
+
+    for N in (21, 23, 25):
+        lam_s = singular_lambda(N)
+        m = build_matrix("Hstar", N, 1)
+
+        def det_at(lam):
+            value = {"lam": SymPoly.const(lam)}
+            return det_bareiss([[x.substitute(value).const_value() if isinstance(x, SymPoly) else x
+                                 for x in row] for row in m.entries])
+
+        assert det_at(lam_s) == 0, N
+        assert det_at(Fraction(1, 2)) != 0 and det_at(Fraction(1)) != 0, N

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,3 +168,14 @@ def test_validation_stays_in_public_constructors():
         SymPoly.gen("V", -2)
     with pytest.raises(ValueError, match="unknown generator"):
         SymPoly.parse("2*V + y^2")
+
+
+def test_floats_never_enter_the_ring():
+    p = SymPoly.gen("V") + 1
+    for bad in (0.1, 1.0, mpmath.mpf("0.5")):
+        for build in (SymPoly.const, SymPoly.coerce, lambda c: SymPoly({(): c}),
+                      lambda c: SymPoly.gen("V", 1, c), lambda c: p * c, lambda c: c * p,
+                      lambda c: p + c, lambda c: c - p):
+            with pytest.raises(TypeError, match="int or Fraction"):
+                build(bad)
+    assert SymPoly.const(True) == SymPoly.one() and SymPoly.coerce(Fraction(1, 3)) * 3 == 1
