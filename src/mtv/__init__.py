@@ -13,7 +13,6 @@ from .indexcore import (
 from .symring import SymPoly, even_zeta, zeta_sym
 from .wordalg import shuffle, stuffle, stuffle_compat_check, t_to_zeta, t_tilde_to_zeta
 from .regularize import (
-    check_distribution,
     rho_apply,
     sh_from_st,
     shift_param,

@@ -70,8 +70,6 @@ def _print_lincomb(lc: dict, fmt: str):
 
 def cmd_eval(args) -> int:
     text = args.expr.strip()
-    import re
-
     m = re.fullmatch(r"t\*\(([^;)]*)(?:;\s*(\w+))?\)", text)
     if m:
         parts = tuple(int(x) for x in m.group(1).split(","))
@@ -295,24 +293,11 @@ def cmd_verify(args) -> int:
 
 
 def _verify_identity(args, env) -> int:
-    from .numoracle import eval_num, t_num, t_star_a1_num
-
-    a, b = args.a, args.b
-    if args.identity == "t2212":
-        closed = eval_num(eval_t2212_star(a, b), env, {"V": env.const("log2")})
-        direct = t_star_a1_num(a, env.const("log2"), env) if b == 0 else t_num((2,) * a + (1,) + (2,) * b, env)
-    elif args.identity == "t2232":
-        closed = eval_num(eval_t2232(a, b), env)
-        direct = t_num((2,) * a + (3,) + (2,) * b, env)
-    else:
-        print(f"unknown identity {args.identity!r}", file=sys.stderr)
-        return 2
-    resid = abs(float(closed.val - direct.val))
-    bound = closed.err + direct.err
-    ok = resid <= bound <= 1e-6
+    closed, direct = verify_mod.identity_pair(args.identity, args.a, args.b, env)
+    r = verify_mod._certified_check(args.identity, args.identity, [closed - direct])
     print(f"value {float(direct.val):.12f}  closed {float(closed.val):.12f}  "
-          f"residual {resid:.3e}  bound {bound:.3e}  {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+          f"residual {r.residual:.3e}  bound {r.bound:.3e}  {r.status}")
+    return 0 if r.status == "PASS" else 1
 
 
 def cmd_report(args) -> int:

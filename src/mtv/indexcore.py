@@ -17,6 +17,7 @@ plain tuples of small ints and are freely reinterpreted as indices.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import NamedTuple
 
 IntWord = tuple  # over {0, +1, -1}
@@ -290,16 +291,14 @@ def parse_argument(text: str):
     text = text.strip()
     if text.isdigit():
         return tuple(int(c) for c in text)
-    import re as _re
-
-    m = _re.fullmatch(r"t\(([^)]*)\)", text)
+    m = re.fullmatch(r"t\(([^)]*)\)", text)
     if m:
         inner = m.group(1).strip()
         parts = tuple(int(x) for x in inner.split(",")) if inner else ()
         if any(p < 1 for p in parts):
             raise ValueError(f"t-index entries must be positive: {text!r}")
         return parts
-    m = _re.fullmatch(r"z(?:_(\d+))?\(([^)]*)\)", text)
+    m = re.fullmatch(r"z(?:_(\d+))?\(([^)]*)\)", text)
     if m:
         lz = int(m.group(1) or 0)
         inner = m.group(2).strip()

@@ -15,7 +15,9 @@ tail bound, so its accuracy follows the precision.  Its series run in
 exact integer fixed point, 20 guard bits below the precision: the ratios
 are +-1/2 or 1/4, so each step is a shift or an integer floor division,
 and the bound counts each such rounding (fewer than 3 d (n0 - 1) units
-for a depth-d series cut at n0).  The float64 sums stay the independent
+for a depth-d series cut at n0).  The Hoelder convolution multiplies and
+sums those integers exactly, so its value is rounded only where it is
+used.  The float64 sums stay the independent
 cross-check of the path split.  Constants and the digamma function come
 from mpmath at the working precision.
 """
@@ -55,11 +57,12 @@ class MPFloat:
     def __neg__(self):
         return MPFloat(-self.val, self.err)
 
-    def __sub__(self, other):
-        return self + (-_coerce(other))
+    def __sub__(self, other):  # one rounding: a negation rounds to the context too
+        other = _coerce(other)
+        return MPFloat(self.val - other.val, self.err + other.err)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -319,8 +322,9 @@ _RATIO_SHIFT = {1: 1, -1: 1, 2: 2}  # letter eta -> s with |y| = |1/(2 eta)| = 2
 
 
 def _poly_at_half(w, env: NumEnv):
-    """I(0; w; 1/2) for a word over {0, 1, -1, 2}; returns (value, err).
-    Memoised per word and precision; the value is an exact mpf.
+    """I(0; w; 1/2) for a word over {0, 1, -1, 2}; returns (v, err), the
+    value being v 2^-P for the signed integer v, P = prec + _GUARD_BITS.
+    Memoised per word and precision.
 
     After telescoping, the series runs over increasing n_1 < ... < n_d
     with per-level ratios y_i = (1/2)/eta_i = +-2^-1 or 2^-2.  It runs in
@@ -329,8 +333,9 @@ def _poly_at_half(w, env: NumEnv):
     division, and the bound counts fewer than 3 d (n0 - 1) units 2^-P of
     rounding on top of the tail.
     """
+    P = env.prec + _GUARD_BITS
     if not w:
-        return mpmath.mpf(1), 0.0
+        return 1 << P, 0.0
     key = ("half", w, env.prec)
     hit = env._sums.get(key)
     if hit is not None:
@@ -340,7 +345,6 @@ def _poly_at_half(w, env: NumEnv):
     n0 = 2 * d - 1  # the first dropped n_d: the least with tail <= 2^-(prec+8)
     while _tail_bound(n0, d) > 2.0 ** (-env.prec - 8):
         n0 += 1
-    P = env.prec + _GUARD_BITS
     levels = [(_RATIO_SHIFT[e], e < 0, k) for e, k in zip(etas, ks)]
     carry = [0] * d
     prev_b = [0] * d  # B_i(n-1), overwritten level by level with B_i(n)
@@ -359,7 +363,7 @@ def _poly_at_half(w, env: NumEnv):
             below, prev_b[i] = prev_b[i], c // n ** k
         total += prev_b[-1]
     rounding = 3 * d * (n0 - 1) * 2.0 ** -P
-    out = (mpmath.ldexp(-total if d % 2 else total, -P), _tail_bound(n0, d) + rounding)
+    out = (-total if d % 2 else total, _tail_bound(n0, d) + rounding)
     env._sums[key] = out
     return out
 
@@ -388,7 +392,10 @@ def _transform_upper(v):
 
 
 def altz_num_holder(s: SignedIndex, env: NumEnv) -> MPFloat:
-    """Alternating zeta value through the split-at-1/2 evaluation."""
+    """Alternating zeta value through the split-at-1/2 evaluation.  The
+    fixed-point halves v 2^-P are convolved in exact 2P-bit integers, so
+    the bound is the propagated half bounds alone; P <= 1020 (prec <= 1000)
+    keeps the float factors |v| 2^-P and 2^-P finite and normal."""
     if not s.parts:
         return MPFloat(mpmath.mpf(1), 0.0)
     key = ("holder", s.parts, s.lead_zeros, env.prec)
@@ -398,18 +405,15 @@ def altz_num_holder(s: SignedIndex, env: NumEnv) -> MPFloat:
     w = to_int_word(s)
     if not word_is_convergent(w):
         raise ValueError(f"divergent signed index {s}")
-    with env.work():
-        total = mpmath.mpf(0)
-        err = 0.0
-        for j in range(len(w) + 1):
-            v1, e1 = _poly_at_half(w[:j], env)
-            v2, e2 = _poly_at_half(_transform_upper(w[j:]), env)
-            sign = (-1) ** (len(w) - j)
-            total += sign * v1 * v2
-            err += abs(float(v1)) * e2 + abs(float(v2)) * e1 + e1 * e2
-        value = total * (-1) ** s.depth
-    ulp = (abs(float(total)) + 1.0) * 2.0 ** (-env.prec - 3)
-    out = MPFloat(value, err + ulp)
+    P = env.prec + _GUARD_BITS
+    unit = 2.0 ** -P
+    total, err = 0, 0.0
+    for j in range(len(w) + 1):
+        v1, e1 = _poly_at_half(w[:j], env)
+        v2, e2 = _poly_at_half(_transform_upper(w[j:]), env)
+        total += -v1 * v2 if (len(w) - j) % 2 else v1 * v2
+        err += abs(v1) * unit * e2 + abs(v2) * unit * e1 + e1 * e2
+    out = MPFloat(mpmath.ldexp(-total if s.depth % 2 else total, -2 * P), err)
     env._sums[key] = out
     return out
 

@@ -12,8 +12,9 @@ Identities relating objects within one presentation (parameter shifts,
 the distribution relations, multiplicativity) are exact here: both
 sides reduce to identical canonical linear combinations.  Identities
 relating the two presentations to each other encode genuine analytic
-relations between the underlying numbers and are verified through the
-numerical oracle instead (see numoracle).
+relations between the underlying numbers and are settled numerically by
+the ``coherence`` suite in verify, as is what the distribution residual
+leaves after canonical reduction.
 
 All values are immutable and all functions pure; the module-level memo
 tables only ever store deterministic results keyed by immutable inputs,
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 from .closedform import zbar_reduce
 from .indexcore import IntWord, SignedIndex, from_int_word, to_int_word, trailing_run
-from .symring import LOG2, SymPoly, lc_iadd, lc_is_zero, lc_put, lc_scale, lc_sub, zeta_sym
+from .symring import LOG2, SymPoly, lc_iadd, lc_put, lc_scale, lc_sub, zeta_sym
 from .wordalg import _stuffle_parts, shuffle, shuffle_lincomb, t_to_zeta
 
 EMPTY = SignedIndex((), 0)
@@ -434,37 +435,3 @@ def distribution_residual(k: tuple, alpha: int, ell: int, param=None) -> dict:
         power = zeta_lc_word_mul(power, neg_log2)
 
     return canonicalize(lc_sub(lhs, rhs))
-
-
-def check_distribution(k: tuple, alpha: int, ell: int, param=None, env=None) -> bool:
-    """Equality verdict for the regularized distribution relation.
-
-    The unregularized cases reduce to structurally zero combinations.
-    With trailing ones the relation also consumes sign-weighted
-    doubling identities that have no linear expression in the signed
-    index basis, so a nonzero canonical residual is settled by the
-    certified numerical oracle: the verdict is True only if the
-    residual value is within its rigorously tracked error bound of
-    zero, with the bound itself small enough to be decisive.
-    """
-    residual = distribution_residual(k, alpha, ell, param)
-    if lc_is_zero(residual):
-        return True
-    from .numoracle import NumEnv, lincomb_num
-
-    env = env or NumEnv(prec=64)
-    deg = max(SymPoly.coerce(c).max_degree("W") for c in residual.values())
-    for j in range(deg + 1):
-        layer = {
-            key: cj
-            for key, c in residual.items()
-            if not (cj := SymPoly.coerce(c).coeff_of_power("W", j)).is_zero
-        }
-        if not layer:
-            continue
-        val = lincomb_num(layer, env)
-        if val.err > 1e-8:
-            raise RuntimeError("oracle bound too weak to decide the distribution check")
-        if abs(float(val.val)) > val.err:
-            return False
-    return True

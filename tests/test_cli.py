@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import mpmath
@@ -203,3 +204,40 @@ def test_broken_invariant_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "reg", "--scheme", "stuffle", "t(2,1)")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "occurs 2 times" in err and "Traceback" not in err
+
+
+def _verdicts(out: str) -> dict:
+    """{ref: line} for the check lines of a text verify report."""
+    return {line.split()[1].rstrip(":"): line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))}
+
+
+def test_coherence_at_low_precision_fails_with_bounds(capsys):
+    # at 8 bits no layer bound gets under the cap: each numeric check
+    # FAILs and reports its bound instead of aborting the suite
+    code, out, err = run_cli(capsys, "verify", "--suite", "coherence", "--prec", "8")
+    assert code == 1 and err == ""
+    lines = _verdicts(out)
+    for ref in ("st-vs-sh", "st-via-sh0", "t-star-vs-sh", "distribution"):
+        assert lines[ref].startswith("FAIL") and ", bound " in lines[ref], lines[ref]
+    assert lines["stuffle-compat"].startswith("PASS")
+
+
+def test_coherence_with_nothing_to_settle_passes(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "coherence", "--max-weight", "0")
+    assert code == 0
+    lines = _verdicts(out)
+    for ref in ("st-vs-sh", "st-via-sh0"):
+        assert lines[ref].startswith("PASS") and lines[ref].endswith("[residual 0.000e+00, bound 0.000e+00]")
+    assert lines["distribution"].startswith("PASS") and ", bound " in lines["distribution"]
+
+
+@pytest.mark.parametrize("prec, verdict", [("53", "PASS"), ("8", "FAIL"), ("64", "PASS")])
+def test_verify_identity_line(capsys, prec, verdict):
+    code, out, _ = run_cli(capsys, "verify", "--identity", "t2212", "--a", "1", "--b", "1", "--prec", prec)
+    number = r"\d\.\d{3}e[-+]\d\d"
+    pattern = rf"value 0\.\d{{12}}  closed 0\.\d{{12}}  residual ({number})  bound ({number})  {verdict}\n"
+    m = re.fullmatch(pattern, out)
+    assert m, out
+    assert code == (0 if verdict == "PASS" else 1)
+    residual, bound = float(m.group(1)), float(m.group(2))
+    assert (residual <= bound <= 1e-6) == (verdict == "PASS")

@@ -145,3 +145,6 @@ def test_oracle_checks_hold_each_residual_to_its_certified_bound():
     assert _certified_check("n", "r", [MPFloat(0.0, 2e-6)]).status == "FAIL"
     r = _certified_check("n", "r", [MPFloat(-5e-10, 1e-9), MPFloat(1e-8, 1e-7)])
     assert (r.status, r.residual, r.bound) == ("PASS", 1e-8, 1e-7)
+    # nothing to settle passes with residual and bound 0
+    r = _certified_check("n", "r", [])
+    assert (r.status, r.residual, r.bound) == ("PASS", 0.0, 0.0)

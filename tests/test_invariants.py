@@ -26,6 +26,27 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+EXACT_MODULES = ("symring", "indexcore", "wordalg", "regularize", "closedform", "motivic", "ratmatrix")
+NUMERIC = {"numoracle", "mpmath", "numpy"}
+
+
+def test_exact_modules_import_no_numerics():
+    # every import counts, including one inside a function body
+    found = []
+    for name in EXACT_MODULES:
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(NUMERIC & set(target.split(".")) for target in targets):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_bad_input_raises_value_error():
     lam = SymPoly.gen("lam")
     with pytest.raises(ValueError, match="non-square"):

@@ -161,7 +161,17 @@ def test_fixed_point_path_split_matches_mpmath_reference(prec):
         assert err <= 2.0 ** -(prec + 5), w
         if w in checked:
             ref, ref_err = _ref_at_half(w, prec + 64)
-            assert abs(v - ref) <= err + ref_err, w
+            assert abs(mpmath.ldexp(v, -prec - numoracle._GUARD_BITS) - ref) <= err + ref_err, w
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_holder_bounds_over_weight_six(prec):
+    # the convolution is exact, so its bound is the propagated half bounds
+    env = NumEnv(prec=prec)
+    convergent = [s for s in _signed_indices(6) if s.is_convergent()]
+    assert len(convergent) == 485
+    for s in convergent:
+        assert altz_num_holder(s, env).err <= 2.0 ** -(prec + 5), s
 
 
 def test_fixed_point_rounding_count(monkeypatch):
@@ -173,7 +183,7 @@ def test_fixed_point_rounding_count(monkeypatch):
         v, err = _poly_at_half(w, env)
         ref, ref_err = _ref_at_half(w, 12 + 64)
         assert err >= 3 * 2.0 ** -12
-        assert abs(v - ref) <= err + ref_err, w
+        assert abs(mpmath.ldexp(v, -12) - ref) <= err + ref_err, w
 
 
 def test_holder_memo_warm_equals_cold():

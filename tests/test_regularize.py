@@ -8,7 +8,6 @@ from mtv import regularize
 from mtv.indexcore import SignedIndex, compositions, zi
 from mtv.regularize import (
     EMPTY,
-    check_distribution,
     distribution_residual,
     rho_apply,
     sh_from_st,
@@ -25,6 +24,7 @@ from mtv.regularize import (
     zeta_ones,
 )
 from mtv.symring import LOG2, PARAMS, PI2, SymPoly, lc_add, lc_is_zero, lc_scale, lc_sub
+from mtv.verify import _certified_check, _layer_values
 from mtv.wordalg import shuffle, stuffle, stuffle_lincomb
 
 T = SymPoly.gen("T")
@@ -257,9 +257,16 @@ def test_distribution_weight1_special_case():
     assert lhs == {zi(-1): SymPoly.one()}  # the signed index worth -log 2
 
 
+def _distribution_verdict(k, alpha, ell, env) -> str:
+    values = _layer_values(distribution_residual(k, alpha, ell), env)
+    return _certified_check("distribution", "distribution", values).status
+
+
 def test_distribution_depth1_plain():
+    from mtv.numoracle import NumEnv
+
     assert lc_is_zero(distribution_residual((2,), 0, 0))
-    assert check_distribution((2,), 0, 0)
+    assert _distribution_verdict((2,), 0, 0, NumEnv(prec=64)) == "PASS"
 
 
 def test_distribution_structural_at_alpha0():
@@ -275,7 +282,15 @@ def test_distribution_small_sweep():
     for k in [(2,), (1, 2)]:
         for alpha in (0, 1, 2):
             for ell in (0, 1):
-                assert check_distribution(k, alpha, ell, env=env)
+                assert _distribution_verdict(k, alpha, ell, env) == "PASS", (k, alpha, ell)
+
+
+def test_distribution_check_reports_its_bound():
+    from mtv.verify import coherence_checks
+
+    dist = next(r for r in coherence_checks(max_weight=1) if r.ref == "distribution")
+    assert dist.status == "PASS" and dist.residual is not None
+    assert dist.residual <= dist.bound <= 1e-6
 
 
 def test_word_product_on_zeta_side():
