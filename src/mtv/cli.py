@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath
 
 from . import verify as verify_mod
-from .closedform import eval_t22, eval_t2212_star, eval_t2232
+from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, coeff_d_232, eval_t22, eval_t2212_star, eval_t2232
 from .indexcore import (
     SignedIndex,
     basis_sets,
@@ -47,6 +47,14 @@ def _num_setting(args, name: str, default: int) -> int:
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
     return value
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type of --lam, so a bad value exits 2 before any matrix is built."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational such as 1/2, got {text!r}") from None
 
 
 def _env_from_args(args) -> NumEnv:
@@ -201,7 +209,7 @@ def cmd_det(args) -> int:
     m = build_matrix(args.kind, args.N, args.level)
     det = m.det()
     if args.lam is not None and isinstance(det, SymPoly):
-        det = det.substitute({"lam": SymPoly.const(Fraction(args.lam))}).const_value()
+        det = det.substitute({"lam": SymPoly.const(args.lam)}).const_value()
     print(det if not isinstance(det, SymPoly) else det.text())
     if args.structure:
         rep = det_mod2_structure(m)
@@ -257,8 +265,6 @@ def _certified_digits(v) -> str:
 
 
 def cmd_coeff(args) -> int:
-    from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, coeff_d_232
-
     table = {
         ("c", "2a1"): lambda a, b: coeff_c_21(a),
         ("c", "2a32b"): coeff_c_231,
@@ -362,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("S", "H", "Hstar"), required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--lam", default=None, help="evaluate a parametric determinant at this rational")
+    sp.add_argument("--lam", type=_rational, default=None, help="evaluate a parametric determinant at this rational")
     sp.add_argument("--structure", action="store_true", help="also verify the parity structure")
     common(sp)
     sp.set_defaults(fn=cmd_det)

@@ -16,15 +16,19 @@ exact integer fixed point, 20 guard bits below the precision: the ratios
 are +-1/2 or 1/4, so each step is a shift or an integer floor division,
 and the bound counts each such rounding (fewer than 3 d (n0 - 1) units
 for a depth-d series cut at n0).  The Hoelder convolution multiplies and
-sums those integers exactly, so its value is rounded only where it is
-used.  The float64 sums stay the independent
-cross-check of the path split.  Constants and the digamma function come
-from mpmath at the working precision.
+sums those integers exactly.  The float64 sums stay the independent
+cross-check of the path split.
+
+MPFloat arithmetic is exact and ignores mpmath's global precision.  Every
+rounding is a leaf value made here and charged to its own bound: the two
+engines, and at prec + 15 bits (``NumEnv.work``) rational coefficients
+(``rational_num``), constants, digamma with its zeta series and cos(pi x).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -37,7 +41,9 @@ _EPS64 = 2.220446049250313e-16
 
 
 class MPFloat:
-    """A value with a tracked absolute error bound."""
+    """A value with a tracked absolute error bound.  Sums, differences,
+    negations and products are formed exactly, whatever mpmath's global
+    precision, so the bound carries only the propagated input bounds."""
 
     __slots__ = ("val", "err")
 
@@ -50,16 +56,16 @@ class MPFloat:
 
     def __add__(self, other):
         other = _coerce(other)
-        return MPFloat(self.val + other.val, self.err + other.err)
+        return MPFloat(mpmath.fadd(self.val, other.val, exact=True), self.err + other.err)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPFloat(-self.val, self.err)
+        return MPFloat(mpmath.fneg(self.val, exact=True), self.err)
 
-    def __sub__(self, other):  # one rounding: a negation rounds to the context too
+    def __sub__(self, other):
         other = _coerce(other)
-        return MPFloat(self.val - other.val, self.err + other.err)
+        return MPFloat(mpmath.fsub(self.val, other.val, exact=True), self.err + other.err)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -67,24 +73,27 @@ class MPFloat:
     def __mul__(self, other):
         other = _coerce(other)
         a, b = abs(float(self.val)), abs(float(other.val))
-        return MPFloat(self.val * other.val, a * other.err + b * self.err + self.err * other.err)
+        return MPFloat(mpmath.fmul(self.val, other.val, exact=True),
+                       a * other.err + b * self.err + self.err * other.err)
 
     __rmul__ = __mul__
 
     def abs(self):
-        return MPFloat(abs(self.val), self.err)
+        return -self if self.val < 0 else MPFloat(self.val, self.err)
 
     def to_float(self) -> float:
         return float(self.val)
 
     def agrees_with(self, other, slack: float = 0.0) -> bool:
-        other = _coerce(other)
-        return abs(float(self.val - other.val)) <= self.err + other.err + slack
+        diff = self - other
+        return abs(float(diff.val)) <= diff.err + slack
 
 
 def _coerce(x) -> MPFloat:
     if isinstance(x, MPFloat):
         return x
+    if not (isinstance(x, (int, float)) or hasattr(x, "_mpf_")):  # a Fraction would round to the global precision
+        raise TypeError(f"{x!r} is not an exact binary value; round it with rational_num")
     return MPFloat(x, 0.0)
 
 
@@ -100,8 +109,8 @@ class NumEnv:
         self._sums: dict = {}
 
     def work(self):
-        """Context manager raising the global precision for MPFloat
-        arithmetic; every public entry point runs under it."""
+        """Context manager for the leaf roundings of this module: working
+        precision prec + 15 bits.  MPFloat arithmetic needs none."""
         return mpmath.workprec(self.prec + 15)
 
     def const(self, name: str):
@@ -275,7 +284,7 @@ def _nested_sum(env: NumEnv, ks, signs, odd: bool) -> MPFloat:
                 sup = (float(j) ** j) * math.exp(-j) / M if j else 1.0 / (M + 1)
                 err += 2.0 * c * sup
 
-    out = MPFloat(mpmath.mpf(value), err + round_err)  # float to mpf is exact
+    out = MPFloat(mpmath.mpmathify(value), err + round_err)  # exact, unlike mpf(value)
     env._sums[key] = out
     return out
 
@@ -422,19 +431,22 @@ def altz_num_holder(s: SignedIndex, env: NumEnv) -> MPFloat:
 # symbolic evaluation
 # ---------------------------------------------------------------------------
 
+def rational_num(q, env: NumEnv) -> MPFloat:
+    """The rational q rounded to nearest at the working precision; the
+    charge |q| 2^-(prec+6) covers that rounding 2^9 times over."""
+    q = Fraction(q)
+    with env.work():
+        v = mpmath.fdiv(q.numerator, q.denominator)
+    return MPFloat(v, abs(float(v)) * 2.0 ** (-env.prec - 6))
+
+
 def eval_num(p: SymPoly, env: NumEnv, bindings=None) -> MPFloat:
     """Evaluate a SymPoly: constants from the environment, parameters
     from the bindings (required for every parameter that occurs)."""
-    bindings = dict(bindings or {})
-    with env.work():
-        return _eval_num_impl(p, env, bindings)
-
-
-def _eval_num_impl(p: SymPoly, env: NumEnv, bindings) -> MPFloat:
+    bindings = bindings or {}
     total = MPFloat(mpmath.mpf(0), 0.0)
-    ulp = 2.0 ** (-env.prec - 6)
     for mono, coeff in p.terms.items():
-        term = MPFloat(mpmath.mpf(coeff.numerator) / coeff.denominator, abs(float(coeff)) * ulp)
+        term = rational_num(coeff, env)
         for g, e in mono:
             if g in ("pi2", "log2") or g.startswith("z"):
                 v = env.const_mpf(g)
@@ -451,11 +463,9 @@ def _eval_num_impl(p: SymPoly, env: NumEnv, bindings) -> MPFloat:
 def lincomb_num(lc: dict, env: NumEnv, bindings=None) -> MPFloat:
     """Evaluate {SignedIndex: SymPoly} numerically through the path-split
     evaluator, whose geometric error bounds make it the decisive one."""
-    vals = [(altz_num_holder(key, env), SymPoly.coerce(coeff)) for key, coeff in lc.items()]
-    with env.work():
-        total = MPFloat(mpmath.mpf(0), 0.0)
-        for v, coeff in vals:
-            total = total + eval_num(coeff, env, bindings) * v
+    total = MPFloat(mpmath.mpf(0), 0.0)
+    for key, coeff in lc.items():
+        total = total + eval_num(SymPoly.coerce(coeff), env, bindings) * altz_num_holder(key, env)
     return total
 
 
@@ -466,25 +476,22 @@ def lincomb_num(lc: dict, env: NumEnv, bindings=None) -> MPFloat:
 def digamma_A(z, env: NumEnv) -> MPFloat:
     """A(z) = psi(1) - (psi(1+z) + psi(1-z))/2 = sum zeta(2r+1) z^(2r),
     computed both ways and cross-checked."""
-    with env.work():
-        return _digamma_A_impl(mpmath.mpf(z), env)
-
-
-def _digamma_A_impl(z, env: NumEnv) -> MPFloat:
     if abs(z) >= 1:
         raise ValueError("need |z| < 1")
-    via_psi = -mpmath.euler - (mpmath.digamma(1 + z) + mpmath.digamma(1 - z)) / 2
-    acc = mpmath.mpf(0)
-    r = 1
-    tol = mpmath.mpf(2) ** (-env.prec - 8)
-    while True:
-        term = mpmath.zeta(2 * r + 1) * z ** (2 * r)
-        acc += term
-        if abs(term) < tol and r > 2:
-            break
-        r += 1
-        if r > 8000:
-            raise RuntimeError("series for A(z) converges too slowly")
+    with env.work():
+        z = mpmath.mpf(z)
+        via_psi = -mpmath.euler - (mpmath.digamma(1 + z) + mpmath.digamma(1 - z)) / 2
+        acc = mpmath.mpf(0)
+        r = 1
+        tol = mpmath.mpf(2) ** (-env.prec - 8)
+        while True:
+            term = mpmath.zeta(2 * r + 1) * z ** (2 * r)
+            acc += term
+            if abs(term) < tol and r > 2:
+                break
+            r += 1
+            if r > 8000:
+                raise RuntimeError("series for A(z) converges too slowly")
     z2 = abs(float(z)) ** 2
     tail = 1.2021 * z2 ** (r + 1) / (1 - z2)
     ulp = abs(float(via_psi)) * 2.0 ** (-env.prec - 4) + float(tol) * r
@@ -496,10 +503,7 @@ def _digamma_A_impl(z, env: NumEnv) -> MPFloat:
 
 
 def digamma_B(z, env: NumEnv) -> MPFloat:
-    a1 = digamma_A(z, env)
-    with env.work():
-        a2 = digamma_A(mpmath.mpf(z) / 2, env)
-        return a1 - a2
+    return digamma_A(z, env) - digamma_A(mpmath.ldexp(z, -1), env)
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +515,10 @@ def t_star_a1_num(a: int, V, env: NumEnv) -> MPFloat:
 
         V t({2}^a) - sum_i t({2}^i,1,{2}^(a-i)) - sum_i t({2}^i,3,{2}^(a-1-i)).
     """
-    with env.work():
-        total = _coerce(V) * t_num((2,) * a, env)
-        for i in range(a):
-            total = total - t_num((2,) * i + (1,) + (2,) * (a - i), env)
-        for i in range(a):
-            total = total - t_num((2,) * i + (3,) + (2,) * (a - 1 - i), env)
-        return total
+    total = _coerce(V) * t_num((2,) * a, env)
+    for i in range(a):
+        total = total - t_num((2,) * i + (1,) + (2,) * (a - i), env) - t_num((2,) * i + (3,) + (2,) * (a - 1 - i), env)
+    return total
 
 
 def genseries_residual(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
@@ -530,15 +531,16 @@ def genseries_residual(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
 
     Convergent entries come from the nested sums, the b = 0 boundary
     from the convergent reduction of t*({2}^a, 1); the right side runs
-    through the digamma evaluation of A and B.
+    through the digamma evaluation of A and B.  The weights
+    (-1)^(a+b) (2x)^(2a) (2y)^(2b) are exact products of x and y.
     """
-    with env.work():
-        return _genseries_impl(mpmath.mpf(x), mpmath.mpf(y), _coerce(V), a_max, env)
-
-
-def _genseries_impl(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
     if not (abs(x + y) < 1 and abs(x - y) < 1):
         raise ValueError("need |x+y| < 1 and |x-y| < 1")
+    x, y, V = _coerce(x), _coerce(y), _coerce(V)
+    xpow, ypow = [MPFloat(1)], [MPFloat(1)]
+    for _ in range(a_max):
+        xpow.append(xpow[-1] * x * x * -4)
+        ypow.append(ypow[-1] * y * y * -4)
 
     lhs = MPFloat(mpmath.mpf(0), 0.0)
     for a in range(a_max + 1):
@@ -547,9 +549,8 @@ def _genseries_impl(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
                 tab = t_star_a1_num(a, V, env)
             else:
                 tab = t_num((2,) * a + (1,) + (2,) * b, env)
-            weight = MPFloat(((2 * x) ** (2 * a)) * ((2 * y) ** (2 * b)) * (-1) ** (a + b), 0.0)
-            lhs = lhs + tab * weight
-    X, Y = float(2 * x) ** 2, float(2 * y) ** 2
+            lhs = lhs + tab * (xpow[a] * ypow[b])
+    X, Y = (2 * float(x.val)) ** 2, (2 * float(y.val)) ** 2
     tail_geo = 0.0
     big = max(X, Y, 1e-30)
     if big < 1:
@@ -559,13 +560,12 @@ def _genseries_impl(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
     lhs.err += sup_t * tail_geo
 
     log2 = env.const_mpf("log2")
-    cosx = MPFloat(mpmath.cos(mpmath.pi * x), 2.0 ** (-env.prec - 6))
-    cosy = MPFloat(mpmath.cos(mpmath.pi * y), 2.0 ** (-env.prec - 6))
+    with env.work():
+        cosx = MPFloat(mpmath.cospi(x.val), 2.0 ** (-env.prec - 6))
+        cosy = MPFloat(mpmath.cospi(y.val), 2.0 ** (-env.prec - 6))
+    dm, dp = (x - y).val, (x + y).val
     rhs = (
-        MPFloat(mpmath.mpf(1) / 2) * cosx
-        * (digamma_A(x - y, env) + digamma_A(x + y, env) + 2 * (V - log2))
-        + MPFloat(mpmath.mpf(1) / 2) * cosy
-        * (digamma_B(x - y, env) + digamma_B(x + y, env) + 2 * log2)
+        cosx * 0.5 * (digamma_A(dm, env) + digamma_A(dp, env) + 2 * (V - log2))
+        + cosy * 0.5 * (digamma_B(dm, env) + digamma_B(dp, env) + 2 * log2)
     )
-    diff = lhs - rhs
-    return MPFloat(abs(diff.val), diff.err)
+    return (lhs - rhs).abs()

@@ -202,9 +202,17 @@ def _compositions(total: int, parts: int):
 # parameter shifts and the rho map
 # ---------------------------------------------------------------------------
 
-def _split_trailing_ones(parts: tuple):
+def _trailing_ones_sum(parts: tuple, reg, factor) -> dict:
+    """sum_i reg(k, 1^(a-i)) factor(i) over i = 0..a, where parts = (k, 1^a)
+    with k not ending in 1; reg takes a tuple of parts."""
     alpha = trailing_run(parts, 1)
-    return parts[: len(parts) - alpha], alpha
+    prefix = parts[: len(parts) - alpha]
+    if prefix and prefix[-1] == 1:
+        raise RuntimeError(f"prefix {prefix} of {parts} still ends in 1 after stripping {alpha} ones")
+    out: dict = {}
+    for i in range(alpha + 1):
+        lc_iadd(out, lc_scale(reg(prefix + (1,) * (alpha - i)), factor(i)))
+    return out
 
 
 def shift_param(scheme: str, s: SignedIndex, old, new) -> dict:
@@ -215,14 +223,9 @@ def shift_param(scheme: str, s: SignedIndex, old, new) -> dict:
     if s.lead_zeros != 0:
         raise ValueError(f"parameter shifts need lead_zeros = 0, got {s.lead_zeros}")
     old, new = SymPoly.coerce(old), SymPoly.coerce(new)
-    prefix, alpha = _split_trailing_ones(s.parts)
     reg = {"stuffle": stuffle_reg, "shuffle": shuffle_reg}[scheme]
-    out: dict = {}
-    for i in range(alpha + 1):
-        si = SignedIndex(prefix + (1,) * (alpha - i), 0)
-        factor = (new - old) ** i * Fraction(1, math.factorial(i))
-        lc_iadd(out, lc_scale(reg(si, old), factor))
-    return out
+    return _trailing_ones_sum(s.parts, lambda k: reg(SignedIndex(k, 0), old),
+                              lambda i: (new - old) ** i * Fraction(1, math.factorial(i)))
 
 
 @lru_cache(maxsize=None)
@@ -302,14 +305,8 @@ def st_via_sh0(s: SignedIndex, param) -> dict:
     if s.lead_zeros != 0:
         raise ValueError(f"stuffle regularization needs lead_zeros = 0, got {s.lead_zeros}")
     param = SymPoly.coerce(param)
-    prefix, alpha = _split_trailing_ones(s.parts)
-    if prefix and prefix[-1] == 1:
-        raise RuntimeError(f"prefix {prefix} of {s.parts} still ends in 1 after stripping {alpha} ones")
-    out: dict = {}
-    for i in range(alpha + 1):
-        si = SignedIndex(prefix + (1,) * (alpha - i), 0)
-        lc_iadd(out, lc_scale(shuffle_reg(si, SymPoly.zero()), zeta_ones(i, param)))
-    return out
+    return _trailing_ones_sum(s.parts, lambda k: shuffle_reg(SignedIndex(k, 0), SymPoly.zero()),
+                              lambda i: zeta_ones(i, param))
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +339,8 @@ def t_st_from_sh(k: tuple, V) -> dict:
 
         t*_V(k, 1^a) = sum_i t_sh0(k, 1^(a-i)) 2^-i zeta*_{2V-log2}(1^i)
     """
-    V = SymPoly.coerce(V)
-    prefix, alpha = _split_trailing_ones(tuple(k))
-    out: dict = {}
-    u_param = 2 * V - LOG2
-    for i in range(alpha + 1):
-        ki = prefix + (1,) * (alpha - i)
-        factor = zeta_ones(i, u_param) * Fraction(1, 2 ** i)
-        lc_iadd(out, lc_scale(t_shuffle_reg0(ki), factor))
-    return out
+    u_param = 2 * SymPoly.coerce(V) - LOG2
+    return _trailing_ones_sum(tuple(k), t_shuffle_reg0, lambda i: zeta_ones(i, u_param) * Fraction(1, 2 ** i))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtv.cli import _parse_word, main
 from mtv.wordalg import shuffle as shuffle_product
@@ -191,6 +194,13 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     code, _, err = run_cli(capsys, "matrix", "--kind", "S", "--N", "1", "--level", "1")
     assert code == 2 and "need N >= 2" in err
+    # --lam is parsed before the math, for the plain kinds too
+    for kind in ("S", "H", "Hstar"):
+        for lam in ("1/0", "abc"):
+            with pytest.raises(SystemExit) as exc:
+                main(["det", "--kind", kind, "--N", "3", "--level", "1", "--lam", lam])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2 and "error: argument --lam" in err and "Traceback" not in err
 
 
 def test_broken_invariant_exit_code(capsys, monkeypatch):
@@ -241,3 +251,72 @@ def test_verify_identity_line(capsys, prec, verdict):
     assert code == (0 if verdict == "PASS" else 1)
     residual, bound = float(m.group(1)), float(m.group(2))
     assert (residual <= bound <= 1e-6) == (verdict == "PASS")
+
+
+# ---------------------------------------------------------------------------
+# front-door fuzzing: generated argument lists for the cheap subcommands
+# ---------------------------------------------------------------------------
+
+_entries = st.lists(st.sampled_from([1, 2, 3, -1, -2, 0, 5]), max_size=4).filter(
+    lambda p: sum(abs(x) for x in p) <= 5)
+
+
+@st.composite
+def _index_text(draw):
+    """t(...), t*(...), z(...) or z_l(...) with entries of weight <= 5, a
+    digit string, or free text."""
+    parts = draw(_entries)
+    inner = ",".join(map(str, parts))
+    return draw(st.sampled_from([
+        f"t({inner})", f"t*({inner})", f"z({inner})", f"z_{draw(st.integers(0, 2))}({inner})",
+        "".join(str(abs(x)) for x in parts), draw(st.text(max_size=6)),
+    ]))
+
+
+_word_text = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "-1", "2"]), max_size=4).map(",".join),
+    st.text(alphabet="01-, x", max_size=5),
+)
+_small = st.integers(-2, 8).map(str)
+
+
+def _flags(optional=False, **choices):
+    """--flag value for each choice; an optional flag may also be absent."""
+    def one(flag, values):
+        pair = values.map(lambda v: [f"--{flag}", v])
+        return st.one_of(st.just([]), pair) if optional else pair
+    return st.tuples(*[one(f, v) for f, v in choices.items()]).map(lambda groups: [x for g in groups for x in g])
+
+
+_commands = st.one_of(
+    st.tuples(st.just(["num"]), _index_text().map(lambda t: [t]),
+              _flags(True, prec=st.integers(-1, 80).map(str), cutoff=st.integers(-1, 2000).map(str))),
+    st.tuples(st.just(["eval"]), _index_text().map(lambda t: [t])),
+    st.tuples(st.just(["reg"]), _index_text().map(lambda t: [t]),
+              _flags(scheme=st.sampled_from(["stuffle", "shuffle"])),
+              _flags(True, param=st.sampled_from(["T", "0", "V", ""]))),
+    st.tuples(st.sampled_from([["stuffle"], ["shuffle"]]),
+              st.lists(st.one_of(_index_text(), _word_text), min_size=2, max_size=2)),
+    st.tuples(st.just(["dr"]), _index_text().map(lambda t: [t]), _flags(r=_small)),
+    st.tuples(st.just(["coeff"]), st.sampled_from(["c", "d"]).map(lambda f: [f]),
+              st.sampled_from(["2a1", "2a32b", "2a12b"]).map(lambda p: [p]), _flags(a=_small), _flags(True, b=_small)),
+    st.tuples(st.sampled_from([["det"], ["matrix"]]),
+              _flags(kind=st.sampled_from(["S", "H", "Hstar"]), N=_small, level=_small),
+              _flags(True, lam=st.sampled_from(["1/2", "1", "1/0", "abc", "-3/7"]))),
+    st.lists(st.sampled_from(["num", "det", "--N", "9", "--prec", "t(2)", "-1", "x"]), max_size=4),
+).map(lambda parts: [x for p in parts for x in (p if isinstance(p, list) else [p])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.one_of(_commands, _commands.map(lambda a: a + ["--format", "json"])))
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code:
+        assert err.getvalue().strip(), argv
+    assert "Traceback" not in err.getvalue() + out.getvalue(), argv

@@ -47,6 +47,20 @@ def test_exact_modules_import_no_numerics():
     assert not found, found
 
 
+def test_only_numoracle_sets_the_working_precision():
+    # MPFloat arithmetic is exact, so callers of the oracle need no precision context
+    found = []
+    for name in ("verify", "cli"):
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called in ("work", "workprec"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_bad_input_raises_value_error():
     lam = SymPoly.gen("lam")
     with pytest.raises(ValueError, match="non-square"):

@@ -7,6 +7,7 @@ import pytest
 from mtv import numoracle
 from mtv.indexcore import to_int_word, zi
 from mtv.numoracle import (
+    MPFloat,
     NumEnv,
     _nested_sum,
     _poly_at_half,
@@ -23,7 +24,7 @@ from mtv.numoracle import (
     t_star_a1_num,
 )
 from mtv.symring import LOG2, PI2, SymPoly
-from mtv.verify import _signed_indices
+from mtv.verify import _mot_value, _signed_indices
 
 ENV = NumEnv(prec=53, cutoff=200_000)
 HENV = NumEnv(prec=80)
@@ -314,3 +315,34 @@ def test_altz_bound_self_consistency_on_halving():
         big = altz_num(s, NumEnv(prec=53, cutoff=200_000))
         small = altz_num(s, NumEnv(prec=53, cutoff=100_000))
         assert abs(float(big.val) - float(small.val)) <= big.err + small.err
+
+
+@pytest.mark.parametrize("global_prec", [None, 8])
+def test_mpfloat_arithmetic_is_exact(global_prec):
+    # a sum that any rounding to the global precision would cancel to 0
+    tiny = mpmath.ldexp(1, -200)
+    with mpmath.workprec(global_prec or mpmath.mp.prec):
+        r = (MPFloat(1) + MPFloat(2.0 ** -200)) - MPFloat(1)
+        p = -(MPFloat(1 + 2.0 ** -52) * MPFloat(1 - 2.0 ** -52))  # -(1 - 2^-104)
+    assert abs(mpmath.fsub(r.val, tiny, exact=True)) <= r.err
+    assert mpmath.fsub(p.val, mpmath.ldexp(1, -104), exact=True) == -1 and p.err == 0
+
+
+def test_rounded_coefficients_are_charged():
+    v = _mot_value({(): Fraction(-2, 21)}, NumEnv(prec=64))
+    with mpmath.workprec(300):
+        assert 0 < v.err and abs(v.val - mpmath.mpf(-2) / 21) <= v.err
+    with pytest.raises(TypeError, match="rational_num"):
+        MPFloat(1) + Fraction(1, 3)
+
+
+def test_values_do_not_depend_on_the_global_precision():
+    def values():
+        env, henv = NumEnv(prec=53, cutoff=1000), NumEnv(prec=64)
+        return [t_num((2, 1, 2), henv) - t_num((2, 1, 2), env), eval_num(PI2 * LOG2 * Fraction(1, 3), henv),
+                _mot_value({(("t", (3,)), ("log2",)): Fraction(4, 7)}, henv),
+                genseries_residual(0.05, 0.03, 0.25, 2, env), digamma_B(0.3, henv)]
+
+    with mpmath.workprec(8):
+        low = values()
+    assert [(v.val, v.err) for v in low] == [(v.val, v.err) for v in values()]

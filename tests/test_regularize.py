@@ -288,7 +288,7 @@ def test_distribution_small_sweep():
 def test_distribution_check_reports_its_bound():
     from mtv.verify import coherence_checks
 
-    dist = next(r for r in coherence_checks(max_weight=1) if r.ref == "distribution")
+    dist = next(r for r in coherence_checks(max_weight=4) if r.ref == "distribution")
     assert dist.status == "PASS" and dist.residual is not None
     assert dist.residual <= dist.bound <= 1e-6
 
@@ -374,6 +374,7 @@ def test_broken_multiplicities_raise(monkeypatch):
     monkeypatch.setattr(regularize, "shuffle", lambda u, v: {u + v: Fraction(3)})
     with pytest.raises(RuntimeError, match=r"\(1, 0, 1\) occurs 3 times .* not 1"):
         word_shuffle_reg((1, 0, 1), -W)
-    monkeypatch.setattr(regularize, "_split_trailing_ones", lambda parts: (parts, 0))
+    # a run counter that misses the trailing ones leaves a prefix ending in 1
+    monkeypatch.setattr(regularize, "trailing_run", lambda w, letter: 0)
     with pytest.raises(RuntimeError, match="still ends in 1"):
         st_via_sh0(zi(2, 1), T)
