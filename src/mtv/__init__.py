@@ -56,6 +56,7 @@ from .numoracle import (
     genseries_residual,
     lincomb_num,
     t_num,
+    t_nums,
     t_star_a1_num,
 )
 

@@ -206,6 +206,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_det(args) -> int:
+    if args.lam is not None and args.kind != "Hstar":
+        raise ValueError(f"--lam applies only to --kind Hstar, whose determinant is parametric; got --kind {args.kind}")
     m = build_matrix(args.kind, args.N, args.level)
     det = m.det()
     if args.lam is not None and isinstance(det, SymPoly):
@@ -299,7 +301,7 @@ def cmd_verify(args) -> int:
 
 
 def _verify_identity(args, env) -> int:
-    closed, direct = verify_mod.identity_pair(args.identity, args.a, args.b, env)
+    [(closed, direct)] = verify_mod.identity_pairs([(args.identity, args.a, args.b)], env)
     r = verify_mod._certified_check(args.identity, args.identity, [closed - direct])
     print(f"value {float(direct.val):.12f}  closed {float(closed.val):.12f}  "
           f"residual {r.residual:.3e}  bound {r.bound:.3e}  {r.status}")
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("S", "H", "Hstar"), required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--lam", type=_rational, default=None, help="evaluate a parametric determinant at this rational")
+    sp.add_argument("--lam", type=_rational, default=None, help="evaluate the parametric Hstar determinant at this rational")
     sp.add_argument("--structure", action="store_true", help="also verify the parity structure")
     common(sp)
     sp.set_defaults(fn=cmd_det)

@@ -17,7 +17,12 @@ are +-1/2 or 1/4, so each step is a shift or an integer floor division,
 and the bound counts each such rounding (fewer than 3 d (n0 - 1) units
 for a depth-d series cut at n0).  The Hoelder convolution multiplies and
 sums those integers exactly.  The float64 sums stay the independent
-cross-check of the path split.
+cross-check of the path split.  They run as one pass over the terms in
+blocks of 4096, shared by every index of a batch (``t_nums``): each
+prefix is summed once, and only one block per depth is live.  A block's
+cumulative sum starts from the partial sum carried over from the last
+block and numpy adds sequentially, so every value is bit-identical to one
+full-length cumulative sum.
 
 MPFloat arithmetic is exact and ignores mpmath's global precision.  Every
 rounding is a leaf value made here and charged to its own bound: the two
@@ -141,42 +146,50 @@ class NumEnv:
 # nested sums
 # ---------------------------------------------------------------------------
 
-_grid_cache: dict = {}
+_BLOCK = 1 << 12  # terms per block of the float64 pass
 
 
-def _grid(odd: bool, M: int):
-    """Shared per-cutoff arrays: inverse denominators and the sign flip."""
-    key = (odd, M)
-    hit = _grid_cache.get(key)
-    if hit is None:
-        n = np.arange(1, M + 1, dtype=np.float64)
-        base = 2.0 * n - 1.0 if odd else n
-        inv = 1.0 / base
-        alt = np.where(np.arange(1, M + 1) % 2 == 1, -1.0, 1.0)
-        hit = (inv, alt)
-        if len(_grid_cache) > 8:
-            _grid_cache.clear()
-        _grid_cache[key] = hit
-    return hit
+def _dp_float(words, odd: bool, M: int) -> dict:
+    """{p: A_p(M)} for every prefix p of every word, a word being a tuple
+    of (k, sign) letters, where A_() = 1 and
 
+        A_p(n) = sum_{m <= n} A_{p[:-1]}(m - 1) sign^m q(m)^-k,   (k, sign) = p[-1],
 
-def _dp_float(ks, signs, odd: bool, M: int):
-    """Partial sums A_i(M) for i = 1..d, float64 cumulative DP."""
-    inv, alt = _grid(odd, M)
-    prev = np.ones(M + 1)
-    tops = []
-    for ki, si in zip(ks, signs):
-        f = inv.copy()
-        for _ in range(ki - 1):
-            f *= inv
-        if si < 0:
-            f *= alt
-        arr = np.empty(M + 1)
-        arr[0] = 0.0
-        np.cumsum(prev[:-1] * f, out=arr[1:])
-        tops.append(float(arr[M]))
-        prev = arr
-    return tops
+    with q(m) = 2m - 1 (odd) or m: the float64 nested-sum DP, every prefix
+    evaluated once.
+
+    One pass runs over n = 1..M in blocks of _BLOCK terms.  The prefixes
+    are visited in sorted order, a depth-first walk of their trie, so a
+    block needs one buffer per depth, and each prefix carries one float,
+    its A_p at the end of the previous block.  The values are bit-identical
+    to a full-length DP: each buffer starts with its carry, and np.cumsum
+    adds sequentially, so every partial sum sees the same additions in the
+    same order; 1/q, the sign and the powers (1/q)(1/q)... are formed
+    elementwise, multiplied left to right.  The 4 d M eps rounding charge
+    of a depth-d sum therefore still holds.
+    """
+    prefixes = sorted({w[:i] for w in words for i in range(1, len(w) + 1)})
+    letters = sorted({p[-1] for p in prefixes})
+    kmax = max((k for k, _ in letters), default=1)
+    depth = max(map(len, prefixes), default=0)
+    bufs = [np.ones(_BLOCK + 1)] + [np.empty(_BLOCK + 1) for _ in range(depth)]
+    carries = [0.0] * len(prefixes)
+    for lo in range(1, M + 1, _BLOCK):
+        n = min(_BLOCK, M + 1 - lo)
+        m = np.arange(lo, lo + n, dtype=np.float64)
+        inv = 1.0 / (2.0 * m - 1.0 if odd else m)
+        powers = [None, inv]
+        for _ in range(kmax - 1):
+            powers.append(powers[-1] * inv)
+        alt = np.where(np.arange(lo, lo + n) % 2 == 1, -1.0, 1.0)
+        factor = {(k, s): powers[k] if s > 0 else powers[k] * alt for k, s in letters}
+        for j, p in enumerate(prefixes):
+            buf = bufs[len(p)][:n + 1]
+            buf[0] = carries[j]
+            np.multiply(bufs[len(p) - 1][:n], factor[p[-1]], out=buf[1:])
+            np.cumsum(buf, out=buf)
+            carries[j] = float(buf[n])
+    return dict(zip(prefixes, carries))
 
 
 def _poly_mul_linear(p, c):
@@ -222,26 +235,35 @@ def _tail_I(j: int, k: int, odd: bool, M: int) -> float:
     return integral + sup
 
 
-def _nested_sum(env: NumEnv, ks, signs, odd: bool) -> MPFloat:
-    ks = tuple(int(k) for k in ks)
-    signs = tuple(int(s) for s in signs)
+def _nested_sums(env: NumEnv, items, odd: bool) -> list:
+    """Certified nested sums of (ks, signs) items at the cutoff, memoised
+    per environment.  The items not memoised yet, with the all-positive
+    twin of each that bounds its tail, share one _dp_float pass."""
     M = env.cutoff
-    key = (ks, signs, odd, M, env.prec)
-    hit = env._sums.get(key)
-    if hit is not None:
-        return hit
-    if not ks:
-        raise ValueError("nested sum of the empty index")
-    if ks[-1] < 2 and signs[-1] > 0:
-        raise ValueError(f"divergent nested sum {ks, signs}")
-    d = len(ks)
-    tops = _dp_float(ks, signs, odd, M)
-    round_err = 4.0 * d * M * _EPS64
-    if all(s > 0 for s in signs):
-        abs_tops = [abs(t) for t in tops]
-    else:
-        abs_tops = _dp_float(ks, [1] * d, odd, M)
+    keys = []
+    for ks, signs in items:
+        ks = tuple(int(k) for k in ks)
+        signs = tuple(int(s) for s in signs)
+        if not ks:
+            raise ValueError("nested sum of the empty index")
+        if ks[-1] < 2 and signs[-1] > 0:
+            raise ValueError(f"divergent nested sum {ks, signs}")
+        keys.append((ks, signs, odd, M, env.prec))
+    todo = {key: (tuple(zip(*key[:2])), tuple((k, 1) for k in key[0])) for key in keys if key not in env._sums}
+    table = _dp_float([w for pair in todo.values() for w in pair], odd, M) if todo else {}
+    for key, (word, twin) in todo.items():
+        ks, signs = key[:2]
+        tops = [table[word[:i]] for i in range(1, len(ks) + 1)]
+        abs_tops = [abs(table[twin[:i]]) for i in range(1, len(ks) + 1)]
+        env._sums[key] = _certified_sum(ks, signs, tops, abs_tops, odd, M)
+    return [env._sums[key] for key in keys]
 
+
+def _certified_sum(ks, signs, tops, abs_tops, odd: bool, M: int) -> MPFloat:
+    """The nested sum from its level partial sums at M (tops) and those of
+    its all-positive twin (abs_tops), with the tail correction and bound."""
+    d = len(ks)
+    round_err = 4.0 * d * M * _EPS64
     value = tops[-1]
     inner_top = tops[-2] if d > 1 else 1.0
     k_out = ks[-1]
@@ -284,22 +306,29 @@ def _nested_sum(env: NumEnv, ks, signs, odd: bool) -> MPFloat:
                 sup = (float(j) ** j) * math.exp(-j) / M if j else 1.0 / (M + 1)
                 err += 2.0 * c * sup
 
-    out = MPFloat(mpmath.mpmathify(value), err + round_err)  # exact, unlike mpf(value)
-    env._sums[key] = out
-    return out
+    return MPFloat(mpmath.mpmathify(value), err + round_err)  # exact, unlike mpf(value)
+
+
+def t_nums(ks_list, env: NumEnv) -> list:
+    """t(k) for each index k of the list, the nested sum over odd
+    denominators; needs k_d >= 2.  Up to 53 bits the float64 sums of the
+    whole list share one pass; above, each is the path-split value of its
+    alternating expansion."""
+    ks_list = [tuple(k) for k in ks_list]
+    for k in ks_list:
+        if k and k[-1] < 2:
+            raise ValueError(f"divergent t index {k}")
+    nonempty = [k for k in ks_list if k]
+    if env.prec > 53:
+        values = iter([lincomb_num(t_to_zeta(k), env) for k in nonempty])
+    else:
+        values = iter(_nested_sums(env, [(k, (1,) * len(k)) for k in nonempty], True))
+    return [next(values) if k else MPFloat(mpmath.mpf(1), 0.0) for k in ks_list]
 
 
 def t_num(k: tuple, env: NumEnv) -> MPFloat:
-    """t(k), the nested sum over odd denominators; needs k_d >= 2.  Above
-    53 bits it is the path-split value of its alternating expansion."""
-    k = tuple(k)
-    if not k:
-        return MPFloat(mpmath.mpf(1), 0.0)
-    if k[-1] < 2:
-        raise ValueError(f"divergent t index {k}")
-    if env.prec > 53:
-        return lincomb_num(t_to_zeta(k), env)
-    return _nested_sum(env, k, [1] * len(k), True)
+    """t(k) for one index, as t_nums gives it."""
+    return t_nums([k], env)[0]
 
 
 def altz_num(s: SignedIndex, env: NumEnv) -> MPFloat:
@@ -313,7 +342,7 @@ def altz_num(s: SignedIndex, env: NumEnv) -> MPFloat:
         return altz_num_holder(s, env)
     ks = tuple(abs(x) for x in s.parts)
     signs = tuple(1 if x > 0 else -1 for x in s.parts)
-    return _nested_sum(env, ks, signs, False)
+    return _nested_sums(env, [(ks, signs)], False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +539,34 @@ def digamma_B(z, env: NumEnv) -> MPFloat:
 # generating-series verification
 # ---------------------------------------------------------------------------
 
-def t_star_a1_num(a: int, V, env: NumEnv) -> MPFloat:
-    """t*({2}^a, 1) at parameter V through the convergent reduction
+def _t2212_star_indices(a: int, b: int) -> list:
+    """The t indices whose values give t*({2}^a,1,{2}^b): the index itself
+    when b >= 1, and for b = 0 those of the convergent reduction
 
-        V t({2}^a) - sum_i t({2}^i,1,{2}^(a-i)) - sum_i t({2}^i,3,{2}^(a-1-i)).
-    """
-    total = _coerce(V) * t_num((2,) * a, env)
+        t*({2}^a, 1) = V t({2}^a) - sum_i t({2}^i,1,{2}^(a-i)) - sum_i t({2}^i,3,{2}^(a-1-i)),
+
+    in the order _t2212_star combines them."""
+    if b:
+        return [(2,) * a + (1,) + (2,) * b]
+    out = [(2,) * a]
     for i in range(a):
-        total = total - t_num((2,) * i + (1,) + (2,) * (a - i), env) - t_num((2,) * i + (3,) + (2,) * (a - 1 - i), env)
+        out += [(2,) * i + (1,) + (2,) * (a - i), (2,) * i + (3,) + (2,) * (a - 1 - i)]
+    return out
+
+
+def _t2212_star(b: int, V, values) -> MPFloat:
+    """t*({2}^a,1,{2}^b) at parameter V from the values of _t2212_star_indices(a, b)."""
+    if b:
+        return values[0]
+    total = _coerce(V) * values[0]
+    for v in values[1:]:
+        total = total - v
     return total
+
+
+def t_star_a1_num(a: int, V, env: NumEnv) -> MPFloat:
+    """t*({2}^a, 1) at parameter V through its convergent reduction."""
+    return _t2212_star(0, V, t_nums(_t2212_star_indices(a, 0), env))
 
 
 def genseries_residual(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
@@ -530,9 +578,10 @@ def genseries_residual(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
         + cos(pi y)/2 (B(x-y) + B(x+y) + 2 log2)
 
     Convergent entries come from the nested sums, the b = 0 boundary
-    from the convergent reduction of t*({2}^a, 1); the right side runs
-    through the digamma evaluation of A and B.  The weights
-    (-1)^(a+b) (2x)^(2a) (2y)^(2b) are exact products of x and y.
+    from the convergent reduction of t*({2}^a, 1), all from one t_nums
+    batch; the right side runs through the digamma evaluation of A and B.
+    The weights (-1)^(a+b) (2x)^(2a) (2y)^(2b) are exact products of x
+    and y.
     """
     if not (abs(x + y) < 1 and abs(x - y) < 1):
         raise ValueError("need |x+y| < 1 and |x-y| < 1")
@@ -542,14 +591,13 @@ def genseries_residual(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
         xpow.append(xpow[-1] * x * x * -4)
         ypow.append(ypow[-1] * y * y * -4)
 
+    cells = [(a, b) for a in range(a_max + 1) for b in range(a_max + 1 - a)]
+    batch = list(dict.fromkeys(k for a, b in cells for k in _t2212_star_indices(a, b)))
+    t = dict(zip(batch, t_nums(batch, env)))
     lhs = MPFloat(mpmath.mpf(0), 0.0)
-    for a in range(a_max + 1):
-        for b in range(a_max + 1 - a):
-            if b == 0:
-                tab = t_star_a1_num(a, V, env)
-            else:
-                tab = t_num((2,) * a + (1,) + (2,) * b, env)
-            lhs = lhs + tab * (xpow[a] * ypow[b])
+    for a, b in cells:
+        tab = _t2212_star(b, V, [t[k] for k in _t2212_star_indices(a, b)])
+        lhs = lhs + tab * (xpow[a] * ypow[b])
     X, Y = (2 * float(x.val)) ** 2, (2 * float(y.val)) ** 2
     tail_geo = 0.0
     big = max(X, Y, 1e-30)

@@ -29,13 +29,15 @@ from .motivic import (
 from .numoracle import (
     MPFloat,
     NumEnv,
+    _t2212_star,
+    _t2212_star_indices,
     altz_num_holder,
     eval_num,
     genseries_residual,
     lincomb_num,
     rational_num,
     t_num,
-    t_star_a1_num,
+    t_nums,
 )
 from .regularize import (
     _exp_series,
@@ -222,29 +224,34 @@ def closedform_checks(env=None, **_) -> list:
                     ok = False
     out.append(_check("coefficient tables have the required parities", "coeff-parity", ok))
 
-    for identity, name in (("t2212", "one-insertion"), ("t2232", "three-insertion")):
-        diffs = []
-        for a in range(0, 4):
-            for b in range(0, 4 - a):
-                closed, direct = identity_pair(identity, a, b, env)
-                diffs.append(closed - direct)
-        out.append(_certified_check(f"{name} closed form matches the oracle (a+b <= 3)",
-                                    f"{identity}-oracle", diffs))
+    families = (("t2212", "one-insertion"), ("t2232", "three-insertion"))
+    cases = [(identity, a, b) for identity, _ in families for a in range(0, 4) for b in range(0, 4 - a)]
+    diffs = [closed - direct for closed, direct in identity_pairs(cases, env)]
+    for identity, name in families:
+        out.append(_certified_check(f"{name} closed form matches the oracle (a+b <= 3)", f"{identity}-oracle",
+                                    [d for d, case in zip(diffs, cases) if case[0] == identity]))
     return out
 
 
-def identity_pair(identity: str, a: int, b: int, env) -> tuple:
-    """(closed form, oracle value) of t*({2}^a,1,{2}^b) at V = log 2
-    ("t2212") or of t({2}^a,3,{2}^b) ("t2232")."""
-    if identity == "t2212":
-        log2 = env.const("log2")
-        closed = eval_num(eval_t2212_star(a, b), env, {"V": log2})
-        if b == 0:
-            return closed, t_star_a1_num(a, log2, env)
-        return closed, t_num((2,) * a + (1,) + (2,) * b, env)
-    if identity == "t2232":
-        return eval_num(eval_t2232(a, b), env), t_num((2,) * a + (3,) + (2,) * b, env)
-    raise ValueError(f"unknown identity {identity!r}; choose t2212 or t2232")
+def identity_pairs(cases, env) -> list:
+    """(closed form, oracle value) for each (identity, a, b) case: of
+    t*({2}^a,1,{2}^b) at V = log 2 ("t2212") or of t({2}^a,3,{2}^b)
+    ("t2232").  The oracle values come from one t_nums batch."""
+    log2 = env.const("log2")
+    closed, indices = [], []
+    for identity, a, b in cases:
+        if identity == "t2212":
+            closed.append(eval_num(eval_t2212_star(a, b), env, {"V": log2}))
+            indices.append(_t2212_star_indices(a, b))
+        elif identity == "t2232":
+            closed.append(eval_num(eval_t2232(a, b), env))
+            indices.append([(2,) * a + (3,) + (2,) * b])
+        else:
+            raise ValueError(f"unknown identity {identity!r}; choose t2212 or t2232")
+    batch = list(dict.fromkeys(k for ks in indices for k in ks))
+    t = dict(zip(batch, t_nums(batch, env)))
+    return [(c, _t2212_star(b, log2, [t[k] for k in ks]) if identity == "t2212" else t[ks[0]])
+            for c, ks, (identity, a, b) in zip(closed, indices, cases)]
 
 
 def genseries_checks(env=None, **_) -> list:

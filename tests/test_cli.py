@@ -201,6 +201,12 @@ def test_usage_error_exit_code(capsys):
                 main(["det", "--kind", kind, "--N", "3", "--level", "1", "--lam", lam])
             err = capsys.readouterr().err
             assert exc.value.code == 2 and "error: argument --lam" in err and "Traceback" not in err
+    # a valid --lam changes nothing for the plain kinds, so it is refused
+    for kind in ("S", "H"):
+        code, out, err = run_cli(capsys, "det", "--kind", kind, "--N", "3", "--level", "1", "--lam", "1/2")
+        assert code == 2 and out == "" and "--lam applies only to --kind Hstar" in err
+    code, out, _ = run_cli(capsys, "det", "--kind", "Hstar", "--N", "5", "--level", "1", "--lam", "1/2")
+    assert code == 0 and out == "1395/2\n"
 
 
 def test_broken_invariant_exit_code(capsys, monkeypatch):

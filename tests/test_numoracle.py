@@ -1,7 +1,10 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from mtv import numoracle
@@ -9,7 +12,10 @@ from mtv.indexcore import to_int_word, zi
 from mtv.numoracle import (
     MPFloat,
     NumEnv,
-    _nested_sum,
+    _BLOCK,
+    _certified_sum,
+    _dp_float,
+    _nested_sums,
     _poly_at_half,
     _tail_bound,
     _transform_upper,
@@ -21,6 +27,7 @@ from mtv.numoracle import (
     genseries_residual,
     lincomb_num,
     t_num,
+    t_nums,
     t_star_a1_num,
 )
 from mtv.symring import LOG2, PI2, SymPoly
@@ -250,10 +257,10 @@ def test_digamma_paths_and_symmetry():
 def test_nested_sum_rejects_bad_input():
     env = NumEnv(prec=53, cutoff=1000)
     with pytest.raises(ValueError, match="empty index"):
-        _nested_sum(env, (), (), True)
+        _nested_sums(env, [((), ())], True)
     with pytest.raises(ValueError, match="divergent"):
-        _nested_sum(env, (2, 1), (1, 1), False)
-    assert _nested_sum(env, (2, 1), (1, -1), False).err < 1e-2  # an alternating last sign converges
+        _nested_sums(env, [((2, 2), (1, 1)), ((2, 1), (1, 1))], False)
+    assert _nested_sums(env, [((2, 1), (1, -1))], False)[0].err < 1e-2  # an alternating last sign converges
 
 
 def test_digamma_disagreement_raises(monkeypatch):
@@ -346,3 +353,86 @@ def test_values_do_not_depend_on_the_global_precision():
     with mpmath.workprec(8):
         low = values()
     assert [(v.val, v.err) for v in low] == [(v.val, v.err) for v in values()]
+
+
+def _reference_dp(ks, signs, odd: bool, M: int):
+    """The full-length float64 DP that the blocked pass replaced: partial
+    sums A_i(M), i = 1..d, with one array of M + 1 floats per level."""
+    n = np.arange(1, M + 1, dtype=np.float64)
+    inv = 1.0 / (2.0 * n - 1.0 if odd else n)
+    alt = np.where(np.arange(1, M + 1) % 2 == 1, -1.0, 1.0)
+    prev = np.ones(M + 1)
+    tops = []
+    for ki, si in zip(ks, signs):
+        f = inv.copy()
+        for _ in range(ki - 1):
+            f *= inv
+        if si < 0:
+            f *= alt
+        arr = np.empty(M + 1)
+        arr[0] = 0.0
+        np.cumsum(prev[:-1] * f, out=arr[1:])
+        tops.append(float(arr[M]))
+        prev = arr
+    return tops
+
+
+# shared prefixes, a prefix that is itself an item, signed words with and
+# without their all-positive twin in the list, and a duplicate
+DP_ITEMS = [
+    ((2,), (1,)), ((2, 1), (1, 1)), ((2, 1, 2), (1, 1, 1)), ((2, 1, 2), (1, -1, 1)),
+    ((2, 1, 3), (1, -1, -1)), ((1, 1, 2), (-1, 1, 1)), ((3, 2, 2, 1), (-1, 1, -1, -1)),
+    ((2, 2, 2, 2, 1, 2), (1,) * 6), ((1,), (-1,)), ((4, 1), (1, -1)), ((2, 1, 2), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("M", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 50_000])
+@pytest.mark.parametrize("odd", [True, False])
+def test_blocked_pass_is_bit_identical_to_the_full_length_dp(M, odd):
+    items = DP_ITEMS[:]
+    random.Random(M).shuffle(items)
+    table = _dp_float([tuple(zip(ks, signs)) for ks, signs in items], odd, M)
+    for ks, signs in items:
+        word = tuple(zip(ks, signs))
+        assert [table[word[:i]] for i in range(1, len(ks) + 1)] == _reference_dp(ks, signs, odd, M), (ks, signs)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_nested_sums_match_the_reference_and_single_calls(odd):
+    M = 3 * _BLOCK + 7
+    items = [(ks, signs) for ks, signs in DP_ITEMS if ks[-1] > 1 or signs[-1] < 0]
+    rng = random.Random(7)
+    batch_env, single_env = NumEnv(prec=53, cutoff=M), NumEnv(prec=53, cutoff=M)
+    _nested_sums(batch_env, items[:2], odd)  # memo hits inside the next batch
+    batch = items + rng.sample(items, 3)
+    rng.shuffle(batch)
+    got = _nested_sums(batch_env, batch, odd)
+    want = [_nested_sums(single_env, [item], odd)[0] for item in batch]
+    assert [(v.val, v.err) for v in got] == [(v.val, v.err) for v in want]
+    for (ks, signs), v in zip(batch, got):
+        ref = _certified_sum(ks, signs, _reference_dp(ks, signs, odd, M),
+                             [abs(x) for x in _reference_dp(ks, (1,) * len(ks), odd, M)], odd, M)
+        assert (v.val, v.err) == (ref.val, ref.err), (ks, signs)
+
+
+def test_t_nums_batch_equals_one_at_a_time():
+    idx = [(2, 1, 2), (), (2, 2), (2, 1, 2), (3,), (2, 3, 2, 2), (1, 2)]
+    batch = t_nums(idx, NumEnv(prec=53, cutoff=20_000))
+    env = NumEnv(prec=53, cutoff=20_000)
+    assert [(v.val, v.err) for v in batch] == [(t_num(k, env).val, t_num(k, env).err) for k in idx]
+    with pytest.raises(ValueError, match="divergent t index"):
+        t_nums([(2,), (2, 1)], env)
+
+
+def test_nested_sum_memory_does_not_grow_with_the_cutoff():
+    # a full-length DP holds several arrays of cutoff + 1 floats (45.8 MiB
+    # here); the blocked pass holds one block per depth
+    env = NumEnv(prec=53, cutoff=10 ** 6)
+    tracemalloc.start()
+    try:
+        v = t_num((2, 2, 2, 2, 1, 2), env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert 0 < v.err < 1e-8
