@@ -32,7 +32,7 @@ from .indexcore import (
     parse_argument,
     split_2a_x_2b,
 )
-from .motivic import build_matrix, det_mod2_structure, deriv_D, reduce_deriv, singular_lambda
+from .motivic import IrreducibleLeftFactor, build_matrix, det_mod2_structure, deriv_D, reduce_deriv, singular_lambda
 from .numoracle import NumEnv, altz_num, t_num
 from .regularize import shuffle_reg, stuffle_reg
 from .symring import SymPoly
@@ -172,7 +172,11 @@ def cmd_dr(args) -> int:
     if isinstance(idx, SignedIndex):
         print("the derivation acts on t-indices", file=sys.stderr)
         return 2
-    terms = reduce_deriv(deriv_D(args.r, tuple(idx)))
+    try:
+        terms = reduce_deriv(deriv_D(args.r, tuple(idx)))
+    except IrreducibleLeftFactor as exc:
+        print(f"error: no closed form reduces the left factor ({exc})", file=sys.stderr)
+        return 2
     rows = []
     for (gen, right), coeff in sorted(terms.items(), key=lambda kv: (kv[0][1], str(kv[0][0]))):
         gen_text = "log2" if gen == ("log",) else f"z{gen[1]}"

@@ -101,6 +101,9 @@ def test_shuffle_reads_leading_minus_one_word(capsys):
 def test_dr(capsys):
     code, out, _ = run_cli(capsys, "dr", "--r", "3", "t(2,1,2)")
     assert code == 0 and out.strip() == "(-7/2) * z3 (x) t~(2)"
+    # the left factor t(1,1,1) has no closed form: refused, not a traceback
+    code, _, err = run_cli(capsys, "dr", "--r", "3", "t(1,1,1)")
+    assert code == 2 and "t block (1, 1, 1)" in err
 
 
 def test_enumerate(capsys):
