@@ -56,7 +56,6 @@ from .numoracle import (
     genseries_residual,
     lincomb_num,
     t_num,
-    t_nums,
     t_star_a1_num,
 )
 

@@ -58,7 +58,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _env_from_args(args) -> NumEnv:
-    return NumEnv(prec=_num_setting(args, "prec", 128), cutoff=_num_setting(args, "cutoff", 10 ** 6))
+    return NumEnv(prec=_num_setting(args, "prec", 128))
 
 
 def _print_lincomb(lc: dict, fmt: str):
@@ -288,10 +288,9 @@ def cmd_coeff(args) -> int:
 
 
 def _explicit_env(args):
-    """Build an environment only when the user pinned precision or cutoff;
+    """Build an environment only when the user pinned the precision;
     otherwise the suites pick their own tuned defaults."""
-    pinned = args.prec is not None or args.cutoff is not None
-    if pinned or os.environ.get("MTV_PREC") or os.environ.get("MTV_CUTOFF"):
+    if args.prec is not None or os.environ.get("MTV_PREC"):
         return _env_from_args(args)
     return None
 
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("text", "json"), default="text")
         if num:
             sp.add_argument("--prec", type=int, default=None)
-            sp.add_argument("--cutoff", type=int, default=None)
 
     sp = sub.add_parser("eval", help="closed-form evaluation of a t index")
     sp.add_argument("expr")
@@ -426,6 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "prec") and "MTV_CUTOFF" in os.environ:
+        print("error: MTV_CUTOFF is not supported: the accuracy follows the precision (--prec or MTV_PREC)",
+              file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except ValueError as exc:

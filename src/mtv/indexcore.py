@@ -68,6 +68,14 @@ def compositions(n: int):
             yield (first,) + rest
 
 
+def signed_indices(max_weight: int):
+    """Every signed index of weight 1..max_weight without leading zeros."""
+    for w in range(1, max_weight + 1):
+        for comp in compositions(w):
+            for signs in itertools.product((1, -1), repeat=len(comp)):
+                yield SignedIndex(tuple(s * k for s, k in zip(signs, comp)), 0)
+
+
 # ---------------------------------------------------------------------------
 # index <-> integral word
 # ---------------------------------------------------------------------------

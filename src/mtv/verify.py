@@ -8,7 +8,6 @@ report the measured residual and the certified bound they were held to.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, eval_t12n, eval_t22, eval_t2212_star, eval_t2232
-from .indexcore import SignedIndex, basis_sets, compositions, enumerate_hoffman, enumerate_saha, fibonacci
+from .indexcore import SignedIndex, basis_sets, compositions, enumerate_hoffman, enumerate_saha, fibonacci, signed_indices
 from .motivic import (
     build_matrix,
     d1_project,
@@ -30,14 +29,12 @@ from .numoracle import (
     MPFloat,
     NumEnv,
     _t2212_star,
-    _t2212_star_indices,
-    altz_num_holder,
+    altz_num,
     eval_num,
     genseries_residual,
     lincomb_num,
     rational_num,
     t_num,
-    t_nums,
 )
 from .regularize import (
     _exp_series,
@@ -192,7 +189,7 @@ def invertibility_checks(max_n=12, **_) -> list:
 
 
 def closedform_checks(env=None, **_) -> list:
-    env = env or NumEnv(prec=53, cutoff=10 ** 6)
+    env = env or NumEnv(prec=53)
     out = []
     ok = all((eval_t2212_star(0, n) - eval_t12n(n)).is_zero for n in range(1, 9))
     out.append(_check("one-leading-two-tail family agrees with the boundary formula",
@@ -236,26 +233,21 @@ def closedform_checks(env=None, **_) -> list:
 def identity_pairs(cases, env) -> list:
     """(closed form, oracle value) for each (identity, a, b) case: of
     t*({2}^a,1,{2}^b) at V = log 2 ("t2212") or of t({2}^a,3,{2}^b)
-    ("t2232").  The oracle values come from one t_nums batch."""
+    ("t2232")."""
     log2 = env.const("log2")
-    closed, indices = [], []
+    out = []
     for identity, a, b in cases:
         if identity == "t2212":
-            closed.append(eval_num(eval_t2212_star(a, b), env, {"V": log2}))
-            indices.append(_t2212_star_indices(a, b))
+            out.append((eval_num(eval_t2212_star(a, b), env, {"V": log2}), _t2212_star(a, b, log2, env)))
         elif identity == "t2232":
-            closed.append(eval_num(eval_t2232(a, b), env))
-            indices.append([(2,) * a + (3,) + (2,) * b])
+            out.append((eval_num(eval_t2232(a, b), env), t_num((2,) * a + (3,) + (2,) * b, env)))
         else:
             raise ValueError(f"unknown identity {identity!r}; choose t2212 or t2232")
-    batch = list(dict.fromkeys(k for ks in indices for k in ks))
-    t = dict(zip(batch, t_nums(batch, env)))
-    return [(c, _t2212_star(b, log2, [t[k] for k in ks]) if identity == "t2212" else t[ks[0]])
-            for c, ks, (identity, a, b) in zip(closed, indices, cases)]
+    return out
 
 
 def genseries_checks(env=None, **_) -> list:
-    env = env or NumEnv(prec=53, cutoff=10 ** 6)
+    env = env or NumEnv(prec=53)
     out = []
     log2 = float(env.const("log2"))
     points = [
@@ -269,13 +261,6 @@ def genseries_checks(env=None, **_) -> list:
         out.append(_certified_check(f"generating series at x={x}, y={y}, V={v:.4f}",
                                     f"genseries-{x}-{y}", [r]))
     return out
-
-
-def _signed_indices(max_weight):
-    for w in range(1, max_weight + 1):
-        for comp in compositions(w):
-            for signs in itertools.product((1, -1), repeat=len(comp)):
-                yield SignedIndex(tuple(s * k for s, k in zip(signs, comp)), 0)
 
 
 def _layer_values(diff: dict, env, params=("T", "V", "W", "U", "S")) -> list:
@@ -322,13 +307,13 @@ def coherence_checks(max_weight=6, env=None, **_) -> list:
     ok = all(
         lc_is_zero(lc_sub(stuffle_reg(s, zero), shift_param("stuffle", s, T, zero)))
         and lc_is_zero(lc_sub(shuffle_reg(s, T), shift_param("shuffle", s, zero, T)))
-        for s in _signed_indices(4)
+        for s in signed_indices(4)
     )
     out.append(_check("parameter shifts are exact in both schemes (weight <= 4)",
                       "shift-exact", ok))
 
     ok = True
-    small = [s for s in _signed_indices(3)]
+    small = [s for s in signed_indices(3)]
     for a in small:
         for b in small:
             lhs: dict = {}
@@ -344,7 +329,7 @@ def coherence_checks(max_weight=6, env=None, **_) -> list:
         return [v for diff in diffs for v in _layer_values(diff, env)]
 
     # Two presentations of one number: settled numerically, layer by layer.
-    indices = list(_signed_indices(max_weight))
+    indices = list(signed_indices(max_weight))
     out.append(_certified_check(
         f"comparison-map pipeline equals the word pipeline (weight <= {max_weight})", "st-vs-sh",
         layers(lc_sub(sh_from_st(s, "T"), shuffle_reg(s, T)) for s in indices)))
@@ -439,7 +424,7 @@ def _mot_value(expr: dict, env):
             if atom[0] == "t":
                 term = term * t_num(atom[1], env)
             elif atom[0] == "zalt":
-                term = term * altz_num_holder(SignedIndex(atom[1], 0), env)
+                term = term * altz_num(SignedIndex(atom[1], 0), env)
             elif atom[0] == "log2":
                 term = term * env.const_mpf("log2")
             elif atom[0] == "z":

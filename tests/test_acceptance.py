@@ -35,7 +35,7 @@ def env():
 
 @pytest.fixture(scope="module")
 def sum_env():
-    return NumEnv(prec=53, cutoff=10 ** 6)
+    return NumEnv(prec=53)
 
 
 def test_criterion_1_singular_lambda_table():

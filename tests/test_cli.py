@@ -120,22 +120,30 @@ def test_det(capsys):
 
 
 def test_num(capsys, monkeypatch):
-    code, out, _ = run_cli(capsys, "num", "t(2)", "--prec", "53", "--cutoff", "20000")
+    code, out, _ = run_cli(capsys, "num", "t(2)", "--prec", "53")
     assert code == 0 and out.startswith("1.2337")
     code, out, err = run_cli(capsys, "num", "z(0,2)")
     assert code == 2 and "nonzero" in err
-    for flag in ("--prec", "--cutoff"):
-        code, out, err = run_cli(capsys, "num", "t(2)", flag, "0")
-        assert code == 2 and flag[2:] in err
+    code, out, err = run_cli(capsys, "num", "t(2)", "--prec", "0")
+    assert code == 2 and "prec" in err
     code, out, err = run_cli(capsys, "num", "t(2)", "--prec", "1001")
     assert code == 2 and "prec" in err
-    for var in ("MTV_PREC", "MTV_CUTOFF"):
-        with monkeypatch.context() as m:
-            m.setenv(var, "0")
-            code, out, err = run_cli(capsys, "num", "t(2)")
-            assert code == 2 and var[4:].lower() in err
-            code, out, err = run_cli(capsys, "verify", "--suite", "counting")
-            assert code == 2 and var[4:].lower() in err
+    with pytest.raises(SystemExit) as exc:  # the accuracy follows the precision; there is no cutoff
+        main(["num", "t(2)", "--cutoff", "1000"])
+    assert exc.value.code == 2 and "--cutoff" in capsys.readouterr().err
+    with monkeypatch.context() as m:
+        m.setenv("MTV_PREC", "0")
+        code, out, err = run_cli(capsys, "num", "t(2)")
+        assert code == 2 and "prec" in err
+        code, out, err = run_cli(capsys, "verify", "--suite", "counting")
+        assert code == 2 and "prec" in err
+    with monkeypatch.context() as m:
+        m.setenv("MTV_CUTOFF", "1000")
+        for argv in (["num", "t(2)"], ["verify", "--suite", "counting"], ["report", "--suite", "counting"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and err.count("\n") == 1 and "MTV_CUTOFF" in err, argv
+        code, out, _ = run_cli(capsys, "singular-lambda", "--N", "5")  # no numerics, nothing to refuse
+        assert code == 0
 
 
 def test_num_prints_certified_digits(capsys):
@@ -143,10 +151,10 @@ def test_num_prints_certified_digits(capsys):
     mp.prec = 200
     t212 = -mp.mpf(7) / 128 * mp.pi ** 2 * mp.zeta(3) + mp.mpf(93) / 128 * mp.zeta(5)
     cases = [
-        (("t(2,1,2)", "--prec", "53", "--cutoff", "1000"), t212),
+        (("t(2,1,2)", "--prec", "53"), t212),
         (("t(2,1,2)",), t212),
         (("t(1,2)", "--prec", "64"), -mp.mpf(7) / 16 * mp.zeta(3) + mp.pi ** 2 / 8 * mp.log(2)),
-        (("z(-1)", "--prec", "53", "--cutoff", "1000"), -mp.log(2)),
+        (("z(-1)", "--prec", "53"), -mp.log(2)),
     ]
     for args, true in cases:
         code, out, _ = run_cli(capsys, "num", *args)
@@ -299,7 +307,7 @@ def _flags(optional=False, **choices):
 
 _commands = st.one_of(
     st.tuples(st.just(["num"]), _index_text().map(lambda t: [t]),
-              _flags(True, prec=st.integers(-1, 80).map(str), cutoff=st.integers(-1, 2000).map(str))),
+              _flags(True, prec=st.integers(-1, 80).map(str))),
     st.tuples(st.just(["eval"]), _index_text().map(lambda t: [t])),
     st.tuples(st.just(["reg"]), _index_text().map(lambda t: [t]),
               _flags(scheme=st.sampled_from(["stuffle", "shuffle"])),

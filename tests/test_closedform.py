@@ -134,7 +134,7 @@ def test_oracle_checks_hold_each_residual_to_its_certified_bound():
     from mtv.numoracle import MPFloat, NumEnv
     from mtv.verify import _certified_check, closedform_checks, genseries_checks
 
-    env = NumEnv(prec=53, cutoff=200_000)
+    env = NumEnv(prec=53)
     results = [r for r in closedform_checks(env=env) if r.residual is not None] + genseries_checks(env=env)
     assert len(results) == 6
     for r in results:

@@ -3,6 +3,9 @@ under ``python -O``; bad input raises ValueError, a broken invariant
 RuntimeError naming the values."""
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +48,29 @@ def test_exact_modules_import_no_numerics():
             if any(NUMERIC & set(target.split(".")) for target in targets):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _imported_modules(path):
+    """Every module an import names in the file, including one inside a function body."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
+def test_no_module_imports_numpy():
+    # numpy is a test dependency only: every series runs in exact integers
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in _imported_modules(path) if name.split(".")[0] == "numpy"]
+    assert not found, found
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, mtv.cli; print('numpy' in sys.modules, 'mtv.numoracle' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.split() == ["False", "True"], out
 
 
 def test_only_numoracle_sets_the_working_precision():

@@ -1,5 +1,5 @@
+import itertools
 import math
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,17 +8,14 @@ import numpy as np
 import pytest
 
 from mtv import numoracle
-from mtv.indexcore import to_int_word, zi
+from mtv.indexcore import SignedIndex, compositions, signed_indices, to_int_word, zi
 from mtv.numoracle import (
+    _LOWER,
+    _UPPER,
     MPFloat,
     NumEnv,
-    _BLOCK,
-    _certified_sum,
-    _dp_float,
-    _nested_sums,
-    _poly_at_half,
+    _at_half,
     _tail_bound,
-    _transform_upper,
     altz_num,
     altz_num_holder,
     digamma_A,
@@ -27,13 +24,13 @@ from mtv.numoracle import (
     genseries_residual,
     lincomb_num,
     t_num,
-    t_nums,
     t_star_a1_num,
 )
 from mtv.symring import LOG2, PI2, SymPoly
-from mtv.verify import _mot_value, _signed_indices
+from mtv.verify import _mot_value
+from mtv.wordalg import t_to_zeta
 
-ENV = NumEnv(prec=53, cutoff=200_000)
+ENV = NumEnv(prec=53)
 HENV = NumEnv(prec=80)
 MP = mpmath.mp.clone()
 MP.prec = 110
@@ -87,18 +84,21 @@ def test_holder_agrees_with_nested_sums():
 
 
 def test_bound_self_consistency_on_halving():
+    # the accuracy follows the precision: halving it keeps the values within their summed bounds
     for idx in [(2,), (1, 2), (2, 1, 2), (1, 1, 2)]:
-        big = t_num(idx, NumEnv(prec=53, cutoff=200_000))
-        small = t_num(idx, NumEnv(prec=53, cutoff=100_000))
-        assert abs(float(big.val) - float(small.val)) <= big.err + small.err
+        big = t_num(idx, NumEnv(prec=64))
+        small = t_num(idx, NumEnv(prec=32))
+        assert abs(MP.mpf(big.val) - MP.mpf(small.val)) <= big.err + small.err
+        assert small.err <= 2.0 ** -37 and big.err <= 2.0 ** -69
 
 
 def test_float_and_path_split_engines_agree():
-    # 53 bits runs the float64 nested sums, 90 bits the path split
-    lo = t_num((2, 1, 2), NumEnv(prec=53, cutoff=50_000))
-    hi = t_num((2, 1, 2), NumEnv(prec=90, cutoff=50_000))
+    # one engine at every precision: 53 bits (float64's) agrees with 90 bits
+    lo = t_num((2, 1, 2), NumEnv(prec=53))  # the CUTOFF is accepted and ignored
+    hi = t_num((2, 1, 2), NumEnv(prec=90))
+    assert (lo.val, lo.err) == (t_num((2, 1, 2), NumEnv(prec=53)).val, t_num((2, 1, 2), NumEnv(prec=53)).err)
     assert abs(MP.mpf(lo.val) - MP.mpf(hi.val)) <= lo.err + hi.err
-    assert hi.err <= 2.0 ** -80
+    assert lo.err <= 2.0 ** -58 and hi.err <= 2.0 ** -80
 
 
 def test_high_precision_matches_mpmath():
@@ -146,15 +146,76 @@ def _ref_at_half(w, bits):
         return (-1) ** d * mpmath.fsum(f), 2.0 ** (1 - bits)
 
 
+def _coefficients(word, N, num):
+    """The scaled coefficients phi_n = f_n 2^-n, n < N, of each prefix of a
+    word of forms ((eta, sign), ...) = 2^-h sum sign dx/(x - eta), in the
+    number type num: each form acts on the power series at 1/2 component by
+    component, dx/x dividing term n by n, dx/(x - eta) summing the earlier
+    terms against the ratio 1/(2 eta)."""
+    f = [num(1)] + [num(0)] * (N - 1)
+    out = []
+    for form in word:
+        g = [num(0)] * N
+        for eta, sign in form:
+            c = num(sign) / 2 ** (len(form) - 1)
+            carry = num(0)
+            for n in range(1, N):
+                if eta:
+                    carry = (carry + f[n - 1]) / (2 * eta)
+                    g[n] -= c * carry / n
+                else:
+                    g[n] += c * f[n] / n
+        f = g
+        out.append(f)
+    return out
+
+
+def _ref_forms_at_half(word, bits):
+    """I(0; word[:j]; 1/2) for j = 1..len(word) in mpmath, truncated where
+    the exact dropped weight P(Bin(N-1, 1/2) <= L'-1), L' the forms with a
+    part eta != 0, is below 2^-bits; returns the values and one err."""
+    d = sum(any(eta for eta, _ in form) for form in word)
+    N = d
+    while Fraction(sum(math.comb(N - 1, j) for j in range(d)), 2 ** (N - 1)) > Fraction(1, 2 ** bits):
+        N += 1
+    with mpmath.workprec(bits + 16):
+        return [mpmath.fsum(f) for f in _coefficients(word, N, mpmath.mpf)], 2.0 ** (1 - bits)
+
+
+def _halves(w):
+    """The half words of the split of w at 1/2, as words of forms."""
+    return [tuple(_LOWER[x] for x in w[:j]) for j in range(1, len(w) + 1)] + \
+        [tuple(_UPPER[x] for x in reversed(w[j:])) for j in range(len(w))]
+
+
 def _holder_subwords(max_weight):
     out = set()
-    for s in _signed_indices(max_weight):
+    for s in signed_indices(max_weight):
         if s.is_convergent():
-            w = to_int_word(s)
-            for j in range(len(w) + 1):
-                out.update((w[:j], _transform_upper(w[j:])))
-    out.discard(())
+            out.update(_halves(to_int_word(s)))
     return sorted(out)
+
+
+def _t_word(k):
+    return tuple(x for i, ki in enumerate(k) for x in ("b" if i else "a",) + (0,) * (ki - 1))
+
+
+def _t_indices(max_weight):
+    return [k for w in range(2, max_weight + 1) for k in compositions(w) if k[-1] >= 2]
+
+
+def _genseries_batch(a_max=8):
+    out = []
+    for a in range(a_max + 1):
+        out += [(2,) * a + (1,) + (2,) * b for b in range(1, a_max + 1 - a)] + [(2,) * a]
+        out += [(2,) * i + (1,) + (2,) * (a - i) for i in range(a)]
+        out += [(2,) * i + (3,) + (2,) * (a - 1 - i) for i in range(a)]
+    return sorted(set(out) - {()})
+
+
+def _alternating_value(word):
+    """A word of one-component forms as (prod of signs, its letters eta)."""
+    return math.prod(form[0][1] for form in word), tuple(form[0][0] for form in word)
 
 
 @pytest.mark.parametrize("prec", [64, 128])
@@ -163,35 +224,99 @@ def test_fixed_point_path_split_matches_mpmath_reference(prec):
     # <= 5 lie within it of the reference
     env = NumEnv(prec=prec)
     checked = set(_holder_subwords(5))
-    assert len(checked) == 353
+    assert len(checked) == 376  # lower and upper half words stay apart: their forms differ in sign
     for w in _holder_subwords(6):
-        v, err = _poly_at_half(w, env)
+        v, err = _at_half(w, env)
         assert err <= 2.0 ** -(prec + 5), w
         if w in checked:
-            ref, ref_err = _ref_at_half(w, prec + 64)
-            assert abs(mpmath.ldexp(v, -prec - numoracle._GUARD_BITS) - ref) <= err + ref_err, w
+            sign, etas = _alternating_value(w)
+            ref, ref_err = _ref_at_half(etas, prec + 64)
+            assert abs(mpmath.ldexp(v, -prec - numoracle._GUARD_BITS) - mpmath.fmul(sign, ref, exact=True)) <= err + ref_err, w
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_t_half_words_match_mpmath_reference(prec):
+    # every half word of the genseries batch and of each t index of weight <= 8
+    env = NumEnv(prec=prec)
+    batch = _genseries_batch()
+    assert len(batch) == 80
+    words = {}
+    for k in set(batch) | set(_t_indices(8)):
+        w = _t_word(k)
+        for full in (tuple(_LOWER[x] for x in w), tuple(_UPPER[x] for x in reversed(w))):
+            words[full] = None
+    for full in words:
+        refs, ref_err = _ref_forms_at_half(full, prec + 24)
+        for j, ref in enumerate(refs, 1):
+            v, err = _at_half(full[:j], env)
+            assert err <= 2.0 ** -(prec + 4), full[:j]
+            assert abs(mpmath.ldexp(v, -prec - numoracle._GUARD_BITS) - ref) <= err + ref_err, full[:j]
+
+
+def test_alternating_forms_reference_matches_block_reference():
+    # the two mpmath references agree on one-component forms, dx/x included
+    for w in _holder_subwords(4):
+        sign, etas = _alternating_value(w)
+        refs, err = _ref_forms_at_half(w, 80)
+        ref, ref_err = _ref_at_half(etas, 80)
+        assert abs(refs[-1] - mpmath.fmul(sign, ref, exact=True)) <= err + ref_err, w
+
+
+FORMS = sorted(set(_LOWER.values()) | set(_UPPER.values()))
+
+
+def test_majorant_dominates_the_exact_dropped_tail():
+    # every form family (lower alpha, beta, the alternating forms, the upper
+    # forms with their dy/y parts): every tail sum_{n0 <= n < N} |phi_n|,
+    # exact in Fractions, is within _tail_bound(n0, L')
+    N = 24
+    starts = [f for f in FORMS if all(eta for eta, _ in f)]
+    assert len(FORMS) == 10 and len(starts) == 6
+    words = [(a,) + rest for a in starts for r in range(3) for rest in itertools.product(FORMS, repeat=r)]
+    for word in words:
+        for j, phi in enumerate(_coefficients(word, N, Fraction), 1):
+            steps = sum(any(eta for eta, _ in f) for f in word[:j])
+            tail = Fraction(0)
+            for n0 in range(N - 1, 0, -1):
+                tail += abs(phi[n0])
+                assert Fraction(_tail_bound(n0, steps)) >= tail, (word[:j], n0)
 
 
 @pytest.mark.parametrize("prec", [64, 128])
 def test_holder_bounds_over_weight_six(prec):
     # the convolution is exact, so its bound is the propagated half bounds
     env = NumEnv(prec=prec)
-    convergent = [s for s in _signed_indices(6) if s.is_convergent()]
+    convergent = [s for s in signed_indices(6) if s.is_convergent()]
     assert len(convergent) == 485
     for s in convergent:
         assert altz_num_holder(s, env).err <= 2.0 ** -(prec + 5), s
 
 
 def test_fixed_point_rounding_count(monkeypatch):
-    # Without guard bits, P = prec = 12, the rounding term 3 d (n0 - 1) 2^-P
+    # Without guard bits, P = prec = 12, the rounding term (3 L' + Z) (n0 - 1) 2^-P
     # outweighs the 2^-20 tail by far, so this checks the count itself.
     monkeypatch.setattr(numoracle, "_GUARD_BITS", 0)
     env = NumEnv(prec=12)
     for w in _holder_subwords(5):
-        v, err = _poly_at_half(w, env)
-        ref, ref_err = _ref_at_half(w, 12 + 64)
+        v, err = _at_half(w, env)
+        sign, etas = _alternating_value(w)
+        ref, ref_err = _ref_at_half(etas, 12 + 64)
         assert err >= 3 * 2.0 ** -12
-        assert abs(mpmath.ldexp(v, -12) - ref) <= err + ref_err, w
+        assert abs(mpmath.ldexp(v, -12) - mpmath.fmul(sign, ref, exact=True)) <= err + ref_err, w
+
+
+def test_fixed_point_rounding_count_for_t_letters(monkeypatch):
+    # the same count for the two-component forms of the t letters
+    monkeypatch.setattr(numoracle, "_GUARD_BITS", 0)
+    env = NumEnv(prec=12)
+    for k in _t_indices(6):
+        w = _t_word(k)
+        for full in (tuple(_LOWER[x] for x in w), tuple(_UPPER[x] for x in reversed(w))):
+            refs, ref_err = _ref_forms_at_half(full, 12 + 64)
+            for j, ref in enumerate(refs, 1):
+                v, err = _at_half(full[:j], env)
+                assert err >= 3 * 2.0 ** -12
+                assert abs(mpmath.ldexp(v, -12) - ref) <= err + ref_err, full[:j]
 
 
 def test_holder_memo_warm_equals_cold():
@@ -230,15 +355,12 @@ def test_stuffle_numeric():
     # t(2) t(1,2) equals the value of the expansion of (2) * (1,2)
     from mtv.wordalg import _stuffle_parts
 
-    env = NumEnv(prec=53, cutoff=200_000)
+    env = NumEnv(prec=53)
     lhs = t_num((2,), env) * t_num((1, 2), env)
-    rhs_val = 0.0
-    rhs_err = 0.0
+    rhs = MPFloat(0)
     for parts, m in _stuffle_parts((2,), (1, 2)):
-        v = t_num(parts, env)
-        rhs_val += m * float(v.val)
-        rhs_err += abs(m) * v.err
-    assert abs(lhs.to_float() - rhs_val) <= lhs.err + rhs_err
+        rhs = rhs + t_num(parts, env) * m  # exact: the bounds are far below float64 rounding
+    assert lhs.agrees_with(rhs) and lhs.err + rhs.err < 2.0 ** -55
 
 
 def test_digamma_paths_and_symmetry():
@@ -255,12 +377,13 @@ def test_digamma_paths_and_symmetry():
 
 
 def test_nested_sum_rejects_bad_input():
-    env = NumEnv(prec=53, cutoff=1000)
-    with pytest.raises(ValueError, match="empty index"):
-        _nested_sums(env, [((), ())], True)
+    with pytest.raises(ValueError, match="positive"):
+        t_num((2, 0, 2), ENV)
     with pytest.raises(ValueError, match="divergent"):
-        _nested_sums(env, [((2, 2), (1, 1)), ((2, 1), (1, 1))], False)
-    assert _nested_sums(env, [((2, 1), (1, -1))], False)[0].err < 1e-2  # an alternating last sign converges
+        altz_num(zi(2, 1), ENV)
+    with pytest.raises(ValueError, match="divergent"):
+        altz_num(zi(2, lz=1), ENV)
+    assert altz_num(zi(2, -1), ENV).err < 2.0 ** -58  # an alternating last sign converges
 
 
 def test_digamma_disagreement_raises(monkeypatch):
@@ -272,13 +395,13 @@ def test_digamma_disagreement_raises(monkeypatch):
 
 def test_t_star_boundary_reduction():
     # a = 0 reduces to the bare parameter
-    env = NumEnv(prec=53, cutoff=50_000)
+    env = NumEnv(prec=53)
     v = t_star_a1_num(0, 0.3, env)
     assert abs(v.to_float() - 0.3) < 1e-12
 
 
 def test_genseries_residual_small():
-    env = NumEnv(prec=53, cutoff=200_000)
+    env = NumEnv(prec=53)
     r = genseries_residual(0.05, 0.03, 0.0, 6, env)
     assert float(r.val) < 1e-6
 
@@ -289,7 +412,7 @@ def test_closed_form_families_through_weight9():
     from mtv.closedform import eval_t22, eval_t12n, eval_t2212_star, eval_t2232
     from mtv.numoracle import eval_num
 
-    env = NumEnv(prec=53, cutoff=300_000)
+    env = NumEnv(prec=53)
     for a in range(1, 5):  # t({2}^a), weight <= 8
         closed = eval_num(eval_t22(a), env)
         direct = t_num((2,) * a, env)
@@ -312,16 +435,16 @@ def test_closed_form_families_through_weight9():
 
 def test_genseries_degenerate_point_reduces_to_parameter():
     # at x = y = 0 the identity collapses to the weight-one boundary value
-    env = NumEnv(prec=53, cutoff=50_000)
+    env = NumEnv(prec=53)
     r = genseries_residual(0.0, 0.0, 0.37, 2, env)
     assert float(r.val) <= max(r.err, 1e-12)
 
 
 def test_altz_bound_self_consistency_on_halving():
     for s in [zi(1, 2), zi(-1, 2), zi(1, 1, -1), zi(2, -1)]:
-        big = altz_num(s, NumEnv(prec=53, cutoff=200_000))
-        small = altz_num(s, NumEnv(prec=53, cutoff=100_000))
-        assert abs(float(big.val) - float(small.val)) <= big.err + small.err
+        big = altz_num(s, NumEnv(prec=64))
+        small = altz_num(s, NumEnv(prec=32))
+        assert abs(MP.mpf(big.val) - MP.mpf(small.val)) <= big.err + small.err
 
 
 @pytest.mark.parametrize("global_prec", [None, 8])
@@ -345,7 +468,7 @@ def test_rounded_coefficients_are_charged():
 
 def test_values_do_not_depend_on_the_global_precision():
     def values():
-        env, henv = NumEnv(prec=53, cutoff=1000), NumEnv(prec=64)
+        env, henv = NumEnv(prec=53), NumEnv(prec=64)
         return [t_num((2, 1, 2), henv) - t_num((2, 1, 2), env), eval_num(PI2 * LOG2 * Fraction(1, 3), henv),
                 _mot_value({(("t", (3,)), ("log2",)): Fraction(4, 7)}, henv),
                 genseries_residual(0.05, 0.03, 0.25, 2, env), digamma_B(0.3, henv)]
@@ -356,7 +479,7 @@ def test_values_do_not_depend_on_the_global_precision():
 
 
 def _reference_dp(ks, signs, odd: bool, M: int):
-    """The full-length float64 DP that the blocked pass replaced: partial
+    """The float64 nested-sum DP over q(m) = 2m - 1 (odd) or m: partial
     sums A_i(M), i = 1..d, with one array of M + 1 floats per level."""
     n = np.arange(1, M + 1, dtype=np.float64)
     inv = 1.0 / (2.0 * n - 1.0 if odd else n)
@@ -377,8 +500,8 @@ def _reference_dp(ks, signs, odd: bool, M: int):
     return tops
 
 
-# shared prefixes, a prefix that is itself an item, signed words with and
-# without their all-positive twin in the list, and a duplicate
+# shared prefixes, signed words with and without their all-positive twin,
+# a last entry 1 with an alternating sign, and a duplicate
 DP_ITEMS = [
     ((2,), (1,)), ((2, 1), (1, 1)), ((2, 1, 2), (1, 1, 1)), ((2, 1, 2), (1, -1, 1)),
     ((2, 1, 3), (1, -1, -1)), ((1, 1, 2), (-1, 1, 1)), ((3, 2, 2, 1), (-1, 1, -1, -1)),
@@ -386,53 +509,61 @@ DP_ITEMS = [
 ]
 
 
-@pytest.mark.parametrize("M", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 50_000])
 @pytest.mark.parametrize("odd", [True, False])
-def test_blocked_pass_is_bit_identical_to_the_full_length_dp(M, odd):
-    items = DP_ITEMS[:]
-    random.Random(M).shuffle(items)
-    table = _dp_float([tuple(zip(ks, signs)) for ks, signs in items], odd, M)
+def test_float64_reference_agrees_with_the_path_split(odd):
+    # The float64 partial sums at M against the path split.  Each term is at
+    # most the matching term of the all-positive twin over all n (q(m) >= m),
+    # so the dropped tail is at most zeta(twin) minus the twin's partial sum.
+    # The signed sums over odd denominators have no path-split value.
+    M, env = 50_000, NumEnv(prec=64)
+    items = [(ks, signs) for ks, signs in DP_ITEMS if ks[-1] > 1 and not (odd and -1 in signs)]
+    assert len(items) == (4 if odd else 7)
     for ks, signs in items:
-        word = tuple(zip(ks, signs))
-        assert [table[word[:i]] for i in range(1, len(ks) + 1)] == _reference_dp(ks, signs, odd, M), (ks, signs)
+        value = t_num(ks, env) if odd else altz_num(SignedIndex(tuple(s * k for k, s in zip(ks, signs)), 0), env)
+        twin = altz_num(SignedIndex(ks, 0), env)
+        rounding = 4 * len(ks) * M * 2.0 ** -52
+        tail = float(twin.val) + twin.err - _reference_dp(ks, (1,) * len(ks), False, M)[-1] + rounding
+        got = _reference_dp(ks, signs, odd, M)[-1]
+        assert abs(float(value.val) - got) <= value.err + tail + rounding, (ks, signs)
+        assert tail < 1e-2
 
 
-@pytest.mark.parametrize("odd", [True, False])
-def test_nested_sums_match_the_reference_and_single_calls(odd):
-    M = 3 * _BLOCK + 7
-    items = [(ks, signs) for ks, signs in DP_ITEMS if ks[-1] > 1 or signs[-1] < 0]
-    rng = random.Random(7)
-    batch_env, single_env = NumEnv(prec=53, cutoff=M), NumEnv(prec=53, cutoff=M)
-    _nested_sums(batch_env, items[:2], odd)  # memo hits inside the next batch
-    batch = items + rng.sample(items, 3)
-    rng.shuffle(batch)
-    got = _nested_sums(batch_env, batch, odd)
-    want = [_nested_sums(single_env, [item], odd)[0] for item in batch]
-    assert [(v.val, v.err) for v in got] == [(v.val, v.err) for v in want]
-    for (ks, signs), v in zip(batch, got):
-        ref = _certified_sum(ks, signs, _reference_dp(ks, signs, odd, M),
-                             [abs(x) for x in _reference_dp(ks, (1,) * len(ks), odd, M)], odd, M)
-        assert (v.val, v.err) == (ref.val, ref.err), (ks, signs)
+@pytest.mark.parametrize("prec", [64, 128])
+def test_t_values_match_their_alternating_expansion(prec):
+    # the native split of each t index of weight <= 8 against the split of
+    # its 2^depth alternating words
+    env = NumEnv(prec=prec)
+    for k in _t_indices(8):
+        native, expanded = t_num(k, env), lincomb_num(t_to_zeta(k), env)
+        assert native.agrees_with(expanded), k
+        assert native.err <= 2.0 ** -(prec + 3), k
 
 
-def test_t_nums_batch_equals_one_at_a_time():
-    idx = [(2, 1, 2), (), (2, 2), (2, 1, 2), (3,), (2, 3, 2, 2), (1, 2)]
-    batch = t_nums(idx, NumEnv(prec=53, cutoff=20_000))
-    env = NumEnv(prec=53, cutoff=20_000)
-    assert [(v.val, v.err) for v in batch] == [(t_num(k, env).val, t_num(k, env).err) for k in idx]
-    with pytest.raises(ValueError, match="divergent t index"):
-        t_nums([(2,), (2, 1)], env)
+@pytest.mark.parametrize("prec", [53, 64, 128])
+def test_t_identities_within_the_bound(prec):
+    env = NumEnv(prec=prec)
+    with mpmath.workprec(prec + 40):
+        cases = [((k,), (1 - mpmath.mpf(2) ** -k) * mpmath.zeta(k)) for k in range(2, 8)]
+        cases += [((2,) * n, mpmath.pi ** (2 * n) / (4 ** n * mpmath.factorial(2 * n))) for n in range(2, 5)]
+        cases.append(((1, 2), -mpmath.mpf(7) / 16 * mpmath.zeta(3) + mpmath.pi ** 2 / 8 * mpmath.log(2)))
+        for k, true in cases:
+            v = t_num(k, env)
+            assert abs(v.val - true) <= v.err + 2.0 ** -(prec + 30), k
+            assert v.err <= 2.0 ** -(prec + 4), k
 
 
-def test_nested_sum_memory_does_not_grow_with_the_cutoff():
-    # a full-length DP holds several arrays of cutoff + 1 floats (45.8 MiB
-    # here); the blocked pass holds one block per depth
-    env = NumEnv(prec=53, cutoff=10 ** 6)
+def test_engine_memory_holds_one_series():
+    # one word's series is live at a time, and the memo keeps one (value,
+    # bound) per half word: 22 for the 11 letters of t(2,2,2,2,1,2)
+    env = NumEnv(prec=128)
     tracemalloc.start()
     try:
         v = t_num((2, 2, 2, 2, 1, 2), env)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20, peak
-    assert 0 < v.err < 1e-8
+    assert peak < 2 ** 16, peak
+    assert 0 < v.err < 2.0 ** -130
+    halves = {k: v for k, v in env._sums.items() if k[0] == "half"}
+    assert len(halves) == 2 * 11
+    assert all(isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], int) for v in halves.values())

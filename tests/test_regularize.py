@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mtv import regularize
-from mtv.indexcore import SignedIndex, compositions, zi
+from mtv.indexcore import SignedIndex, signed_indices, zi
 from mtv.regularize import (
     EMPTY,
     distribution_residual,
@@ -157,16 +157,9 @@ def test_unshuffle_matches_shuffle_reg_at_zero():
         assert lc_is_zero(lc_sub(shuffle_reg(s, ZERO), via_formula))
 
 
-def _signed_indices(max_weight):
-    for w in range(1, max_weight + 1):
-        for comp in compositions(w):
-            for signs in itertools.product((1, -1), repeat=len(comp)):
-                yield SignedIndex(tuple(s * k for s, k in zip(signs, comp)), 0)
-
-
 def test_shift_param_exact_and_roundtrip():
     S = SymPoly.gen("S")
-    for s in _signed_indices(4):
+    for s in signed_indices(4):
         assert lc_is_zero(lc_sub(stuffle_reg(s, T), shift_param("stuffle", s, ZERO, T)))
         assert lc_is_zero(lc_sub(shuffle_reg(s, T), shift_param("shuffle", s, S, T)))
     # shifting U down to 0 and back reproduces the polynomial
@@ -208,7 +201,7 @@ def test_sh_from_st_fixes_single_trailing_one():
 
 
 def test_stuffle_reg_multiplicative():
-    small = list(_signed_indices(3))
+    small = list(signed_indices(3))
     for a in small:
         for b in small:
             lhs: dict = {}
@@ -305,7 +298,7 @@ def test_word_product_on_zeta_side():
 
 def test_regularized_keys_convergent_in_one_parameter():
     # every key is convergent and no parameter but the chosen one occurs
-    for s in _signed_indices(5):
+    for s in signed_indices(5):
         for out, param in ((stuffle_reg(s, U), "U"), (shuffle_reg(s, W), "W")):
             for key, coeff in out.items():
                 assert key.is_convergent(), (s, key)
@@ -320,7 +313,7 @@ def test_memo_values_survive_regularization_sweep():
     # dict that receives the sums
     from mtv import regularize
 
-    small = list(_signed_indices(4))
+    small = list(signed_indices(4))
     snapshot = {(s, p): (dict(stuffle_reg(s, p)), dict(shuffle_reg(s, p))) for s in small for p in (T, ZERO)}
     st_cache = {k: dict(v) for k, v in regularize._st_cache.items()}
     word_cache = {k: dict(v) for k, v in regularize._word_cache.items()}
@@ -340,7 +333,7 @@ def test_memo_values_survive_regularization_sweep():
 
 def test_regularization_output_weight_homogeneous():
     # coefficient weight plus index weight is constant across each output
-    for s in _signed_indices(5):
+    for s in signed_indices(5):
         for out in (stuffle_reg(s, U), shuffle_reg(s, W)):
             weights = set()
             for key, coeff in out.items():
