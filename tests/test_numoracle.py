@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -509,22 +510,74 @@ DP_ITEMS = [
 ]
 
 
+def _dp_value(ks, signs, odd: bool, env: NumEnv) -> MPFloat:
+    """The path-split value of the nested sum that _reference_dp truncates."""
+    if odd:
+        return t_num(ks, env)
+    return altz_num(SignedIndex(tuple(s * k for k, s in zip(ks, signs)), 0), env)
+
+
+def _dp_tail(ks, M: int, env: NumEnv) -> float:
+    # Each term is at most the matching term of the all-positive twin over
+    # all n (q(m) >= m), so the sum's terms beyond M add at most zeta(twin)
+    # minus the twin's partial sum at M, which carries its own rounding.
+    twin = altz_num(SignedIndex(ks, 0), env)
+    return float(twin.val) + twin.err - _reference_dp(ks, (1,) * len(ks), False, M)[-1] + _dp_rounding(ks, M)
+
+
+def _dp_rounding(ks, M: int) -> float:
+    return 4 * len(ks) * M * 2.0 ** -52
+
+
+@pytest.mark.parametrize("M", [1, 2, 4095, 4096, 4097, 8193, 50_000])
 @pytest.mark.parametrize("odd", [True, False])
-def test_float64_reference_agrees_with_the_path_split(odd):
-    # The float64 partial sums at M against the path split.  Each term is at
-    # most the matching term of the all-positive twin over all n (q(m) >= m),
-    # so the dropped tail is at most zeta(twin) minus the twin's partial sum.
+def test_blocked_pass_is_bit_identical_to_the_full_length_dp(M, odd):
+    # One pass over a word stores every prefix of its halves, and a batch
+    # shares those passes through the memo.  Every convergent prefix of a
+    # batch item, evaluated after its longer ones, has bit for bit the value and
+    # bound of a cold evaluation of that prefix alone; cutoff= changes
+    # nothing.  Against the full-length float64 DP at M terms each prefix
+    # agrees within its bound, the DP's rounding and the dropped tail.
     # The signed sums over odd denominators have no path-split value.
-    M, env = 50_000, NumEnv(prec=64)
+    items = [(ks, signs) for ks, signs in DP_ITEMS if not (odd and -1 in signs)]
+    random.Random(M).shuffle(items)
+    env = NumEnv(prec=53, cutoff=M)
+    checked = 0
+    for ks, signs in items:
+        refs = _reference_dp(ks, signs, odd, M)
+        for i in range(len(ks), 0, -1):  # longest first: its passes serve the rest
+            if ks[i - 1] == 1 and (odd or signs[i - 1] > 0):
+                continue  # divergent prefix
+            warm = _dp_value(ks[:i], signs[:i], odd, env)
+            cold = _dp_value(ks[:i], signs[:i], odd, NumEnv(prec=53))
+            assert (warm.val, warm.err) == (cold.val, cold.err), (ks[:i], signs[:i])
+            if ks[i - 1] > 1:
+                slack = _dp_tail(ks[:i], M, env) + _dp_rounding(ks[:i], M)
+                assert abs(float(warm.val) - refs[i - 1]) <= warm.err + slack, (ks[:i], signs[:i])
+                checked += 1
+    assert checked == (11 if odd else 20)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_nested_sums_match_the_reference_and_single_calls(odd):
+    # A batch with memo hits and duplicates gives the values and bounds of
+    # one cold call per item, and each lies within its bound, the DP's
+    # rounding and a tail below 1e-2 of the float64 DP at M = 50 000.
+    M = 50_000
     items = [(ks, signs) for ks, signs in DP_ITEMS if ks[-1] > 1 and not (odd and -1 in signs)]
     assert len(items) == (4 if odd else 7)
-    for ks, signs in items:
-        value = t_num(ks, env) if odd else altz_num(SignedIndex(tuple(s * k for k, s in zip(ks, signs)), 0), env)
-        twin = altz_num(SignedIndex(ks, 0), env)
-        rounding = 4 * len(ks) * M * 2.0 ** -52
-        tail = float(twin.val) + twin.err - _reference_dp(ks, (1,) * len(ks), False, M)[-1] + rounding
-        got = _reference_dp(ks, signs, odd, M)[-1]
-        assert abs(float(value.val) - got) <= value.err + tail + rounding, (ks, signs)
+    rng = random.Random(7)
+    env = NumEnv(prec=64)
+    for ks, signs in items[:2]:  # memo hits inside the batch
+        _dp_value(ks, signs, odd, env)
+    batch = items + rng.sample(items, 3)
+    rng.shuffle(batch)
+    got = [_dp_value(ks, signs, odd, env) for ks, signs in batch]
+    want = [_dp_value(ks, signs, odd, NumEnv(prec=64)) for ks, signs in batch]
+    assert [(v.val, v.err) for v in got] == [(v.val, v.err) for v in want]
+    for (ks, signs), value in zip(batch, got):
+        tail = _dp_tail(ks, M, env)
+        assert abs(float(value.val) - _reference_dp(ks, signs, odd, M)[-1]) <= value.err + tail + _dp_rounding(ks, M)
         assert tail < 1e-2
 
 
