@@ -22,6 +22,7 @@ import mpmath
 
 from . import verify as verify_mod
 from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, coeff_d_232, eval_t22, eval_t2212_star, eval_t2232
+from .errors import InvariantError, UsageError
 from .indexcore import (
     SignedIndex,
     basis_sets,
@@ -45,7 +46,15 @@ def _num_setting(args, name: str, default: int) -> int:
     if value is None:
         value = int(os.environ.get(f"MTV_{name.upper()}", default))
     if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+        raise UsageError(f"{name} must be a positive integer, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --max-n: an integer >= 1 (argparse reports a non-integer)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -84,7 +93,7 @@ def cmd_eval(args) -> int:
         param = SymPoly.gen(m.group(2)) if m.group(2) else SymPoly.gen("V")
         ab = split_2a_x_2b(parts, 1)
         if ab is None:
-            raise ValueError(f"expected a {{2}}^a,1,{{2}}^b pattern, got {parts}")
+            raise UsageError(f"expected a {{2}}^a,1,{{2}}^b pattern, got {parts}")
         value = eval_t2212_star(*ab, param)
         print(json.dumps(value.to_json()) if args.format == "json" else value.text())
         return 0
@@ -147,7 +156,7 @@ def _parse_word(text: str) -> tuple:
     except ValueError:
         word = None
     if word is None or any(x not in (0, 1, -1) for x in word):
-        raise ValueError(f"a word is a string of 0s and 1s or comma-separated letters 0, 1, -1; got {text!r}")
+        raise UsageError(f"a word is a string of 0s and 1s or comma-separated letters 0, 1, -1; got {text!r}")
     return word
 
 
@@ -211,7 +220,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_det(args) -> int:
     if args.lam is not None and args.kind != "Hstar":
-        raise ValueError(f"--lam applies only to --kind Hstar, whose determinant is parametric; got --kind {args.kind}")
+        raise UsageError(f"--lam applies only to --kind Hstar, whose determinant is parametric; got --kind {args.kind}")
     m = build_matrix(args.kind, args.N, args.level)
     det = m.det()
     if args.lam is not None and isinstance(det, SymPoly):
@@ -282,7 +291,7 @@ def cmd_coeff(args) -> int:
         print(f"no coefficient family {args.family} {args.pattern}", file=sys.stderr)
         return 2
     if args.a < 0 or args.b < 0:
-        raise ValueError(f"--a and --b must be non-negative, got {args.a} and {args.b}")
+        raise UsageError(f"--a and --b must be non-negative, got {args.a} and {args.b}")
     print(fn(args.a, args.b))
     return 0
 
@@ -298,7 +307,8 @@ def _explicit_env(args):
 def cmd_verify(args) -> int:
     if args.identity:
         return _verify_identity(args, _env_from_args(args))
-    results = verify_mod.run_suite(args.suite, max_weight=args.max_weight, env=_explicit_env(args))
+    results = verify_mod.run_suite(args.suite, max_weight=args.max_weight, env=_explicit_env(args),
+                                   max_n=args.max_n)
     failures = verify_mod.print_results(results, fmt=args.format)
     return 0 if failures == 0 else 1
 
@@ -315,7 +325,8 @@ def cmd_report(args) -> int:
     if not args.suite:
         print("a suite name is required", file=sys.stderr)
         return 2
-    results = verify_mod.run_suite(args.suite, max_weight=args.max_weight, env=_explicit_env(args))
+    results = verify_mod.run_suite(args.suite, max_weight=args.max_weight, env=_explicit_env(args),
+                                   max_n=args.max_n)
     print(json.dumps([r.to_json() for r in results], indent=1))
     return 1 if any(r.status == "FAIL" for r in results) else 0
 
@@ -409,12 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=0)
     sp.add_argument("--b", type=int, default=0)
     sp.add_argument("--max-weight", type=int, default=6)
+    sp.add_argument("--max-n", type=_positive_int, default=12, help="largest matrix weight of the invertibility sweep")
     common(sp, num=True)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("report", help="structured verification report (json)")
     sp.add_argument("--suite", default="")
     sp.add_argument("--max-weight", type=int, default=6)
+    sp.add_argument("--max-n", type=_positive_int, default=12, help="largest matrix weight of the invertibility sweep")
     common(sp, num=True)
     sp.set_defaults(fn=cmd_report)
 
@@ -433,7 +446,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, coeff_d_232, zl_2212
+from .errors import InvariantError
 from .indexcore import (
     basis_sets,
     is_hoffman_word,
@@ -33,6 +36,7 @@ from .ratmatrix import det_bareiss, det_exact, is_integer, parity
 from .symring import SymPoly, lc_put
 
 LOG = ("log",)
+_ZERO = Fraction(0)  # shared by every empty matrix entry; Fractions are immutable
 
 
 def _zgen(m: int):
@@ -50,39 +54,41 @@ class IrreducibleLeftFactor(Exception):
 def deriv_D(r: int, k: tuple) -> dict:
     """Full expansion of D_r on the rescaled t value of index k.
 
-    Returns {(left tag, right index): Fraction}.  Left tags are
-    ("t", idx) for a rescaled t block, ("zl", s, idx) for a zeta block
-    with s leading zeros, or ("log",) for the weight-one logarithm.
+    Returns {(left tag, right index): int}: every cut contributes +1 or
+    -1.  Left tags are ("t", idx) for a rescaled t block, ("zl", s, idx)
+    for a zeta block with s leading zeros, or ("log",) for the weight-one
+    logarithm.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError("r must be odd and positive")
     k = tuple(k)
     d = len(k)
+    pre = list(accumulate(k, initial=0))  # sum(k[a:b]) == pre[b] - pre[a]
     out: dict = {}
 
     # deconcatenation of a weight-r prefix
     for j in range(1, d + 1):
-        if sum(k[:j]) == r:
-            lc_put(out, (("t", k[:j]), k[j:]), Fraction(1))
+        if pre[j] == r:
+            lc_put(out, (("t", k[:j]), k[j:]), 1)
 
     for i in range(1, d):
         for j in range(i + 1, d + 1):
-            wij = sum(k[i - 1:j])
+            wij = pre[j] - pre[i - 1]
             if not (r < wij - 1):
                 continue
             right = k[:i - 1] + (wij - r,) + k[j:]
             # zero-headed cut
-            w_in = sum(k[i:j])
+            w_in = pre[j] - pre[i]
             if w_in <= r:
-                lc_put(out, (("zl", r - w_in, k[i:j]), right), Fraction(1))
+                lc_put(out, (("zl", r - w_in, k[i:j]), right), 1)
                 if r == 1:
-                    lc_put(out, (LOG, right), Fraction(-1))
+                    lc_put(out, (LOG, right), -1)
             # zero-tailed cut, with the subindex reversed
-            w_out = sum(k[i - 1:j - 1])
+            w_out = pre[j - 1] - pre[i - 1]
             if w_out <= r:
-                lc_put(out, (("zl", r - w_out, tuple(reversed(k[i - 1:j - 1]))), right), Fraction(-1))
+                lc_put(out, (("zl", r - w_out, tuple(reversed(k[i - 1:j - 1]))), right), -1)
                 if r == 1:
-                    lc_put(out, (LOG, right), Fraction(1))
+                    lc_put(out, (LOG, right), 1)
     return out
 
 
@@ -108,7 +114,7 @@ def deriv_D_star(r: int, k: tuple) -> dict:
     out = deriv_D(r, k)
     k = tuple(k)
     if trailing_run(k, 1) >= r:
-        lc_put(out, (("zst1", r), k[:-r]), Fraction(1))
+        lc_put(out, (("zst1", r), k[:-r]), 1)
     return out
 
 
@@ -180,7 +186,7 @@ def pitilde(gen) -> Fraction:
         return Fraction(1, 2)
     m = gen[1]
     if m % 2 == 0 or m < 3:
-        raise RuntimeError(f"pitilde needs log2 or an odd zeta of weight >= 3, got {gen}")
+        raise InvariantError(f"pitilde needs log2 or an odd zeta of weight >= 3, got {gen}")
     return Fraction(2 ** (m - 2))
 
 
@@ -208,6 +214,15 @@ def _valid_word(w: tuple, kind: str) -> bool:
     return is_hoffman_word(w)
 
 
+@lru_cache(maxsize=None)
+def _graded_factor(tag):
+    """What one unit of the left tag adds to a matrix entry: its reduced
+    coefficient times the projection of its generator, or 0 for a class
+    that dies.  A tag that raises IrreducibleLeftFactor is not cached."""
+    red, gen = lie_reduce(tag)
+    return 0 if gen is None else red * pitilde(gen)
+
+
 def graded_partial(kind: str, N: int, ell: int, w: tuple, star: bool | None = None):
     """Row of the graded derivation matrix for the basis word w.
 
@@ -229,13 +244,12 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple, star: bool | None = No
                     continue
             else:
                 if not _valid_word(right, word_kind):
-                    raise RuntimeError(f"D_{r} of {w} has the invalid right factor {right}")
+                    raise InvariantError(f"D_{r} of {w} has the invalid right factor {right}")
                 if word_level(right, word_kind) != ell - 1:
                     continue
-            red, gen = lie_reduce(tag)
-            if gen is None:
-                continue
-            lc_put(out, right, coeff * red * pitilde(gen))
+            factor = _graded_factor(tag)
+            if factor:
+                lc_put(out, right, coeff * factor)
     return out
 
 
@@ -283,14 +297,14 @@ def build_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
         raise ValueError(f"kind S has no words of weight {N}; need N >= 2")
     B, Bp = basis_sets("S" if kind == "S" else "H", N, ell)
     if len(B) != len(Bp):
-        raise RuntimeError(f"bases of unequal size at {kind} N={N} level {ell}: {len(B)} and {len(Bp)}")
+        raise InvariantError(f"bases of unequal size at {kind} N={N} level {ell}: {len(B)} and {len(Bp)}")
     entries = []
     for w in B:
         row_map = graded_partial(kind, N, ell, w)
         unknown = set(row_map) - set(Bp)
         if unknown:
-            raise RuntimeError(f"row {w} hit non-basis words {sorted(unknown)}")
-        entries.append([row_map.get(wp, Fraction(0)) for wp in Bp])
+            raise InvariantError(f"row {w} hit non-basis words {sorted(unknown)}")
+        entries.append([row_map.get(wp, _ZERO) for wp in Bp])
     return FiltMatrix(kind, N, ell, list(B), list(Bp), entries)
 
 
@@ -309,16 +323,13 @@ class Mod2Report:
 
 
 def _upper_unitriangular_mod2(rows) -> bool:
-    n = len(rows)
-    for i in range(n):
-        for j in range(n):
-            x = rows[i][j]
-            if not is_integer(x):
+    """Integral entries, odd on the diagonal and even below it."""
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row[:i + 1]):
+            if x.denominator != 1 or x.numerator % 2 != (j == i):
                 return False
-            if i == j and parity(x) != 1:
-                return False
-            if i > j and parity(x) != 0:
-                return False
+        if any(x.denominator != 1 for x in row[i + 1:]):
+            return False
     return True
 
 
@@ -344,7 +355,7 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
                 notes.append("expected upper unitriangular mod 2")
             else:
                 notes.append("upper unitriangular mod 2, determinant odd")
-                if parity(det * Fraction(1)) != 1:
+                if parity(det) != 1:
                     ok = False
                     notes.append("determinant not odd")
         else:
@@ -376,30 +387,24 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
             ok = False
             notes.append("trailing-ones classes of unequal sizes")
         # the sorted bases list the classes contiguously in ascending order
+        if [w for c in classes_B for w in c] != m.rows or [u for c in classes_Bp for u in c] != m.cols:
+            ok = False
+            notes.append("trailing-ones classes not contiguous in the basis order")
         offsets = [0]
         for s in sizes_B:
             offsets.append(offsets[-1] + s)
-        for bi, rows_words in enumerate(classes_B):
-            for w in rows_words:
-                i = m.rows.index(w)
-                for bj in range(bi + 1, len(sizes_B)):
-                    for j in range(offsets[bj], offsets[bj + 1]):
-                        if m.entries[i][j] != 0:
-                            ok = False
-                            notes.append(f"entry above block diagonal at {w}")
-        for bi in range(len(sizes_B) - 1):
-            block = [
-                [m.entries[i][j] for j in range(offsets[bi], offsets[bi + 1])]
-                for i in range(offsets[bi], offsets[bi + 1])
-            ]
-            if not _upper_unitriangular_mod2(block):
+        blocks = list(zip(offsets, offsets[1:]))
+        for bi, (r0, r1) in enumerate(blocks):
+            for bj, (c0, c1) in enumerate(blocks[bi + 1:], bi + 1):
+                if any(x != 0 for row in m.entries[r0:r1] for x in row[c0:c1]):
+                    ok = False
+                    notes.append(f"block ({bi}, {bj}) above the block diagonal is nonzero")
+        for bi, (r0, r1) in enumerate(blocks[:-1]):
+            if not _upper_unitriangular_mod2([row[r0:r1] for row in m.entries[r0:r1]]):
                 ok = False
                 notes.append(f"diagonal block {bi} not upper unitriangular mod 2")
-        final = [
-            [m.entries[i][j] for j in range(offsets[-2], offsets[-1])]
-            for i in range(offsets[-2], offsets[-1])
-        ]
-        fdet = det_bareiss([[Fraction(x) for x in row] for row in final])
+        r0, r1 = blocks[-1]
+        fdet = det_bareiss([row[r0:r1] for row in m.entries[r0:r1]])
         if (2 * fdet).denominator != 1 or parity(2 * fdet) != 1:
             ok = False
             notes.append("final block determinant not in 1/2 + Z")

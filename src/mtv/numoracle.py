@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import mpmath
 
+from .errors import InvariantError
 from .indexcore import SignedIndex, to_int_word
 from .symring import SymPoly
 
@@ -363,14 +364,14 @@ def digamma_A(z, env: NumEnv) -> MPFloat:
                 break
             r += 1
             if r > 8000:
-                raise RuntimeError("series for A(z) converges too slowly")
+                raise InvariantError("series for A(z) converges too slowly")
     z2 = abs(float(z)) ** 2
     tail = 1.2021 * z2 ** (r + 1) / (1 - z2)
     ulp = abs(float(via_psi)) * 2.0 ** (-env.prec - 4) + float(tol) * r
     series = MPFloat(acc, tail + ulp)
     psi_val = MPFloat(via_psi, ulp)
     if not series.agrees_with(psi_val, slack=2.0 ** (-env.prec + 6)):
-        raise RuntimeError(f"A({mpmath.nstr(z, 15)}): digamma path {psi_val} and series path {series} disagree")
+        raise InvariantError(f"A({mpmath.nstr(z, 15)}): digamma path {psi_val} and series path {series} disagree")
     return MPFloat(acc, tail + 2 * ulp)
 
 

@@ -1,9 +1,12 @@
 """Dense exact-rational matrices with fraction-free determinants.
 
-Entries are Fractions, or SymPolys affine in lam for the parametric
-matrices; the determinant of a parametric matrix is recovered from
-evaluations at lam = 0 and lam = 1, with a third evaluation checking
-that the determinant really is affine.
+Entries are ints or Fractions, or SymPolys affine in lam for the
+parametric matrices.  Each row is scaled to integers by the lcm of its
+denominators, read off the entries' numerators and denominators with no
+Fraction arithmetic, and the integer matrix is eliminated with the
+Bareiss recurrence.  The determinant of a parametric matrix is recovered
+from evaluations at lam = 0 and lam = 1, with a third evaluation
+checking that the determinant really is affine.
 """
 
 from __future__ import annotations
@@ -11,24 +14,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import InvariantError
 from .symring import SymPoly
+
+_LAM = (("lam", 1),)
 
 
 def _row_scaled_int(rows):
-    """Scale each row to integers; returns (int rows, product of scales)."""
+    """Scale each row to integers; returns (int rows, product of the scales)."""
     scaled = []
-    total = Fraction(1)
+    scale = 1
     for row in rows:
-        denlcm = 1
-        for x in row:
-            denlcm = denlcm * x.denominator // math.gcd(denlcm, x.denominator)
-        total *= denlcm
-        scaled.append([int(x * denlcm) for x in row])
-    return scaled, total
+        den = math.lcm(*[x.denominator for x in row])
+        scale *= den
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    return scaled, scale
 
 
 def det_bareiss(rows) -> Fraction:
-    """Exact determinant of a square matrix of Fractions.
+    """Exact determinant of a square matrix of ints and Fractions.
 
     Rows are scaled to integers, then eliminated with the fraction-free
     Bareiss recurrence; every division along the way is exact.
@@ -38,7 +42,7 @@ def det_bareiss(rows) -> Fraction:
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ValueError(f"non-square matrix: {n} rows of lengths {sorted({len(r) for r in rows})}")
-    m, scale = _row_scaled_int([[Fraction(x) for x in row] for row in rows])
+    m, scale = _row_scaled_int(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -50,50 +54,56 @@ def det_bareiss(rows) -> Fraction:
                     break
             else:
                 return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+        pivot = m[k][k]
+        tail = m[k][k + 1:]
+        for row in m[k + 1:]:
+            a = row[k]
+            if a:
+                row[k + 1:] = [(pivot * x - a * y) // prev for x, y in zip(row[k + 1:], tail)]
+            else:
+                row[k + 1:] = [pivot * x // prev for x in row[k + 1:]]
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
-def _entry_to_fraction(x, lam_value: Fraction) -> Fraction:
-    if isinstance(x, SymPoly):
-        v = x.substitute({"lam": SymPoly.const(lam_value)})
-        return v.const_value()
-    return Fraction(x)
+def _affine_parts(x):
+    """(c0, c1) with x = c0 + c1 lam, read from the terms of a SymPoly."""
+    if not isinstance(x, SymPoly):
+        return x, 0
+    c0 = c1 = 0
+    for mono, c in x.terms.items():
+        if mono == ():
+            c0 = c
+        elif mono == _LAM:
+            c1 = c
+        else:
+            raise ValueError(f"entries must be affine in lam, got {x}")
+    return c0, c1
 
 
 def det_exact(rows):
-    """Determinant of a matrix whose entries are Fractions or SymPolys
-    affine in lam.  Returns a Fraction, or a SymPoly affine in lam.
+    """Determinant of a matrix whose entries are ints, Fractions or
+    SymPolys affine in lam.  Returns a Fraction, or a SymPoly affine in lam.
 
     Parametric determinants are interpolated from lam = 0 and lam = 1
     and cross-checked at lam = 2; a determinant that is not affine raises
-    RuntimeError.
+    InvariantError.
     """
-    has_lam = any(isinstance(x, SymPoly) and x.max_degree("lam") > 0 for row in rows for x in row)
-    if not has_lam:
-        return det_bareiss([[_entry_to_fraction(x, Fraction(0)) for x in row] for row in rows])
-    for row in rows:
-        for x in row:
-            if isinstance(x, SymPoly) and x.max_degree("lam") > 1:
-                raise ValueError(f"entries must be affine in lam, got {x}")
-    d0 = det_bareiss([[_entry_to_fraction(x, Fraction(0)) for x in row] for row in rows])
-    d1 = det_bareiss([[_entry_to_fraction(x, Fraction(1)) for x in row] for row in rows])
-    d2 = det_bareiss([[_entry_to_fraction(x, Fraction(2)) for x in row] for row in rows])
+    parts = [[_affine_parts(x) for x in row] for row in rows]
+    if not any(c1 for row in parts for _, c1 in row):
+        return det_bareiss([[c0 for c0, _ in row] for row in parts])
+    d0, d1, d2 = (det_bareiss([[c0 + lam * c1 if c1 else c0 for c0, c1 in row] for row in parts])
+                  for lam in (0, 1, 2))
     if d2 != 2 * d1 - d0:
-        raise RuntimeError(f"determinant is not affine in lam: {d0}, {d1}, {d2} at lam = 0, 1, 2")
+        raise InvariantError(f"determinant is not affine in lam: {d0}, {d1}, {d2} at lam = 0, 1, 2")
     return SymPoly.const(d0) + SymPoly.gen("lam", 1, d1 - d0)
 
 
-def is_integer(x: Fraction) -> bool:
-    return Fraction(x).denominator == 1
+def is_integer(x) -> bool:
+    return x.denominator == 1
 
 
-def parity(x: Fraction) -> int:
-    x = Fraction(x)
+def parity(x) -> int:
     if x.denominator != 1:
         raise ValueError(f"parity of a non-integer: {x}")
     return x.numerator % 2

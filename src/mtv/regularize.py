@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .closedform import zbar_reduce
+from .errors import InvariantError
 from .indexcore import IntWord, SignedIndex, from_int_word, to_int_word, trailing_run
 from .symring import LOG2, SymPoly, lc_iadd, lc_put, lc_scale, lc_sub, zeta_sym
 from .wordalg import _stuffle_parts, shuffle, shuffle_lincomb, t_to_zeta
@@ -70,7 +71,7 @@ def stuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
         for v, m in _stuffle_parts(u, (1,)):
             if v == parts:
                 if m != alpha:
-                    raise RuntimeError(f"{parts} occurs {m} times in its own stuffle with (1), not {alpha}")
+                    raise InvariantError(f"{parts} occurs {m} times in its own stuffle with (1), not {alpha}")
                 continue
             lc_iadd(out, lc_scale(stuffle_reg(SignedIndex(v, 0), param), SymPoly.const(-m)))
         out = lc_scale(out, Fraction(1, alpha))
@@ -111,7 +112,7 @@ def word_shuffle_reg(w: IntWord, wval: SymPoly) -> dict:
         for v, m in shuffle(u, (letter,)).items():
             if v == w:
                 if m != run:
-                    raise RuntimeError(f"{w} occurs {m} times in its own shuffle with ({letter},), not {run}")
+                    raise InvariantError(f"{w} occurs {m} times in its own shuffle with ({letter},), not {run}")
                 continue
             lc_iadd(out, lc_scale(word_shuffle_reg(v, wval), SymPoly.const(-m)))
         out = lc_scale(out, Fraction(1, run))
@@ -208,7 +209,7 @@ def _trailing_ones_sum(parts: tuple, reg, factor) -> dict:
     alpha = trailing_run(parts, 1)
     prefix = parts[: len(parts) - alpha]
     if prefix and prefix[-1] == 1:
-        raise RuntimeError(f"prefix {prefix} of {parts} still ends in 1 after stripping {alpha} ones")
+        raise InvariantError(f"prefix {prefix} of {parts} still ends in 1 after stripping {alpha} ones")
     out: dict = {}
     for i in range(alpha + 1):
         lc_iadd(out, lc_scale(reg(prefix + (1,) * (alpha - i)), factor(i)))

@@ -15,6 +15,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, eval_t12n, eval_t22, eval_t2212_star, eval_t2232
+from .errors import UsageError
 from .indexcore import SignedIndex, basis_sets, compositions, enumerate_hoffman, enumerate_saha, fibonacci, signed_indices
 from .motivic import (
     build_matrix,
@@ -173,7 +174,7 @@ def invertibility_checks(max_n=12, **_) -> list:
                         all_ok = False
             elif det == 0:
                 all_ok = False
-    out.append(_check("parametric matrices invertible at lam = 1/2 and 1",
+    out.append(_check(f"parametric matrices invertible at lam = 1/2 and 1, weight <= {max_n}",
                       "invertibility-Hstar", all_ok))
     h = build_matrix("H", 8, 2)
     hs = build_matrix("Hstar", 8, 2)
@@ -444,15 +445,18 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_weight: int = 6, env=None) -> list:
+def run_suite(name: str, max_weight: int = 6, env=None, max_n: int = 12) -> list:
+    """Run one suite, or every suite for "all".  max_weight bounds the
+    index weights of the algebraic checks, max_n the matrix weights of
+    the invertibility sweep."""
     if name == "all":
         out = []
         for fn in SUITES.values():
-            out.extend(fn(max_weight=max_weight, env=env))
+            out.extend(fn(max_weight=max_weight, env=env, max_n=max_n))
         return out
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](max_weight=max_weight, env=env)
+        raise UsageError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    return SUITES[name](max_weight=max_weight, env=env, max_n=max_n)
 
 
 def print_results(results, fmt: str = "text") -> int:

@@ -233,6 +233,31 @@ def test_broken_invariant_exit_code(capsys, monkeypatch):
     assert err.startswith("error: ") and "occurs 2 times" in err and "Traceback" not in err
 
 
+def test_other_runtime_errors_are_not_invariant_failures(capsys, monkeypatch):
+    # only InvariantError maps to exit 3; a RecursionError is a crash, not a verdict
+    from mtv import cli
+
+    def recurse(N):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "singular_lambda", recurse)
+    with pytest.raises(RecursionError):
+        main(["singular-lambda", "--N", "5"])
+
+
+def test_invertibility_max_n(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "invertibility", "--max-n", "14")
+    assert code == 0 and "0 failures" in out
+    lines = _verdicts(out)
+    for ref in ("invertibility-S", "invertibility-H", "invertibility-Hstar"):
+        assert lines[ref].startswith("PASS") and lines[ref].endswith("weight <= 14"), lines[ref]
+    for command in ("verify", "report"):
+        for bad in ("0", "-3", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--suite", "invertibility", "--max-n", bad])
+            assert exc.value.code == 2 and "--max-n" in capsys.readouterr().err
+
+
 def _verdicts(out: str) -> dict:
     """{ref: line} for the check lines of a text verify report."""
     return {line.split()[1].rstrip(":"): line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))}

@@ -1,6 +1,6 @@
 """Invariants are raised errors, never ``assert`` statements, so they hold
 under ``python -O``; bad input raises ValueError, a broken invariant
-RuntimeError naming the values."""
+InvariantError (a RuntimeError) naming the values."""
 
 import ast
 import os
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from mtv import motivic, ratmatrix
+from mtv.errors import InvariantError
 from mtv.motivic import build_matrix, graded_partial, pitilde
 from mtv.ratmatrix import det_bareiss, det_exact, parity
 from mtv.symring import SymPoly
@@ -104,23 +105,23 @@ def test_bad_input_raises_value_error():
 
 
 def test_broken_invariants_raise_runtime_error(monkeypatch):
-    with pytest.raises(RuntimeError, match=r"\('z', 4\)"):
+    with pytest.raises(InvariantError, match=r"\('z', 4\)"):
         pitilde(("z", 4))
-    with pytest.raises(RuntimeError, match="unequal size.*5 and 4"):
+    with pytest.raises(InvariantError, match="unequal size.*5 and 4"):
         with monkeypatch.context() as m:
             m.setattr(motivic, "basis_sets", lambda kind, N, ell: ([()] * 5, [()] * 4))
             build_matrix("H", 8, 2)
     B, Bp = motivic.basis_sets("H", 8, 2)
-    with pytest.raises(RuntimeError, match="non-basis words"):
+    with pytest.raises(InvariantError, match="non-basis words"):
         with monkeypatch.context() as m:
             m.setattr(motivic, "basis_sets", lambda kind, N, ell: (B, Bp[:-1] + [(2, 2, 2, 2)]))
             build_matrix("H", 8, 2)
-    with pytest.raises(RuntimeError, match="invalid right factor"):
+    with pytest.raises(InvariantError, match="invalid right factor"):
         with monkeypatch.context() as m:
             m.setattr(motivic, "deriv_D", lambda r, k: {(("t", (1,)), (4,)): Fraction(1)})
             graded_partial("H", 3, 1, (1, 2))
     # a determinant routine that is right at lam = 0 and 1 but not at lam = 2
     real = ratmatrix.det_bareiss
     monkeypatch.setattr(ratmatrix, "det_bareiss", lambda rows: real(rows) + (rows[0][0] == 3))
-    with pytest.raises(RuntimeError, match="not affine in lam: .*at lam = 0, 1, 2"):
+    with pytest.raises(InvariantError, match="not affine in lam: .*at lam = 0, 1, 2"):
         det_exact([[SymPoly.gen("lam") + 1]])

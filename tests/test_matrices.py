@@ -2,7 +2,8 @@ import json
 from fractions import Fraction
 from importlib import resources
 
-from mtv.motivic import build_matrix, det_mod2_structure
+from mtv.indexcore import trailing_ones_partition
+from mtv.motivic import FiltMatrix, build_matrix, det_mod2_structure
 from mtv.ratmatrix import det_bareiss, det_exact
 from mtv.symring import SymPoly
 
@@ -12,24 +13,42 @@ def _golden(name):
         return json.load(fh)
 
 
+def cofactor_det(m):
+    """Laplace expansion along the first row: the reference determinant."""
+    if not m:
+        return Fraction(1)
+    total = Fraction(0)
+    for j in range(len(m)):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * cofactor_det(minor)
+    return total
+
+
 def test_det_bareiss():
     assert det_bareiss([[Fraction(1)]]) == 1
     assert det_bareiss([[1, 2], [3, 4]]) == -2
     assert det_bareiss([[0, 1], [1, 0]]) == -1
     assert det_bareiss([[Fraction(1, 2), 1], [1, 2]]) == 0
-    def cofactor_det(m):
-        if len(m) == 1:
-            return m[0][0]
-        total = Fraction(0)
-        for j in range(len(m)):
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * cofactor_det(minor)
-        return total
-
     m = [[Fraction(i * j + (i == j), 3) for j in range(5)] for i in range(5)]
     assert det_bareiss(m) == cofactor_det(m)
     m = [[Fraction((i * 7 + j * 3) % 5 - 2, 1 + ((i + j) % 3)) for j in range(5)] for i in range(5)]
     assert det_bareiss(m) == cofactor_det(m)
+
+
+def test_det_bareiss_integer_path_against_cofactors():
+    cases = {
+        "int only": [[(i * 5 + j * 3) % 7 - 3 for j in range(5)] for i in range(5)],
+        "mixed int and Fraction": [[Fraction(i + j, 2 + j) if (i + j) % 2 else i - 2 * j for j in range(5)]
+                                   for i in range(5)],
+        "zero pivot needing a row swap": [[0, 2, 1, 0], [0, 0, Fraction(3, 2), 1], [4, 1, 0, 2], [1, 0, 2, 5]],
+        "singular": [[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)], [4, 5, 6]],
+        "0 x 0": [],
+    }
+    for name, m in cases.items():
+        det = det_bareiss(m)
+        assert isinstance(det, Fraction) and det == cofactor_det(m), name
+    assert cofactor_det(cases["zero pivot needing a row swap"]) != 0
+    assert det_bareiss(cases["singular"]) == 0
 
 
 def test_det_exact_affine():
@@ -38,6 +57,22 @@ def test_det_exact_affine():
     rows = [[SymPoly.one(), SymPoly.const(-7)], [lam - 1, SymPoly.const(-7)]]
     det = det_exact(rows)
     assert det == 7 * lam - 14
+
+
+def test_det_exact_equals_per_lambda_substitution():
+    # the reference route: substitute lam into every entry, then eliminate
+    for N in range(1, 10):
+        for ell in range(N % 2 or 2, N + 1, 2):
+            m = build_matrix("Hstar", N, ell)
+            if not m.rows:
+                continue
+            det = m.det()
+            for lam in (Fraction(0), Fraction(1), Fraction(2)):
+                value = {"lam": SymPoly.const(lam)}
+                rows = [[x.substitute(value).const_value() if isinstance(x, SymPoly) else x for x in row]
+                        for row in m.entries]
+                got = det.substitute(value).const_value() if isinstance(det, SymPoly) else det
+                assert got == det_bareiss(rows), (N, ell, lam)
 
 
 def test_golden_matrices_reproduced():
@@ -123,8 +158,10 @@ def test_singular_lambda_past_19_by_a_second_determinant_route():
     # into the entries and eliminating again must give a singular matrix
     from mtv.motivic import singular_lambda
 
-    for N in (21, 23, 25):
-        lam_s = singular_lambda(N)
+    stored = _golden("computed_singular_lambda.json")["values"]
+    assert sorted(map(int, stored)) == list(range(21, 52, 2))
+    for N_str, val in stored.items():
+        N, lam_s = int(N_str), Fraction(val)
         m = build_matrix("Hstar", N, 1)
 
         def det_at(lam):
@@ -134,3 +171,33 @@ def test_singular_lambda_past_19_by_a_second_determinant_route():
 
         assert det_at(lam_s) == 0, N
         assert det_at(Fraction(1, 2)) != 0 and det_at(Fraction(1)) != 0, N
+        assert singular_lambda(N) == lam_s, N
+
+
+def test_computed_singular_lambda_rises_below_3():
+    # a computed table, labelled as such; no limit is claimed
+    data = _golden("computed_singular_lambda.json")
+    assert "computed" in data["source"] and "not values stated in the paper" in data["source"]
+    paper = _golden("golden_singular_lambda.json")
+    seq = [Fraction(paper["19"])] + [Fraction(data["values"][str(N)]) for N in range(21, 52, 2)]
+    assert all(a < b for a, b in zip(seq, seq[1:]))
+    assert seq[-1] < 3
+
+
+def test_h_structure_notes_one_line_per_nonzero_block_above_the_diagonal():
+    m = build_matrix("H", 8, 4)
+    rep = det_mod2_structure(m)
+    assert rep.ok and not any("above the block diagonal" in n for n in rep.notes)
+    # the trailing-ones classes sit contiguously, in ascending order, in the sorted bases
+    sizes = [len(c) for c in trailing_ones_partition(m.rows, m.cols, m.N, m.ell)[0]]
+    assert len(sizes) == 4 and sizes[0] >= 2 and sizes[1] >= 1
+    entries = [row[:] for row in m.entries]
+    for i in range(2):  # two entries of block (0, 1)
+        entries[i][sizes[0]] = Fraction(1)
+    entries[0][-1] = Fraction(1)  # one entry of block (0, 3)
+    bad = det_mod2_structure(FiltMatrix(m.kind, m.N, m.ell, m.rows, m.cols, entries))
+    assert not bad.ok
+    assert [n for n in bad.notes if "above the block diagonal" in n] == [
+        "block (0, 1) above the block diagonal is nonzero",
+        "block (0, 3) above the block diagonal is nonzero",
+    ]

@@ -181,3 +181,56 @@ def test_matrix_entries_match_coefficient_tables():
     h = build_matrix("H", 8, 2)
     assert h.entry((1, 2, 2, 2, 1), (1,)) == 32 * coeff_d_121(0, 3)
     assert h.entry((1, 2, 2, 2, 1), (1, 2, 2, 2)) == F(-1, 2)
+
+
+def _deriv_D_by_slices(r, k):
+    """deriv_D as first written: slice sums and Fraction coefficients (the reference)."""
+    d = len(k)
+    out = {}
+
+    def put(key, c):
+        out[key] = out.get(key, 0) + c
+        if out[key] == 0:
+            del out[key]
+
+    for j in range(1, d + 1):
+        if sum(k[:j]) == r:
+            put((("t", k[:j]), k[j:]), Fraction(1))
+    for i in range(1, d):
+        for j in range(i + 1, d + 1):
+            wij = sum(k[i - 1:j])
+            if not (r < wij - 1):
+                continue
+            right = k[:i - 1] + (wij - r,) + k[j:]
+            w_in = sum(k[i:j])
+            if w_in <= r:
+                put((("zl", r - w_in, k[i:j]), right), Fraction(1))
+                if r == 1:
+                    put((LOG, right), Fraction(-1))
+            w_out = sum(k[i - 1:j - 1])
+            if w_out <= r:
+                put((("zl", r - w_out, tuple(reversed(k[i - 1:j - 1]))), right), Fraction(-1))
+                if r == 1:
+                    put((LOG, right), Fraction(1))
+    return out
+
+
+def test_deriv_D_matches_slice_sums_with_integer_coefficients():
+    for w in range(1, 9):
+        for k in compositions(w):
+            if any(x > 3 for x in k):
+                continue
+            for r in range(1, 8, 2):
+                got = deriv_D(r, k)
+                assert got == _deriv_D_by_slices(r, k), (r, k)
+                assert all(type(c) is int for c in got.values()), (r, k)
+
+
+def test_graded_partial_raises_irreducible_on_every_call(monkeypatch):
+    # a left factor with no closed form is refused each time, never cached as a value
+    from mtv import motivic
+
+    monkeypatch.setattr(motivic, "deriv_D", lambda r, k: {(("t", (1, 1, 1)), ()): 1})
+    for _ in range(2):
+        with pytest.raises(IrreducibleLeftFactor, match=r"t block \(1, 1, 1\)"):
+            graded_partial("H", 3, 1, (1, 2))

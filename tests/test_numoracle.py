@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mtv import numoracle
+from mtv.errors import InvariantError
 from mtv.indexcore import SignedIndex, compositions, signed_indices, to_int_word, zi
 from mtv.numoracle import (
     _LOWER,
@@ -390,7 +391,7 @@ def test_nested_sum_rejects_bad_input():
 def test_digamma_disagreement_raises(monkeypatch):
     env = NumEnv(prec=64)
     monkeypatch.setattr(mpmath, "digamma", lambda x: mpmath.mpf(0))
-    with pytest.raises(RuntimeError, match="digamma path MPFloat.*series path MPFloat"):
+    with pytest.raises(InvariantError, match="digamma path MPFloat.*series path MPFloat"):
         digamma_A(0.3, env)
 
 

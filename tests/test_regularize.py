@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mtv import regularize
+from mtv.errors import InvariantError
 from mtv.indexcore import SignedIndex, signed_indices, zi
 from mtv.regularize import (
     EMPTY,
@@ -362,12 +363,12 @@ def test_broken_multiplicities_raise(monkeypatch):
     monkeypatch.setattr(regularize, "_st_cache", {})
     monkeypatch.setattr(regularize, "_word_cache", {})
     monkeypatch.setattr(regularize, "_stuffle_parts", lambda u, v: ((u + v, 2),))
-    with pytest.raises(RuntimeError, match=r"\(2, 1\) occurs 2 times .* not 1"):
+    with pytest.raises(InvariantError, match=r"\(2, 1\) occurs 2 times .* not 1"):
         stuffle_reg(zi(2, 1), T)
     monkeypatch.setattr(regularize, "shuffle", lambda u, v: {u + v: Fraction(3)})
-    with pytest.raises(RuntimeError, match=r"\(1, 0, 1\) occurs 3 times .* not 1"):
+    with pytest.raises(InvariantError, match=r"\(1, 0, 1\) occurs 3 times .* not 1"):
         word_shuffle_reg((1, 0, 1), -W)
     # a run counter that misses the trailing ones leaves a prefix ending in 1
     monkeypatch.setattr(regularize, "trailing_run", lambda w, letter: 0)
-    with pytest.raises(RuntimeError, match="still ends in 1"):
+    with pytest.raises(InvariantError, match="still ends in 1"):
         st_via_sh0(zi(2, 1), T)
