@@ -1,7 +1,7 @@
 """Exact symbolic algebra for multiple t values and alternating multiple
 zeta values, with an independent multiprecision numerical oracle."""
 
-from .errors import InvariantError, UsageError
+from .errors import InvariantError
 from .indexcore import (
     SignedIndex,
     basis_sets,

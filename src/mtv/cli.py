@@ -22,7 +22,7 @@ import mpmath
 
 from . import verify as verify_mod
 from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, coeff_d_232, eval_t22, eval_t2212_star, eval_t2232
-from .errors import InvariantError, UsageError
+from .errors import InvariantError
 from .indexcore import (
     SignedIndex,
     basis_sets,
@@ -46,15 +46,7 @@ def _num_setting(args, name: str, default: int) -> int:
     if value is None:
         value = int(os.environ.get(f"MTV_{name.upper()}", default))
     if value < 1:
-        raise UsageError(f"{name} must be a positive integer, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """argparse type of --max-n: an integer >= 1 (argparse reports a non-integer)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise ValueError(f"{name} must be a positive integer, got {value}")
     return value
 
 
@@ -93,7 +85,7 @@ def cmd_eval(args) -> int:
         param = SymPoly.gen(m.group(2)) if m.group(2) else SymPoly.gen("V")
         ab = split_2a_x_2b(parts, 1)
         if ab is None:
-            raise UsageError(f"expected a {{2}}^a,1,{{2}}^b pattern, got {parts}")
+            raise ValueError(f"expected a {{2}}^a,1,{{2}}^b pattern, got {parts}")
         value = eval_t2212_star(*ab, param)
         print(json.dumps(value.to_json()) if args.format == "json" else value.text())
         return 0
@@ -156,7 +148,7 @@ def _parse_word(text: str) -> tuple:
     except ValueError:
         word = None
     if word is None or any(x not in (0, 1, -1) for x in word):
-        raise UsageError(f"a word is a string of 0s and 1s or comma-separated letters 0, 1, -1; got {text!r}")
+        raise ValueError(f"a word is a string of 0s and 1s or comma-separated letters 0, 1, -1; got {text!r}")
     return word
 
 
@@ -220,7 +212,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_det(args) -> int:
     if args.lam is not None and args.kind != "Hstar":
-        raise UsageError(f"--lam applies only to --kind Hstar, whose determinant is parametric; got --kind {args.kind}")
+        raise ValueError(f"--lam applies only to --kind Hstar, whose determinant is parametric; got --kind {args.kind}")
     m = build_matrix(args.kind, args.N, args.level)
     det = m.det()
     if args.lam is not None and isinstance(det, SymPoly):
@@ -291,7 +283,7 @@ def cmd_coeff(args) -> int:
         print(f"no coefficient family {args.family} {args.pattern}", file=sys.stderr)
         return 2
     if args.a < 0 or args.b < 0:
-        raise UsageError(f"--a and --b must be non-negative, got {args.a} and {args.b}")
+        raise ValueError(f"--a and --b must be non-negative, got {args.a} and {args.b}")
     print(fn(args.a, args.b))
     return 0
 
@@ -304,11 +296,21 @@ def _explicit_env(args):
     return None
 
 
+def _max_weight(args) -> int:
+    """--max-weight, default 6.  The invertibility sweep is fixed at
+    matrix weight <= 12, so the option is refused there, not ignored."""
+    if args.max_weight is None:
+        return 6
+    if args.suite == "invertibility":
+        raise ValueError("--max-weight does not apply to the invertibility suite, "
+                         "which checks every matrix of weight <= 12")
+    return args.max_weight
+
+
 def cmd_verify(args) -> int:
     if args.identity:
         return _verify_identity(args, _env_from_args(args))
-    results = verify_mod.run_suite(args.suite, max_weight=args.max_weight, env=_explicit_env(args),
-                                   max_n=args.max_n)
+    results = verify_mod.run_suite(args.suite, max_weight=_max_weight(args), env=_explicit_env(args))
     failures = verify_mod.print_results(results, fmt=args.format)
     return 0 if failures == 0 else 1
 
@@ -325,8 +327,7 @@ def cmd_report(args) -> int:
     if not args.suite:
         print("a suite name is required", file=sys.stderr)
         return 2
-    results = verify_mod.run_suite(args.suite, max_weight=args.max_weight, env=_explicit_env(args),
-                                   max_n=args.max_n)
+    results = verify_mod.run_suite(args.suite, max_weight=_max_weight(args), env=_explicit_env(args))
     print(json.dumps([r.to_json() for r in results], indent=1))
     return 1 if any(r.status == "FAIL" for r in results) else 0
 
@@ -419,15 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--identity", choices=("t2212", "t2232"), default=None)
     sp.add_argument("--a", type=int, default=0)
     sp.add_argument("--b", type=int, default=0)
-    sp.add_argument("--max-weight", type=int, default=6)
-    sp.add_argument("--max-n", type=_positive_int, default=12, help="largest matrix weight of the invertibility sweep")
+    sp.add_argument("--max-weight", type=int, default=None,
+                    help="largest index weight of the algebraic checks (default 6; refused by the invertibility suite)")
     common(sp, num=True)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("report", help="structured verification report (json)")
     sp.add_argument("--suite", default="")
-    sp.add_argument("--max-weight", type=int, default=6)
-    sp.add_argument("--max-n", type=_positive_int, default=12, help="largest matrix weight of the invertibility sweep")
+    sp.add_argument("--max-weight", type=int, default=None,
+                    help="largest index weight of the algebraic checks (default 6; refused by the invertibility suite)")
     common(sp, num=True)
     sp.set_defaults(fn=cmd_report)
 

@@ -1,15 +1,10 @@
-"""The package's two error types.
+"""The package's error type for broken invariants.
 
-``UsageError`` is bad input from outside the program (CLI exit 2);
 ``InvariantError`` is a broken invariant of the computation itself (CLI
-exit 3), raised with a message naming the values.  They subclass
-ValueError and RuntimeError, so a caller that catches those still
-catches them.
+exit 3), raised with a message naming the values.  It subclasses
+RuntimeError, so a caller that catches that still catches it.  Bad
+input from outside the program is a plain ValueError (CLI exit 2).
 """
-
-
-class UsageError(ValueError):
-    """Input the program refuses before any computation."""
 
 
 class InvariantError(RuntimeError):

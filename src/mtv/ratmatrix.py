@@ -58,6 +58,8 @@ def det_bareiss(rows) -> Fraction:
         tail = m[k][k + 1:]
         for row in m[k + 1:]:
             a = row[k]
+            # the level matrices are sparse: rows with a zero pivot-column
+            # entry are common, and rescaling them alone is measurably faster
             if a:
                 row[k + 1:] = [(pivot * x - a * y) // prev for x, y in zip(row[k + 1:], tail)]
             else:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from importlib import resources
 
 from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, eval_t12n, eval_t22, eval_t2212_star, eval_t2232
-from .errors import UsageError
 from .indexcore import SignedIndex, basis_sets, compositions, enumerate_hoffman, enumerate_saha, fibonacci, signed_indices
 from .motivic import (
     build_matrix,
@@ -184,7 +183,7 @@ def invertibility_checks(max_n=12, **_) -> list:
         for rx, ry in zip(hs.entries, h.entries)
         for x, y in zip(rx, ry)
     )
-    out.append(_check("parametric matrix at lam = 1/2 equals the plain matrix",
+    out.append(_check("parametric matrix at lam = 1/2 equals the plain matrix, weight 8, level 2",
                       "Hstar-at-half", same))
     return out
 
@@ -445,18 +444,15 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_weight: int = 6, env=None, max_n: int = 12) -> list:
-    """Run one suite, or every suite for "all".  max_weight bounds the
-    index weights of the algebraic checks, max_n the matrix weights of
-    the invertibility sweep."""
+def run_suite(name: str, max_weight: int = 6, env=None) -> list:
     if name == "all":
         out = []
         for fn in SUITES.values():
-            out.extend(fn(max_weight=max_weight, env=env, max_n=max_n))
+            out.extend(fn(max_weight=max_weight, env=env))
         return out
     if name not in SUITES:
-        raise UsageError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](max_weight=max_weight, env=env, max_n=max_n)
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    return SUITES[name](max_weight=max_weight, env=env)
 
 
 def print_results(results, fmt: str = "text") -> int:

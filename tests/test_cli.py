@@ -245,17 +245,21 @@ def test_other_runtime_errors_are_not_invariant_failures(capsys, monkeypatch):
         main(["singular-lambda", "--N", "5"])
 
 
-def test_invertibility_max_n(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "invertibility", "--max-n", "14")
+def test_invertibility_names_its_bounds(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "invertibility")
     assert code == 0 and "0 failures" in out
     lines = _verdicts(out)
     for ref in ("invertibility-S", "invertibility-H", "invertibility-Hstar"):
-        assert lines[ref].startswith("PASS") and lines[ref].endswith("weight <= 14"), lines[ref]
+        assert lines[ref].startswith("PASS") and lines[ref].endswith("weight <= 12"), lines[ref]
+    assert lines["Hstar-at-half"].startswith("PASS") and lines["Hstar-at-half"].endswith("weight 8, level 2")
+
+
+def test_invertibility_refuses_max_weight(capsys):
+    # the sweep is fixed at matrix weight <= 12; a --max-weight there is refused, not ignored
     for command in ("verify", "report"):
-        for bad in ("0", "-3", "x"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--suite", "invertibility", "--max-n", bad])
-            assert exc.value.code == 2 and "--max-n" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, command, "--suite", "invertibility", "--max-weight", "8")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --max-weight does not apply to the invertibility suite"), err
 
 
 def _verdicts(out: str) -> dict:
