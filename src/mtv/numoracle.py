@@ -11,8 +11,10 @@ series run in exact integer fixed point, 20 guard bits below the
 precision, where each step is a shift or an integer floor division.  The
 truncation is sized from a geometric tail bound and the rounding counted
 per term, so the accuracy follows the precision.  The convolution
-multiplies and sums those integers exactly.  Each half word's value and
-bound are memoised in ``env._sums``; only one word's series is live.
+multiplies and sums those integers exactly.  ``env._sums`` memoises each
+half prefix's value, bound and series, so a pass resumes from the series
+its words share and computes each prefix once; the terms are causal, so
+a memoised value is bit for bit a cold one.
 
 MPFloat arithmetic is exact and ignores mpmath's global precision.  Every
 rounding is a leaf value made here and charged to its own bound: the
@@ -90,10 +92,10 @@ def _coerce(x) -> MPFloat:
 
 
 class NumEnv:
-    """Precision, cached constants and memoised series values for the
-    oracle.  ``cutoff`` is accepted and ignored: the engine sizes its own
-    truncation from the precision, and the benchmark's workloads still
-    pass the cutoff of the float64 nested sums it replaced."""
+    """Precision, cached constants and memoised series, values and bounds
+    for the oracle.  ``cutoff`` is accepted and ignored: the engine sizes
+    its own truncation from the precision, and the benchmark's workloads
+    still pass the cutoff of the float64 nested sums it replaced."""
 
     def __init__(self, prec: int = 128, cutoff=None):
         if prec > 1000:  # error bounds are floats; 2^-(prec+15) must not underflow
@@ -155,10 +157,10 @@ _GUARD_BITS = 20  # fixed-point bits kept below the precision
 _RATIO_SHIFT = {1: 1, -1: 1, 2: 2}  # eta -> s with |1/(2 eta)| = 2^-s
 
 
-def _half_pass(word, env: NumEnv) -> None:
-    """Store (v, err) of I(0; word[:j]; 1/2) in env._sums for every
-    non-empty prefix, the value being v 2^-P, P = prec + _GUARD_BITS.
-    The first form must have no dx/x part.
+def _half_pass(word, env: NumEnv) -> list:
+    """[(v, err) of I(0; word[:j]; 1/2) for j = 0..len(word)], the value
+    being v 2^-P, P = prec + _GUARD_BITS.  The first form must have no
+    dx/x part.
 
     One power series, scaled to the point 1/2 (phi_n = f_n 2^-n), carries
     the word; each form acts on it as an operator:
@@ -168,6 +170,22 @@ def _half_pass(word, env: NumEnv) -> None:
 
     the second through a carry c(n) = y (c(n-1) + phi_(n-1)), psi_n = -c(n)/n.
     The value of a prefix is the sum of its series over n < n0.
+
+    Memo.  env._sums keeps, for every non-empty prefix, its (value, bound)
+    under ("half", prefix) and its series under ("series", prefix): the
+    terms phi_0 .. phi_(N-1) and the carry of each eta != 0 part at the
+    last term.  A word needs every prefix's series to n_max = _cut(prec,
+    L') terms, L' the word's number of forms with a part eta != 0, and
+    each prefix is computed once: a pass applies a form only where its
+    stored series is shorter than n_max, resuming from the stored terms
+    and carries, and sums and bounds a prefix only if its value is not
+    stored yet.  The operators are causal: psi_n depends only on phi_m,
+    m <= n, through the same shifts and floor divisions, and the carries
+    continue the same recurrence.  So every stored term is bit for bit
+    the term a cold pass computes, whatever length it was computed or
+    extended to and whatever words came before; and every prefix keeps
+    its own n0 = _cut(prec, steps) and rounding count, so its value and
+    bound are those of a cold pass.
 
     Truncation.  Expand a prefix's value as a sum over paths 0 = n_0 <=
     n_1 <= ... <= n_L, one step per form: a dx/x part keeps n and weighs at
@@ -192,28 +210,48 @@ def _half_pass(word, env: NumEnv) -> None:
     """
     P = env.prec + _GUARD_BITS
     n_max = _cut(env.prec, sum(any(eta for eta, _ in f) for f in word))
-    phi = [1 << P] + [0] * (n_max - 1)
+    src = [1 << P] + [0] * (n_max - 1)  # the empty word's series
+    halves = [(1 << P, 0.0)]
     steps = units = 0
     for j, form in enumerate(word, 1):
-        acc = [0] * n_max
-        for eta, s in form:
-            if eta == 0:
-                for n in range(1, n_max):
-                    acc[n] += s * phi[n]
-                continue
-            shift, c = _RATIO_SHIFT[eta], 0
-            for n in range(1, n_max):
-                c = (c + phi[n - 1]) >> shift
-                if eta < 0:
-                    c = -c
-                acc[n] -= s * c
-        h = len(form) - 1
-        phi = [0] + [acc[n] // (n << h) for n in range(1, n_max)]
+        prefix = word[:j]
+        series = env._sums.get(("series", prefix))
+        if series is None:
+            series = env._sums[("series", prefix)] = ([0], [0] * len(form))
+        phi, carries = series
+        if len(phi) < n_max:
+            _apply(form, src, phi, carries, n_max)
         advances = any(eta for eta, _ in form)
         steps += advances
         units += 3 if advances else 1
-        n0 = _cut(env.prec, steps)
-        env._sums[("half", word[:j])] = (sum(phi[:n0]), _tail_bound(n0, steps) + units * (n0 - 1) * 2.0 ** -P)
+        half = env._sums.get(("half", prefix))
+        if half is None:
+            n0 = _cut(env.prec, steps)
+            half = env._sums[("half", prefix)] = (sum(phi[:n0]), _tail_bound(n0, steps) + units * (n0 - 1) * 2.0 ** -P)
+        halves.append(half)
+        src = phi
+    return halves
+
+
+def _apply(form, src, phi, carries, n_max: int) -> None:
+    """Extend phi, the series after form, from its len(phi) terms to n_max
+    from src, the series before form (at least n_max terms long); carries
+    holds the carry of each part of form at phi's last term and is
+    advanced with it."""
+    start, h = len(phi), len(form) - 1
+    acc = [0] * (n_max - start)
+    for i, (eta, s) in enumerate(form):
+        if eta == 0:
+            acc = [a + s * x for a, x in zip(acc, src[start:n_max])]
+            continue
+        shift, c = _RATIO_SHIFT[eta], carries[i]
+        for k, x in enumerate(src[start - 1:n_max - 1]):
+            c = (c + x) >> shift
+            if eta < 0:
+                c = -c
+            acc[k] -= s * c
+        carries[i] = c
+    phi.extend([a // (n << h) for a, n in zip(acc, range(start, n_max))])
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,16 +281,6 @@ def _binom_float(n, k):
     return out
 
 
-def _at_half(word, env: NumEnv):
-    """(v, err) of I(0; word; 1/2), from the memo or one pass over the word."""
-    if not word:
-        return 1 << (env.prec + _GUARD_BITS), 0.0
-    key = ("half", word)
-    if key not in env._sums:
-        _half_pass(word, env)
-    return env._sums[key]
-
-
 def _split(w: tuple, env: NumEnv, what: str) -> MPFloat:
     """I(0; w; 1) through the split at 1/2, memoised per word.  The
     fixed-point halves v 2^-P are convolved in exact 2P-bit integers, so
@@ -268,9 +296,7 @@ def _split(w: tuple, env: NumEnv, what: str) -> MPFloat:
         raise ValueError(f"divergent {what}")
     unit = 2.0 ** -(env.prec + _GUARD_BITS)
     total, err = 0, 0.0
-    for j in range(len(w) + 1):
-        v1, e1 = _at_half(lower[:j], env)
-        v2, e2 = _at_half(upper[:len(w) - j], env)
+    for (v1, e1), (v2, e2) in zip(_half_pass(lower, env), reversed(_half_pass(upper, env))):
         total += v1 * v2
         err += abs(v1) * unit * e2 + abs(v2) * unit * e1 + e1 * e2
     hit = env._sums[key] = MPFloat(mpmath.ldexp(total, -2 * (env.prec + _GUARD_BITS)), err)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from mtv.numoracle import (
     _UPPER,
     MPFloat,
     NumEnv,
-    _at_half,
+    _half_pass,
     _tail_bound,
     altz_num,
     altz_num_holder,
@@ -202,6 +203,12 @@ def _t_word(k):
     return tuple(x for i, ki in enumerate(k) for x in ("b" if i else "a",) + (0,) * (ki - 1))
 
 
+def _halves_of(k):
+    """The lower and upper half words of the t index k."""
+    w = _t_word(k)
+    return tuple(_LOWER[x] for x in w), tuple(_UPPER[x] for x in reversed(w))
+
+
 def _t_indices(max_weight):
     return [k for w in range(2, max_weight + 1) for k in compositions(w) if k[-1] >= 2]
 
@@ -228,7 +235,7 @@ def test_fixed_point_path_split_matches_mpmath_reference(prec):
     checked = set(_holder_subwords(5))
     assert len(checked) == 376  # lower and upper half words stay apart: their forms differ in sign
     for w in _holder_subwords(6):
-        v, err = _at_half(w, env)
+        v, err = _half_pass(w, env)[-1]
         assert err <= 2.0 ** -(prec + 5), w
         if w in checked:
             sign, etas = _alternating_value(w)
@@ -244,13 +251,12 @@ def test_t_half_words_match_mpmath_reference(prec):
     assert len(batch) == 80
     words = {}
     for k in set(batch) | set(_t_indices(8)):
-        w = _t_word(k)
-        for full in (tuple(_LOWER[x] for x in w), tuple(_UPPER[x] for x in reversed(w))):
+        for full in _halves_of(k):
             words[full] = None
     for full in words:
         refs, ref_err = _ref_forms_at_half(full, prec + 24)
         for j, ref in enumerate(refs, 1):
-            v, err = _at_half(full[:j], env)
+            v, err = _half_pass(full[:j], env)[-1]
             assert err <= 2.0 ** -(prec + 4), full[:j]
             assert abs(mpmath.ldexp(v, -prec - numoracle._GUARD_BITS) - ref) <= err + ref_err, full[:j]
 
@@ -300,7 +306,7 @@ def test_fixed_point_rounding_count(monkeypatch):
     monkeypatch.setattr(numoracle, "_GUARD_BITS", 0)
     env = NumEnv(prec=12)
     for w in _holder_subwords(5):
-        v, err = _at_half(w, env)
+        v, err = _half_pass(w, env)[-1]
         sign, etas = _alternating_value(w)
         ref, ref_err = _ref_at_half(etas, 12 + 64)
         assert err >= 3 * 2.0 ** -12
@@ -312,16 +318,27 @@ def test_fixed_point_rounding_count_for_t_letters(monkeypatch):
     monkeypatch.setattr(numoracle, "_GUARD_BITS", 0)
     env = NumEnv(prec=12)
     for k in _t_indices(6):
-        w = _t_word(k)
-        for full in (tuple(_LOWER[x] for x in w), tuple(_UPPER[x] for x in reversed(w))):
+        for full in _halves_of(k):
             refs, ref_err = _ref_forms_at_half(full, 12 + 64)
             for j, ref in enumerate(refs, 1):
-                v, err = _at_half(full[:j], env)
+                v, err = _half_pass(full[:j], env)[-1]
                 assert err >= 3 * 2.0 ** -12
                 assert abs(mpmath.ldexp(v, -12) - ref) <= err + ref_err, full[:j]
 
 
 def test_holder_memo_warm_equals_cold():
+    # One env per precision serves every t index of weight <= 8 and every
+    # convergent signed index of weight <= 5 in a shuffled order, so each
+    # word resumes or extends series that other words left at other
+    # lengths; every value and bound is bit for bit that of a cold call.
+    items = [(t_num, k) for k in _t_indices(8)]
+    items += [(altz_num_holder, s) for s in signed_indices(5) if s.is_convergent()]
+    for prec in (12, 53, 64, 128):
+        random.Random(prec).shuffle(items)
+        warm = NumEnv(prec=prec)
+        for f, x in items:
+            a, b = f(x, warm), f(x, NumEnv(prec=prec))
+            assert (a.val, a.err) == (b.val, b.err), (prec, x)
     warm = NumEnv(prec=80)
     for s in [zi(1, 2), zi(2, -1), zi(1, 1, 2), zi(-1, -2)]:
         altz_num_holder(s, warm)
@@ -331,6 +348,81 @@ def test_holder_memo_warm_equals_cold():
     b = altz_num_holder(target, NumEnv(prec=80))
     assert a.val == b.val and a.err == b.err
     assert len([k for k in warm._sums if k[0] == "half"]) - halves < 2 * (len(to_int_word(target)) + 1)
+
+
+def test_each_prefix_is_computed_once(monkeypatch):
+    # t(2,2,1,2,2) after t(2,2,1,2) applies each form of a new prefix once
+    # over its whole series, and a form of a shared prefix only over the
+    # terms the longer word's cut adds; a word evaluated again applies none.
+    applied = []
+    apply = numoracle._apply
+
+    def counted(form, src, phi, carries, n_max):
+        applied.append((id(phi), len(phi), n_max))
+        apply(form, src, phi, carries, n_max)
+
+    monkeypatch.setattr(numoracle, "_apply", counted)
+    env = NumEnv(prec=64)
+
+    def lengths():
+        return {k[1]: (id(v[0]), len(v[0])) for k, v in env._sums.items() if k[0] == "series"}
+
+    t_num((2, 2, 1, 2), env)
+    before = lengths()
+    applied.clear()
+    v = t_num((2, 2, 1, 2, 2), env)
+    after = lengths()
+    lower, upper = _halves_of((2, 2, 1, 2, 2))
+    new = after.keys() - before.keys()
+    assert new == {lower[:j] for j in (8, 9)} | {upper[:j] for j in range(3, 10)}
+    want = {after[p][0]: (1, after[p][1]) for p in new}
+    want.update({after[p][0]: (before[p][1], after[p][1]) for p in before if after[p] != before[p]})
+    assert len(applied) == len(want)
+    assert {i: (start, stop) for i, start, stop in applied} == want
+    for half in (lower, upper):
+        assert after[half][1] == numoracle._cut(64, sum(any(eta for eta, _ in f) for f in half))
+
+    applied.clear()
+    del env._sums[("split", _t_word((2, 2, 1, 2, 2)))]
+    again = t_num((2, 2, 1, 2, 2), env)
+    assert applied == [] and lengths() == after
+    assert (again.val, again.err) == (v.val, v.err)
+
+
+def test_engine_memo_keeps_one_series_per_prefix():
+    # The memo keeps one (value, bound) and one series per half prefix: 22
+    # of each for the 11 letters of t(2,2,2,2,1,2).  Each series has the
+    # n_max = _cut(prec, L') terms of its half word; the traced peak stays
+    # within those 22 series of integers of P bits, each with its list
+    # slot.  Evaluating the word again allocates no series.
+    prec = 128
+    index = (2, 2, 2, 2, 1, 2)
+    env = NumEnv(prec=prec)
+    tracemalloc.start()
+    try:
+        value = t_num(index, env)
+        peak = tracemalloc.get_traced_memory()[1]
+        del env._sums[("split", _t_word(index))]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        again = t_num(index, env)
+        grown = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert 0 < value.err < 2.0 ** -130 and (again.val, again.err) == (value.val, value.err)
+    halves = {k: v for k, v in env._sums.items() if k[0] == "half"}
+    assert len(halves) == 2 * 11
+    assert all(isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], int) for v in halves.values())
+    series = {k[1]: v for k, v in env._sums.items() if k[0] == "series"}
+    assert len(series) == 2 * 11
+    per_term = sys.getsizeof(1 << (prec + numoracle._GUARD_BITS)) + 8
+    bound = 0
+    for half in _halves_of(index):
+        n_max = numoracle._cut(prec, sum(any(eta for eta, _ in f) for f in half))
+        assert [len(series[half[:j]][0]) for j in range(1, 12)] == [n_max] * 11
+        bound += 11 * n_max * per_term
+    assert peak <= bound, (peak, bound)
+    assert grown < min(len(phi) for phi, _ in series.values()) * per_term, grown
 
 
 def test_eval_num():
@@ -604,20 +696,3 @@ def test_t_identities_within_the_bound(prec):
             v = t_num(k, env)
             assert abs(v.val - true) <= v.err + 2.0 ** -(prec + 30), k
             assert v.err <= 2.0 ** -(prec + 4), k
-
-
-def test_engine_memory_holds_one_series():
-    # one word's series is live at a time, and the memo keeps one (value,
-    # bound) per half word: 22 for the 11 letters of t(2,2,2,2,1,2)
-    env = NumEnv(prec=128)
-    tracemalloc.start()
-    try:
-        v = t_num((2, 2, 2, 2, 1, 2), env)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 16, peak
-    assert 0 < v.err < 2.0 ** -130
-    halves = {k: v for k, v in env._sums.items() if k[0] == "half"}
-    assert len(halves) == 2 * 11
-    assert all(isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], int) for v in halves.values())
