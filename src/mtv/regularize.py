@@ -4,9 +4,12 @@ Two presentations coexist.  The stuffle presentation writes a divergent
 object as a polynomial in the parameter assigned to the weight-one
 divergent sum, with coefficients that are linear combinations of
 convergent signed indices produced by the quasi-shuffle recursion.  The
-shuffle presentation does the same through the integral-word recursion,
-stripping trailing +1 letters first and leading 0 letters second, with
-both length-one divergent words assigned the value -W.
+shuffle presentation does the same on integral words, with both
+length-one divergent words (0,) and (+1,) assigned the value -W, through
+the closed form of ``word_shuffle_reg``: integer shuffle multiplicities
+give the regularization at value 0, and the Taylor expansion along the
+two derivations that delete a first 0 and a last +1 gives any other
+value.
 
 Identities relating objects within one presentation (parameter shifts,
 the distribution relations, multiplicativity) are exact here: both
@@ -33,7 +36,7 @@ from .closedform import zbar_reduce
 from .errors import InvariantError
 from .indexcore import IntWord, SignedIndex, from_int_word, to_int_word, trailing_run
 from .symring import LOG2, SymPoly, lc_iadd, lc_put, lc_scale, lc_sub, zeta_sym
-from .wordalg import _stuffle_parts, shuffle, shuffle_lincomb, t_to_zeta
+from .wordalg import _shuffle_words, _stuffle_parts, t_to_zeta
 
 EMPTY = SignedIndex((), 0)
 
@@ -83,6 +86,38 @@ def stuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
 # shuffle regularization on integral words
 # ---------------------------------------------------------------------------
 
+_reg0_cache: dict = {}
+
+
+def _reg0(w: IntWord) -> dict:
+    """reg_0(w) as {word: nonzero int} by the two closed-form steps of
+    ``word_shuffle_reg``; memoised per word."""
+    hit = _reg0_cache.get(w)
+    if hit is not None:
+        return hit
+    n = trailing_run(w, 1)
+    out: dict = {}
+    if n:
+        # u a 1^n -> (-1)^n (u sh 1^n) a, then each word through the second step
+        if n < len(w):
+            cut = len(w) - n - 1
+            sign = -1 if n % 2 else 1
+            for x, m in _shuffle_words(w[:cut], w[cut + 1:]):
+                for y, k in _reg0(x + w[cut:cut + 1]).items():
+                    out[y] = out.get(y, 0) + sign * m * k
+            out = {y: c for y, c in out.items() if c}
+    else:
+        # 0^m a v -> (-1)^m a (0^m sh v)
+        m = trailing_run(w[::-1], 0)
+        if not m:
+            out = {w: 1}
+        elif m < len(w):
+            sign = -1 if m % 2 else 1
+            out = {(w[m],) + y: sign * k for y, k in _shuffle_words(w[:m], w[m + 1:])}
+    _reg0_cache[w] = out
+    return out
+
+
 _word_cache: dict = {}
 
 
@@ -91,8 +126,30 @@ def word_shuffle_reg(w: IntWord, wval: SymPoly) -> dict:
 
     ``wval`` is the value assigned to both length-one divergent words
     (0,) and (+1,); the conventional parameterization sets wval = -W.
-    Trailing +1 letters are stripped before leading 0 letters; the
-    result does not depend on that order (checked in the test suite).
+    The result is reg_wval(w), where reg_wval is the unique shuffle
+    homomorphism that fixes every convergent word (first letter not 0,
+    last letter not +1) and sends (0,) and (+1,) to wval.  It is computed
+    in closed form from integer shuffle multiplicities:
+
+    * at value 0, u a 1^n -> (-1)^n (u sh 1^n) a for a letter a != +1,
+      and then 0^m a v -> (-1)^m a (0^m sh v) for a != 0 on each word;
+    * at any value, for w = 0^m u 1^n with u neither starting with 0 nor
+      ending in +1,
+
+          reg_wval(w) = sum_{i<=m, j<=n} reg_0(0^(m-i) u 1^(n-j)) wval^(i+j) / (i! j!).
+
+    The two value-0 steps are the standard one-sided regularizations
+    (Ihara-Kaneko-Zagier; Reutenauer, Free Lie Algebras): the first is the
+    shuffle homomorphism that kills (+1,) and leaves no trailing +1, the
+    second the one that kills (0,), and it keeps that property, so their
+    composite kills both letters, fixes convergent words and is reg_0.
+    Proof of the Taylor form: deleting a first 0 (D_0) and deleting a last
+    +1 (D_1) are commuting shuffle derivations, so
+    reg_0 o exp(wval D_0) o exp(wval D_1) is a shuffle homomorphism that
+    fixes convergent words (both derivations kill them) and sends (0,)
+    and (+1,) to wval; by uniqueness it is reg_wval, and D_0^i D_1^j w is
+    w with i leading 0s and j trailing +1s deleted.  The test suite
+    checks the result against the letter-by-letter recursion.
     """
     w = tuple(w)
     wval = SymPoly.coerce(wval)
@@ -100,43 +157,29 @@ def word_shuffle_reg(w: IntWord, wval: SymPoly) -> dict:
     hit = _word_cache.get(key)
     if hit is not None:
         return hit
-    if not w:
-        out = {(): SymPoly.one()}
-    elif w[-1] == 1 or w[0] == 0:
-        # peel one letter off the divergent run: w = u 1 or w = 0 u
-        if w[-1] == 1:
-            letter, run, u = 1, trailing_run(w, 1), w[:-1]
-        else:
-            letter, run, u = 0, trailing_run(w[::-1], 0), w[1:]
-        out = lc_scale(word_shuffle_reg(u, wval), wval)
-        for v, m in shuffle(u, (letter,)).items():
-            if v == w:
-                if m != run:
-                    raise InvariantError(f"{w} occurs {m} times in its own shuffle with ({letter},), not {run}")
-                continue
-            lc_iadd(out, lc_scale(word_shuffle_reg(v, wval), SymPoly.const(-m)))
-        out = lc_scale(out, Fraction(1, run))
+    if wval:
+        m = trailing_run(w[::-1], 0)
+        n = trailing_run(w[m:], 1)
     else:
-        out = {w: SymPoly.one()}
+        m = n = 0
+    coeffs: dict = {}  # word -> {power of wval: Fraction}
+    for i in range(m + 1):
+        for j in range(n + 1):
+            scale = Fraction(1, math.factorial(i) * math.factorial(j))
+            for v, c in _reg0(w[i:len(w) - j]).items():
+                by_power = coeffs.setdefault(v, {})
+                by_power[i + j] = by_power.get(i + j, 0) + c * scale
+    powers = [SymPoly.one()]
+    for _ in range(m + n):
+        powers.append(powers[-1] * wval)
+    out: dict = {}
+    for v, by_power in coeffs.items():
+        if v and (v[0] == 0 or v[-1] == 1):
+            raise InvariantError(f"shuffle regularization of {w} produced the divergent word {v}")
+        c = SymPoly.combination((q, powers[p]) for p, q in by_power.items())
+        if c:
+            out[v] = c
     _word_cache[key] = out
-    return out
-
-
-def zeta_lc_to_words(lc: dict) -> dict:
-    """Signed-index combination -> word combination, with the (-1)^d factors."""
-    out: dict = {}
-    for s, c in lc.items():
-        sign = (-1) ** s.depth
-        lc_put(out, to_int_word(s), sign * SymPoly.coerce(c))
-    return out
-
-
-def words_to_zeta_lc(lc: dict) -> dict:
-    out: dict = {}
-    for w, c in lc.items():
-        s = from_int_word(w)
-        sign = (-1) ** s.depth
-        lc_put(out, s, sign * SymPoly.coerce(c))
     return out
 
 
@@ -150,20 +193,12 @@ def shuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
     word = to_int_word(s)
     if not word:
         return {EMPTY: SymPoly.one()}
-    expansion = word_shuffle_reg(word, -param)
-    sign_s = (-1) ** s.depth
     out: dict = {}
-    for w, c in expansion.items():
+    # zeta(s) = (-1)^depth I(word); from_int_word is a bijection, so no key repeats
+    for w, c in word_shuffle_reg(word, -param).items():
         idx = from_int_word(w)
-        lc_put(out, idx, Fraction(sign_s * (-1) ** idx.depth) * c)
+        out[idx] = -c if (s.depth + idx.depth) % 2 else c
     return out
-
-
-def zeta_lc_word_mul(a: dict, b: dict) -> dict:
-    """Product of two convergent signed-index combinations, expanded with
-    the word shuffle (both factors converted to integral words first)."""
-    wa, wb = zeta_lc_to_words(a), zeta_lc_to_words(b)
-    return words_to_zeta_lc(shuffle_lincomb(wa, wb))
 
 
 def unshuffle_zeros(s: SignedIndex) -> dict:
@@ -394,10 +429,13 @@ def distribution_residual(k: tuple, alpha: int, ell: int, param=None) -> dict:
         2^(|k|+l-d) sum_{eps,delta} zl_l(eps,delta; k,1^a)
             = sum_{i=0}^{a} zl_l(k, 1^(a-i)) (-log 2)^i / i!
 
-    after full expansion: products on the right are expanded in the
-    word shuffle algebra, then depth-one constants are rewritten and
-    the convergent two-fold distribution relation applied.  For ell > 0
-    the parameter must be 0; for ell = 0 it may stay symbolic.
+    after full expansion: both sides are assembled in the word basis,
+    where zeta(s) = (-1)^depth I(word(s)) and zeta(bar 1)^i / i! =
+    (-1)^i I((-1)^i), so every term carries the same sign (-1)^(d+a) and
+    the products on the right are word shuffles.  The sum is converted to
+    signed indices once, then depth-one constants are rewritten and the
+    convergent two-fold distribution relation applied.  For ell > 0 the
+    parameter must be 0; for ell = 0 it may stay symbolic.
     """
     k = tuple(k)
     if not k or k[-1] == 1:
@@ -407,6 +445,7 @@ def distribution_residual(k: tuple, alpha: int, ell: int, param=None) -> dict:
             raise ValueError(f"with leading zeros (l = {ell}) the parameter must be 0, got {param}")
         param = SymPoly.zero()
     param = SymPoly.gen("W") if param is None else SymPoly.coerce(param)
+    wval = -param
 
     d = len(k)
     w = sum(k)
@@ -414,15 +453,18 @@ def distribution_residual(k: tuple, alpha: int, ell: int, param=None) -> dict:
     for eps in itertools.product((1, -1), repeat=d):
         for delta in itertools.product((1, -1), repeat=alpha):
             parts = tuple(e * x for e, x in zip(eps, k)) + delta
-            lc_iadd(lhs, shuffle_reg(SignedIndex(parts, ell), param))
-    lhs = lc_scale(lhs, Fraction(2 ** (w + ell - d)))
+            lc_iadd(lhs, word_shuffle_reg(to_int_word(SignedIndex(parts, ell)), wval))
+    lhs = lc_scale(lhs, Fraction(2) ** (w + ell - d))
 
-    neg_log2 = {SignedIndex((-1,), 0): SymPoly.one()}  # zeta(bar 1) = -log 2
     rhs: dict = {}
-    power: dict = {EMPTY: SymPoly.one()}
     for i in range(alpha + 1):
-        term = zeta_lc_word_mul(shuffle_reg(SignedIndex(k + (1,) * (alpha - i), ell), param), power)
-        lc_iadd(rhs, lc_scale(term, Fraction(1, math.factorial(i))))
-        power = zeta_lc_word_mul(power, neg_log2)
+        bars = (-1,) * i
+        for v, c in word_shuffle_reg(to_int_word(SignedIndex(k + (1,) * (alpha - i), ell)), wval).items():
+            for x, m in _shuffle_words(v, bars):
+                lc_put(rhs, x, c * m)
 
-    return canonicalize(lc_sub(lhs, rhs))
+    diff: dict = {}
+    for v, c in lc_sub(lhs, rhs).items():
+        s = from_int_word(v)
+        diff[s] = -c if (d + alpha + s.depth) % 2 else c
+    return canonicalize(diff)

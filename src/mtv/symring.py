@@ -24,13 +24,14 @@ a nonzero ``Fraction``.  Only the public constructor ``SymPoly(terms)``,
 or Fraction coefficients and bring them into this form.  Every other
 result comes from the trusted constructor ``_canonical``, which stores a
 dict that is already canonical without checking it: the ring operations,
-``const``/``coerce``, ``deriv`` and ``coeff_of_power``.  Each keeps the
-invariant by construction.  Monomial products come sorted from ``_mono_mul``; a
-scalar (an int, a Fraction or a constant polynomial) multiplies the
-coefficients directly; sums are accumulated first and their zeros
-dropped once, so the surviving terms keep the order the validating
-constructor gives.  ``==`` on ``terms`` is equality of polynomials only
-because every instance holds this invariant.
+``const``/``coerce``, ``combination``, ``deriv`` and ``coeff_of_power``.
+Each keeps the invariant by construction.  Monomial products come sorted
+from ``_mono_mul``; a scalar (an int, a Fraction or a constant
+polynomial) multiplies the coefficients directly; sums are accumulated
+first and their zeros dropped once, so the surviving terms keep the
+order the validating constructor gives.  ``==`` on ``terms`` is
+equality of polynomials only because every instance holds this
+invariant.
 """
 
 from __future__ import annotations
@@ -180,7 +181,21 @@ class SymPoly:
     def _scale(self, q) -> "SymPoly":
         if not q:
             return _canonical({})
+        if q == 1:
+            return self
+        if q == -1:
+            return -self
         return _canonical({m: c * q for m, c in self.terms.items()})
+
+    @staticmethod
+    def combination(pairs) -> "SymPoly":
+        """sum q * p over (int or Fraction q, SymPoly p) pairs, accumulated
+        into one polynomial with its zeros dropped once."""
+        terms: dict = {}
+        for q, p in pairs:
+            for m, c in p.terms.items():
+                terms[m] = terms.get(m, 0) + q * c
+        return _canonical({m: c for m, c in terms.items() if c})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -425,7 +440,8 @@ def coeff_is_zero(c) -> bool:
 
 def lc_put(out: dict, key, coeff) -> None:
     """Add coeff to out[key] in place, removing the key if the sum is zero."""
-    s = out.get(key, 0) + coeff
+    old = out.get(key)
+    s = coeff if old is None else old + coeff
     if coeff_is_zero(s):
         out.pop(key, None)
     else:
@@ -448,7 +464,15 @@ def lc_sub(a: dict, b: dict) -> dict:
 
 
 def lc_scale(a: dict, c) -> dict:
-    if coeff_is_zero(c):
+    if isinstance(c, SymPoly):
+        if not c.terms:
+            return {}
+        if len(c.terms) == 1 and c.terms.get(()) == 1:
+            # v * 1 without the products; a SymPoly 1 still makes every value a SymPoly
+            return {k: SymPoly.coerce(v) for k, v in a.items()}
+    elif c == 1:
+        return dict(a)
+    elif c == 0:
         return {}
     return {k: v * c for k, v in a.items()}
 

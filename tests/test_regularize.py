@@ -6,9 +6,10 @@ import pytest
 
 from mtv import regularize
 from mtv.errors import InvariantError
-from mtv.indexcore import SignedIndex, signed_indices, zi
+from mtv.indexcore import SignedIndex, from_int_word, signed_indices, to_int_word, zi
 from mtv.regularize import (
     EMPTY,
+    canonicalize,
     distribution_residual,
     rho_apply,
     sh_from_st,
@@ -21,12 +22,11 @@ from mtv.regularize import (
     t_stuffle_reg,
     unshuffle_zeros,
     word_shuffle_reg,
-    zeta_lc_word_mul,
     zeta_ones,
 )
 from mtv.symring import LOG2, PARAMS, PI2, SymPoly, lc_add, lc_is_zero, lc_scale, lc_sub
 from mtv.verify import _certified_check, _layer_values
-from mtv.wordalg import shuffle, stuffle, stuffle_lincomb
+from mtv.wordalg import shuffle, shuffle_lincomb, stuffle, stuffle_lincomb
 
 T = SymPoly.gen("T")
 U = SymPoly.gen("U")
@@ -108,10 +108,15 @@ def test_shuffle_reg_ones_only():
 
 
 def test_word_strip_order_independent():
-    # doubly divergent words: result must not depend on which side is
-    # stripped first; re-derive the leading-zero-first variant inline
+    # the closed form must equal the letter-by-letter recursion; this one
+    # strips leading zeros before trailing ones, the reverse of the order
+    # the closed form's value-0 steps use
+    cache: dict = {}
+
     def reg_zero_first(w, wval):
         w = tuple(w)
+        if (w, wval) in cache:
+            return cache[w, wval]
         if not w:
             return {(): SymPoly.one()}
         if w[0] == 0:
@@ -121,20 +126,24 @@ def test_word_strip_order_independent():
             for v, m in shuffle(u, (0,)).items():
                 if v != w:
                     out = lc_add(out, lc_scale(reg_zero_first(v, wval), -m))
-            return lc_scale(out, Fraction(1, beta))
-        if w[-1] == 1:
+            out = lc_scale(out, Fraction(1, beta))
+        elif w[-1] == 1:
             alpha = len(w) - len(tuple(itertools.dropwhile(lambda x: x == 1, reversed(w))))
             u = w[:-1]
             out = lc_scale(reg_zero_first(u, wval), wval)
             for v, m in shuffle(u, (1,)).items():
                 if v != w:
                     out = lc_add(out, lc_scale(reg_zero_first(v, wval), -m))
-            return lc_scale(out, Fraction(1, alpha))
-        return {w: SymPoly.one()}
+            out = lc_scale(out, Fraction(1, alpha))
+        else:
+            out = {w: SymPoly.one()}
+        cache[w, wval] = out
+        return out
 
-    wval = -W
-    for w in [(0, 1, 0, 1, 1), (0, 0, 1, 1), (0, -1, 1), (0, 1, -1, 1)]:
-        assert lc_is_zero(lc_sub(word_shuffle_reg(w, wval), reg_zero_first(w, wval)))
+    for wval in (ZERO, -W, -T, 2 * W - LOG2):
+        for length in range(7):
+            for w in itertools.product((0, 1, -1), repeat=length):
+                assert lc_is_zero(lc_sub(word_shuffle_reg(w, wval), reg_zero_first(w, wval))), (w, wval)
 
 
 def test_unshuffle_zeros_examples():
@@ -288,13 +297,50 @@ def test_distribution_check_reports_its_bound():
 
 
 def test_word_product_on_zeta_side():
-    # zeta(2) * zeta(bar 1) expands in the word shuffle to three terms
-    prod = zeta_lc_word_mul({zi(2): SymPoly.one()}, {zi(-1): SymPoly.one()})
-    assert prod == {
-        zi(-1, 2): SymPoly.one(),
-        zi(-1, -2): SymPoly.one(),
-        zi(-2, -1): SymPoly.one(),
-    }
+    # zeta(2) * zeta(bar 1) expands in the word shuffle to three terms;
+    # zeta(s) = (-1)^depth I(word(s)) on both factors and on every product word
+    prod: dict = {}
+    for w, m in shuffle(to_int_word(zi(2)), to_int_word(zi(-1))).items():
+        s = from_int_word(w)
+        prod[s] = (-1) ** (1 + 1 + s.depth) * m
+    assert prod == {zi(-1, 2): 1, zi(-1, -2): 1, zi(-2, -1): 1}
+
+
+def test_distribution_residual_matches_signed_index_assembly():
+    # the word-basis assembly equals both sides built from signed-index
+    # shuffle_reg values, multiplied through the word shuffle term by term
+    def to_words(lc):
+        return {to_int_word(s): (-1) ** s.depth * SymPoly.coerce(c) for s, c in lc.items()}
+
+    def from_words(lc):
+        out: dict = {}
+        for w, c in lc.items():
+            s = from_int_word(w)
+            out = lc_add(out, {s: (-1) ** s.depth * c})
+        return out
+
+    def word_mul(a, b):
+        return from_words(shuffle_lincomb(to_words(a), to_words(b)))
+
+    for k in [(2,), (3,), (4,), (1, 2), (2, 2), (1, 3), (1, 1, 2)]:
+        d, w = len(k), sum(k)
+        for alpha in range(3):
+            for ell in range(2):
+                param = ZERO if ell else W
+                lhs: dict = {}
+                for eps in itertools.product((1, -1), repeat=d):
+                    for delta in itertools.product((1, -1), repeat=alpha):
+                        parts = tuple(e * x for e, x in zip(eps, k)) + delta
+                        lhs = lc_add(lhs, shuffle_reg(SignedIndex(parts, ell), param))
+                lhs = lc_scale(lhs, Fraction(2 ** (w + ell - d)))
+                rhs: dict = {}
+                power: dict = {EMPTY: SymPoly.one()}
+                for i in range(alpha + 1):
+                    term = word_mul(shuffle_reg(SignedIndex(k + (1,) * (alpha - i), ell), param), power)
+                    rhs = lc_add(rhs, lc_scale(term, Fraction(1, math.factorial(i))))
+                    power = word_mul(power, {zi(-1): SymPoly.one()})
+                expect = canonicalize(lc_sub(lhs, rhs))
+                assert distribution_residual(k, alpha, ell) == expect, (k, alpha, ell)
 
 
 def test_regularized_keys_convergent_in_one_parameter():
@@ -362,12 +408,15 @@ def test_broken_multiplicities_raise(monkeypatch):
     # a product that miscounts the input's own multiplicity breaks the peeling recursion
     monkeypatch.setattr(regularize, "_st_cache", {})
     monkeypatch.setattr(regularize, "_word_cache", {})
+    monkeypatch.setattr(regularize, "_reg0_cache", {})
     monkeypatch.setattr(regularize, "_stuffle_parts", lambda u, v: ((u + v, 2),))
     with pytest.raises(InvariantError, match=r"\(2, 1\) occurs 2 times .* not 1"):
         stuffle_reg(zi(2, 1), T)
-    monkeypatch.setattr(regularize, "shuffle", lambda u, v: {u + v: Fraction(3)})
-    with pytest.raises(InvariantError, match=r"\(1, 0, 1\) occurs 3 times .* not 1"):
-        word_shuffle_reg((1, 0, 1), -W)
+    # a shuffle that appends a +1 makes the closed form emit a divergent word:
+    # 0 1 -1 -> 1 (0 sh -1) would become 1 0 -1 1
+    monkeypatch.setattr(regularize, "_shuffle_words", lambda u, v: ((u + v + (1,), 1),))
+    with pytest.raises(InvariantError, match=r"divergent word \(1, 0, -1, 1\)"):
+        word_shuffle_reg((0, 1, -1), -W)
     # a run counter that misses the trailing ones leaves a prefix ending in 1
     monkeypatch.setattr(regularize, "trailing_run", lambda w, letter: 0)
     with pytest.raises(InvariantError, match="still ends in 1"):

@@ -139,9 +139,10 @@ def _validated_product(a, b):
 @given(sympolys(), sympolys(), SCALARS, st.sampled_from(GENS), st.integers(0, 3))
 def test_trusted_results_are_canonical(a, b, q, g, k):
     results = [a + b, a - b, -a, a * b, a * q, q * a, a + q, q - a, a.deriv(g), a.coeff_of_power(g, k),
-               SymPoly.const(q), SymPoly.coerce(q)]
+               SymPoly.const(q), SymPoly.coerce(q), SymPoly.combination([(q, a), (1, b), (-1, b)])]
     for r in results:
         _assert_canonical(r)
+    assert results[-1] == a * q
     # the same terms, in the same order, as the validating constructor gives
     for fast, slow in ((a + b, _validated_sum(a, b)), (a * b, _validated_product(a, b)),
                        (a * q, _validated_product(a, SymPoly({(): q})))):
