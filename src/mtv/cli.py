@@ -40,16 +40,6 @@ from .symring import SymPoly
 from .wordalg import stuffle, shuffle as shuffle_product
 
 
-def _num_setting(args, name: str, default: int) -> int:
-    """--name if given, else $MTV_NAME, else the default; must be >= 1."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = int(os.environ.get(f"MTV_{name.upper()}", default))
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-    return value
-
-
 def _rational(text: str) -> Fraction:
     """argparse type of --lam, so a bad value exits 2 before any matrix is built."""
     try:
@@ -59,7 +49,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _env_from_args(args) -> NumEnv:
-    return NumEnv(prec=_num_setting(args, "prec", 128))
+    return NumEnv(prec=128 if args.prec is None else args.prec)
 
 
 def _print_lincomb(lc: dict, fmt: str):
@@ -291,26 +281,13 @@ def cmd_coeff(args) -> int:
 def _explicit_env(args):
     """Build an environment only when the user pinned the precision;
     otherwise the suites pick their own tuned defaults."""
-    if args.prec is not None or os.environ.get("MTV_PREC"):
-        return _env_from_args(args)
-    return None
-
-
-def _max_weight(args) -> int:
-    """--max-weight, default 6.  The invertibility sweep is fixed at
-    matrix weight <= 12, so the option is refused there, not ignored."""
-    if args.max_weight is None:
-        return 6
-    if args.suite == "invertibility":
-        raise ValueError("--max-weight does not apply to the invertibility suite, "
-                         "which checks every matrix of weight <= 12")
-    return args.max_weight
+    return None if args.prec is None else _env_from_args(args)
 
 
 def cmd_verify(args) -> int:
     if args.identity:
         return _verify_identity(args, _env_from_args(args))
-    results = verify_mod.run_suite(args.suite, max_weight=_max_weight(args), env=_explicit_env(args))
+    results = verify_mod.run_suite(args.suite, env=_explicit_env(args))
     failures = verify_mod.print_results(results, fmt=args.format)
     return 0 if failures == 0 else 1
 
@@ -327,7 +304,7 @@ def cmd_report(args) -> int:
     if not args.suite:
         print("a suite name is required", file=sys.stderr)
         return 2
-    results = verify_mod.run_suite(args.suite, max_weight=_max_weight(args), env=_explicit_env(args))
+    results = verify_mod.run_suite(args.suite, env=_explicit_env(args))
     print(json.dumps([r.to_json() for r in results], indent=1))
     return 1 if any(r.status == "FAIL" for r in results) else 0
 
@@ -420,28 +397,32 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--identity", choices=("t2212", "t2232"), default=None)
     sp.add_argument("--a", type=int, default=0)
     sp.add_argument("--b", type=int, default=0)
-    sp.add_argument("--max-weight", type=int, default=None,
-                    help="largest index weight of the algebraic checks (default 6; refused by the invertibility suite)")
     common(sp, num=True)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("report", help="structured verification report (json)")
     sp.add_argument("--suite", default="")
-    sp.add_argument("--max-weight", type=int, default=None,
-                    help="largest index weight of the algebraic checks (default 6; refused by the invertibility suite)")
     common(sp, num=True)
     sp.set_defaults(fn=cmd_report)
 
     return p
 
 
+# refused when set, because nothing reads them: a user's setting is never silently ignored
+UNSUPPORTED_ENV = {
+    "MTV_CUTOFF": "the accuracy follows the precision (--prec)",
+    "MTV_PREC": "set the precision with --prec",
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "prec") and "MTV_CUTOFF" in os.environ:
-        print("error: MTV_CUTOFF is not supported: the accuracy follows the precision (--prec or MTV_PREC)",
-              file=sys.stderr)
-        return 2
+    if hasattr(args, "prec"):
+        for name, reason in UNSUPPORTED_ENV.items():
+            if name in os.environ:
+                print(f"error: {name} is not supported: {reason}", file=sys.stderr)
+                return 2
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -125,10 +125,6 @@ def from_int_word(w: IntWord) -> SignedIndex:
     return SignedIndex(tuple(parts), lz)
 
 
-def word_is_convergent(w: IntWord) -> bool:
-    return bool(w) and w[0] != 0 and w[-1] != 1
-
-
 # ---------------------------------------------------------------------------
 # one-two and one-two-three words
 # ---------------------------------------------------------------------------

@@ -223,21 +223,19 @@ def _graded_factor(tag):
     return 0 if gen is None else red * pitilde(gen)
 
 
-def graded_partial(kind: str, N: int, ell: int, w: tuple, star: bool | None = None):
+def graded_partial(kind: str, N: int, ell: int, w: tuple):
     """Row of the graded derivation matrix for the basis word w.
 
     Returns {B'-word: coefficient}; coefficients are Fractions, or
     SymPolys affine in lam for kind 'Hstar'.
     """
-    if star is None:
-        star = kind == "Hstar"
     word_kind = "S" if kind == "S" else "H"
     w = tuple(w)
     if not (_valid_word(w, word_kind) and sum(w) == N and word_level(w, word_kind) == ell):
         raise ValueError(f"{w} is not a kind-{word_kind} word of weight {N} and level {ell}")
     out: dict = {}
     for r in range(1, N + 1, 2):
-        terms = deriv_D_star(r, w) if star else deriv_D(r, w)
+        terms = deriv_D_star(r, w) if kind == "Hstar" else deriv_D(r, w)
         for (tag, right), coeff in terms.items():
             if right == ():
                 if ell != 1:
@@ -476,14 +474,8 @@ def _d1_atom(atom):
         return [(None, Fraction(1))]
     if kind == "z":
         return []
-    if kind == "t":
-        idx = atom[1]
-        out = []
-        if idx and idx[0] == 1:
-            out.append((("t", idx[1:]) if len(idx) > 1 else None, Fraction(1)))
-        if idx and idx[-1] == 1:
-            out.append((("t", idx[:-1]) if len(idx) > 1 else None, Fraction(-1, 2)))
-        return out
+    if kind == "t":  # the plain normalization halves every coefficient of deriv_D1_fast
+        return [(("t", right) if right else None, c / 2) for (_, right), c in deriv_D1_fast(atom[1]).items()]
     if kind == "zalt":
         parts = atom[1]
         if all(x > 0 for x in parts[:-1]) and parts[-1] <= -2:

@@ -98,8 +98,8 @@ class NumEnv:
     still pass the cutoff of the float64 nested sums it replaced."""
 
     def __init__(self, prec: int = 128, cutoff=None):
-        if prec > 1000:  # error bounds are floats; 2^-(prec+15) must not underflow
-            raise ValueError(f"prec must be at most 1000 bits, got {prec}")
+        if not 1 <= prec <= 1000:  # bounds are floats: 2^-(prec+15) must not underflow
+            raise ValueError(f"prec must be from 1 to 1000 bits, got {prec}")
         self.prec = prec
         self._consts: dict = {}
         self._sums: dict = {}

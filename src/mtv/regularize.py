@@ -438,8 +438,8 @@ def distribution_residual(k: tuple, alpha: int, ell: int, param=None) -> dict:
     parameter must be 0; for ell = 0 it may stay symbolic.
     """
     k = tuple(k)
-    if not k or k[-1] == 1:
-        raise ValueError(f"the prefix must be nonempty and end above 1, got {k}")
+    if not k or k[-1] == 1 or min(k) < 1:
+        raise ValueError(f"the prefix must be nonempty, positive and end above 1, got {k}")
     if ell > 0:
         if param is not None and not SymPoly.coerce(param).is_zero:
             raise ValueError(f"with leading zeros (l = {ell}) the parameter must be 0, got {param}")

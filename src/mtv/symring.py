@@ -19,9 +19,9 @@ Fractions and raises TypeError for a float or any other number.
 Canonical form.  ``terms`` maps monomials to coefficients.  A monomial
 is a tuple of (generator, exponent) pairs sorted by ``_gen_key``, with
 every generator known and every exponent positive; every coefficient is
-a nonzero ``Fraction``.  Only the public constructor ``SymPoly(terms)``,
-``gen`` and ``parse`` validate: they accept arbitrary monomials with int
-or Fraction coefficients and bring them into this form.  Every other
+a nonzero ``Fraction``.  Only the public constructor ``SymPoly(terms)``
+and ``gen`` validate: they accept arbitrary monomials with int or
+Fraction coefficients and bring them into this form.  Every other
 result comes from the trusted constructor ``_canonical``, which stores a
 dict that is already canonical without checking it: the ring operations,
 ``const``/``coerce``, ``combination``, ``deriv`` and ``coeff_of_power``.
@@ -345,39 +345,6 @@ class SymPoly:
 
     def __repr__(self):
         return f"SymPoly({self.text()})"
-
-    @staticmethod
-    def parse(s: str) -> "SymPoly":
-        """Inverse of text(); accepts any +/- separated monomial list."""
-        s = s.strip()
-        if s in ("", "0"):
-            return SymPoly.zero()
-        s = s.replace(" - ", " + -").replace("- ", "-")
-        out = SymPoly.zero()
-        for chunk in s.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            sign = 1
-            while chunk.startswith("-"):
-                sign = -sign
-                chunk = chunk[1:].strip()
-            coeff = Fraction(sign)
-            mono = {}
-            for factor in chunk.split("*"):
-                factor = factor.strip()
-                if not factor:
-                    continue
-                if re.fullmatch(r"-?\d+(/\d+)?", factor):
-                    coeff *= Fraction(factor)
-                    continue
-                if "^" in factor:
-                    g, e = factor.split("^")
-                    mono[g] = mono.get(g, 0) + int(e)
-                else:
-                    mono[factor] = mono.get(factor, 0) + 1
-            out = out + SymPoly({tuple(mono.items()): coeff})
-        return out
 
     def to_json(self) -> dict:
         out = {}

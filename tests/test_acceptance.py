@@ -52,7 +52,7 @@ def test_criterion_2_golden_matrices():
 
 
 def test_criterion_3_invertibility_sweep():
-    _report(invertibility_checks(max_n=12))
+    _report(invertibility_checks())
 
 
 def test_criterion_4_closed_forms_vs_oracle(sum_env):
@@ -68,7 +68,7 @@ def test_criterion_6_regularization_coherence(env):
 
 
 def test_criterion_7_counting():
-    _report(counting_checks(max_weight=20))
+    _report(counting_checks())
 
 
 def test_criterion_8_and_9_derivations(env):

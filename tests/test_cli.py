@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtv.cli import _parse_word, main
+from mtv.verify import coherence_checks
 from mtv.wordalg import shuffle as shuffle_product
 
 
@@ -131,19 +132,15 @@ def test_num(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:  # the accuracy follows the precision; there is no cutoff
         main(["num", "t(2)", "--cutoff", "1000"])
     assert exc.value.code == 2 and "--cutoff" in capsys.readouterr().err
-    with monkeypatch.context() as m:
-        m.setenv("MTV_PREC", "0")
-        code, out, err = run_cli(capsys, "num", "t(2)")
-        assert code == 2 and "prec" in err
-        code, out, err = run_cli(capsys, "verify", "--suite", "counting")
-        assert code == 2 and "prec" in err
-    with monkeypatch.context() as m:
-        m.setenv("MTV_CUTOFF", "1000")
-        for argv in (["num", "t(2)"], ["verify", "--suite", "counting"], ["report", "--suite", "counting"]):
-            code, out, err = run_cli(capsys, *argv)
-            assert code == 2 and out == "" and err.count("\n") == 1 and "MTV_CUTOFF" in err, argv
-        code, out, _ = run_cli(capsys, "singular-lambda", "--N", "5")  # no numerics, nothing to refuse
-        assert code == 0
+    for name in ("MTV_CUTOFF", "MTV_PREC"):  # the precision is set by --prec alone
+        with monkeypatch.context() as m:
+            m.setenv(name, "64")
+            for argv in (["num", "t(2)"], ["verify", "--suite", "counting"], ["report", "--suite", "counting"]):
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 2 and out == "" and err.count("\n") == 1, argv
+                assert err.startswith(f"error: {name} is not supported"), err
+            code, out, _ = run_cli(capsys, "singular-lambda", "--N", "5")  # no numerics, nothing to refuse
+            assert code == 0
 
 
 def test_num_prints_certified_digits(capsys):
@@ -254,12 +251,18 @@ def test_invertibility_names_its_bounds(capsys):
     assert lines["Hstar-at-half"].startswith("PASS") and lines["Hstar-at-half"].endswith("weight 8, level 2")
 
 
-def test_invertibility_refuses_max_weight(capsys):
-    # the sweep is fixed at matrix weight <= 12; a --max-weight there is refused, not ignored
+def test_settings_a_suite_would_ignore_are_refused(capsys):
+    # every suite's bounds are fixed, so there is no --max-weight
+    for command, suite in (("verify", "coherence"), ("report", "counting")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--suite", suite, "--max-weight", "6"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "unrecognized arguments: --max-weight 6" in err, err
+    # the exact suites take no precision; "all" and the numeric suites do
     for command in ("verify", "report"):
-        code, out, err = run_cli(capsys, command, "--suite", "invertibility", "--max-weight", "8")
-        assert code == 2 and out == ""
-        assert err.startswith("error: --max-weight does not apply to the invertibility suite"), err
+        for suite in ("counting", "golden", "invertibility"):
+            code, out, err = run_cli(capsys, command, "--suite", suite, "--prec", "53")
+            assert code == 2 and out == "" and err == f"error: the {suite} suite is exact and takes no precision\n"
 
 
 def _verdicts(out: str) -> dict:
@@ -278,13 +281,11 @@ def test_coherence_at_low_precision_fails_with_bounds(capsys):
     assert lines["stuffle-compat"].startswith("PASS")
 
 
-def test_coherence_with_nothing_to_settle_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "coherence", "--max-weight", "0")
-    assert code == 0
-    lines = _verdicts(out)
-    for ref in ("st-vs-sh", "st-via-sh0"):
-        assert lines[ref].startswith("PASS") and lines[ref].endswith("[residual 0.000e+00, bound 0.000e+00]")
-    assert lines["distribution"].startswith("PASS") and ", bound " in lines["distribution"]
+def test_coherence_with_nothing_to_settle_passes():
+    results = {r.ref: r for r in coherence_checks(max_weight=0)}
+    assert all(r.status == "PASS" for r in results.values())
+    for ref in ("st-vs-sh", "st-via-sh0", "t-star-vs-sh", "distribution"):
+        assert results[ref].residual == results[ref].bound == 0.0
 
 
 @pytest.mark.parametrize("prec, verdict", [("53", "PASS"), ("8", "FAIL"), ("64", "PASS")])

@@ -74,6 +74,16 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.stdout.split() == ["False", "True"], out
 
 
+def test_no_keyword_catch_alls_in_the_package():
+    # a **kwargs parameter would accept a misspelt or stale setting and ignore it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and node.args.kwarg:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_only_numoracle_sets_the_working_precision():
     # MPFloat arithmetic is exact, so callers of the oracle need no precision context
     found = []

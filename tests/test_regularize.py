@@ -404,6 +404,14 @@ def test_input_preconditions_raise():
     assert lc_is_zero(distribution_residual((2,), 0, 1, param=ZERO))
 
 
+def test_distribution_residual_refuses_non_positive_entries():
+    # the relation is stated for positive entries; a signed prefix would
+    # scale the left side by a fractional power of 2
+    for k in ((-2,), (1, -2)):
+        with pytest.raises(ValueError, match="positive"):
+            distribution_residual(k, 1, 0)
+
+
 def test_broken_multiplicities_raise(monkeypatch):
     # a product that miscounts the input's own multiplicity breaks the peeling recursion
     monkeypatch.setattr(regularize, "_st_cache", {})

@@ -97,16 +97,9 @@ def test_weight_additive_on_homogeneous(a, b):
         assert prod.weight() == wa + wb
 
 
-@settings(max_examples=400, deadline=None)
-@given(sympolys())
-def test_text_roundtrip(p):
-    assert SymPoly.parse(p.text()) == p
-
-
 def test_text_form():
     p = SymPoly.gen("z3", 1, Fraction(-7, 16)) + PI2 * LOG2 * Fraction(1, 8)
     assert p.text() == "-7/16*z3 + 1/8*pi2*log2"
-    assert SymPoly.parse("-7/16*z3 + 1/8*pi2*log2") == p
 
 
 def _assert_canonical(r):
@@ -167,8 +160,6 @@ def test_validation_stays_in_public_constructors():
         SymPoly.gen("zeta3")
     with pytest.raises(ValueError, match="negative exponent"):
         SymPoly.gen("V", -2)
-    with pytest.raises(ValueError, match="unknown generator"):
-        SymPoly.parse("2*V + y^2")
 
 
 def test_floats_never_enter_the_ring():
