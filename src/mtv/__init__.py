@@ -12,7 +12,7 @@ from .indexcore import (
     zi,
 )
 from .symring import SymPoly, even_zeta, zeta_sym
-from .wordalg import shuffle, stuffle, stuffle_compat_check, t_to_zeta, t_tilde_to_zeta
+from .wordalg import shuffle, stuffle, stuffle_compat_check, t_to_zeta
 from .regularize import (
     rho_apply,
     sh_from_st,
@@ -21,7 +21,6 @@ from .regularize import (
     st_via_sh0,
     stuffle_reg,
     t_st_from_sh,
-    unshuffle_zeros,
     zeta_ones,
 )
 from .closedform import (
@@ -37,7 +36,6 @@ from .closedform import (
 from .motivic import (
     FiltMatrix,
     build_matrix,
-    check_level,
     d1_project,
     deriv_D,
     deriv_D1_fast,

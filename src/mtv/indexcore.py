@@ -293,7 +293,9 @@ def format_word(w) -> str:
 def parse_argument(text: str):
     """Parse the CLI grammar; returns an Index, SignedIndex or word tuple."""
     text = text.strip()
-    if text.isdigit():
+    if re.fullmatch(r"[0-9]+", text):  # str.isdigit would also take "²" and other non-ASCII digits
+        if "0" in text:
+            raise ValueError(f"index digits must be positive: {text!r}")
         return tuple(int(c) for c in text)
     m = re.fullmatch(r"t\(([^)]*)\)", text)
     if m:

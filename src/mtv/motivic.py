@@ -227,7 +227,10 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple):
     """Row of the graded derivation matrix for the basis word w.
 
     Returns {B'-word: coefficient}; coefficients are Fractions, or
-    SymPolys affine in lam for kind 'Hstar'.
+    SymPolys affine in lam for kind 'Hstar'.  D_r sends a level-l word
+    to right factors of level < l (the lemma that makes the matrices
+    filtered); a right factor of level >= l raises InvariantError, and
+    only those of level l - 1 enter the row.
     """
     word_kind = "S" if kind == "S" else "H"
     w = tuple(w)
@@ -237,14 +240,13 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple):
     for r in range(1, N + 1, 2):
         terms = deriv_D_star(r, w) if kind == "Hstar" else deriv_D(r, w)
         for (tag, right), coeff in terms.items():
-            if right == ():
-                if ell != 1:
-                    continue
-            else:
-                if not _valid_word(right, word_kind):
-                    raise InvariantError(f"D_{r} of {w} has the invalid right factor {right}")
-                if word_level(right, word_kind) != ell - 1:
-                    continue
+            if not _valid_word(right, word_kind):
+                raise InvariantError(f"D_{r} of {w} has the invalid right factor {right}")
+            level = word_level(right, word_kind)
+            if level >= ell:
+                raise InvariantError(f"D_{r} of the level-{ell} word {w} has the right factor {right} of level {level}")
+            if level < ell - 1:
+                continue
             factor = _graded_factor(tag)
             if factor:
                 lc_put(out, right, coeff * factor)
@@ -417,7 +419,7 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
 
 
 # ---------------------------------------------------------------------------
-# singular parameters and level checks
+# singular parameters
 # ---------------------------------------------------------------------------
 
 def singular_lambda(N: int) -> Fraction:
@@ -432,21 +434,6 @@ def singular_lambda(N: int) -> Fraction:
     a = det.coeff_of_power("lam", 0).const_value()
     b = det.coeff_of_power("lam", 1).const_value()
     return -a / b
-
-
-def check_level(w: tuple, r: int, kind: str) -> bool:
-    """Every surviving term of D_r on a basis word of the given kind
-    ("S" one-two-three, "H" one-two) has a valid right factor of
-    strictly smaller level."""
-    lv = word_level(w, kind)
-    for (tag, right), coeff in deriv_D(r, tuple(w)).items():
-        if coeff == 0:
-            continue
-        if right == ():
-            continue
-        if not _valid_word(right, kind) or word_level(right, kind) > lv - 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,6 @@ class MPFloat:
     def abs(self):
         return -self if self.val < 0 else MPFloat(self.val, self.err)
 
-    def to_float(self) -> float:
-        return float(self.val)
-
     def agrees_with(self, other, slack: float = 0.0) -> bool:
         diff = self - other
         return abs(float(diff.val)) <= diff.err + slack
@@ -113,14 +110,10 @@ class NumEnv:
         hit = self._consts.get(name)
         if hit is None:
             with self.work():
-                if name == "pi":
-                    hit = +mpmath.pi
-                elif name == "pi2":
+                if name == "pi2":
                     hit = mpmath.pi ** 2
                 elif name == "log2":
                     hit = mpmath.log(2)
-                elif name == "euler":
-                    hit = +mpmath.euler
                 elif name.startswith("z"):
                     hit = mpmath.zeta(int(name[1:]))
                 else:

@@ -201,39 +201,6 @@ def shuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
     return out
 
 
-def unshuffle_zeros(s: SignedIndex) -> dict:
-    """Binomial expansion removing the leading zeros at parameter 0.
-
-    Returns {SignedIndex with lead_zeros 0: Fraction}; entries keep
-    their signs and grow by the distributed zero counts.  Terms may
-    still carry trailing 1s and then require further regularization.
-    """
-    ell, parts = s.lead_zeros, s.parts
-    if ell == 0:
-        return {s: SymPoly.one()}
-    d = len(parts)
-    out: dict = {}
-    for comp in _compositions(ell, d):
-        coeff = Fraction((-1) ** ell)
-        new_parts = []
-        for k, i in zip(parts, comp):
-            coeff *= math.comb(abs(k) + i - 1, i)
-            new_parts.append((1 if k > 0 else -1) * (abs(k) + i))
-        key = SignedIndex(tuple(new_parts), 0)
-        lc_put(out, key, SymPoly.const(coeff))
-    return out
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 # ---------------------------------------------------------------------------
 # parameter shifts and the rho map
 # ---------------------------------------------------------------------------

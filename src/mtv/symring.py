@@ -446,7 +446,3 @@ def lc_scale(a: dict, c) -> dict:
 
 def lc_is_zero(a: dict) -> bool:
     return all(coeff_is_zero(v) for v in a.values())
-
-
-def lc_eq(a: dict, b: dict) -> bool:
-    return lc_is_zero(lc_sub(a, b))

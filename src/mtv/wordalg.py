@@ -109,11 +109,6 @@ def t_to_zeta(k: tuple) -> dict:
     return out
 
 
-def t_tilde_to_zeta(k: tuple) -> dict:
-    """Rescaled version: coefficient 2^(|k|-d) instead of 2^-d."""
-    return lc_scale(t_to_zeta(k), Fraction(2 ** sum(k)))
-
-
 def stuffle_compat_check(r: tuple, s: tuple) -> bool:
     """t(r *_t s) expands to the same signed combination as t(r) *_z t(s)."""
     lhs: dict = {}

@@ -209,6 +209,12 @@ def test_parse_and_format():
     assert format_word((2, 1)) == "21"
     with pytest.raises(ValueError):
         parse_argument("t(0,2)")
+    for text in ("20", "0", "102"):  # a digit string is an index, and entries are positive
+        with pytest.raises(ValueError, match="digits must be positive"):
+            parse_argument(text)
+    for text in ("\u0663", "\u00b2"):  # ARABIC-INDIC DIGIT THREE and SUPERSCRIPT TWO are not index digits
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_argument(text)
     for text in ("z(0,2)", "z(0)", "z_1()"):
         with pytest.raises(ValueError, match="."):
             parse_argument(text)

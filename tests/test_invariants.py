@@ -4,6 +4,7 @@ InvariantError (a RuntimeError) naming the values."""
 
 import ast
 import os
+from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from mtv.ratmatrix import det_bareiss, det_exact, parity
 from mtv.symring import SymPoly
 
 SRC = Path(motivic.__file__).resolve().parent
+BENCH = SRC.parents[1] / "bench"
 
 
 def test_no_assert_statements_in_the_package():
@@ -82,6 +84,43 @@ def test_no_keyword_catch_alls_in_the_package():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and node.args.kwarg:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _names_used(tree) -> Counter:
+    """How often each name occurs as a variable, an attribute or an import."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+# public names kept with no caller in the package or the benchmark:
+# zi is the validating constructor of a SignedIndex for users and tests;
+# shuffle_lincomb is the reference of a distribution-assembly test
+UNCALLED_ALLOWED = {"indexcore.zi", "wordalg.shuffle_lincomb"}
+
+
+def test_every_public_name_has_a_caller():
+    # a top-level def or class is used if code other than its own body and
+    # the package's re-exports names it, in src/mtv or in bench/*.py
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in [*SRC.glob("*.py"), *BENCH.glob("*.py")] if path.name != "__init__.py"}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    uncalled = set()
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                    and used[node.name] == _names_used(node)[node.name]):
+                uncalled.add(f"{path.stem}.{node.name}")
+    assert len(trees) >= 15
+    assert uncalled == UNCALLED_ALLOWED
 
 
 def test_only_numoracle_sets_the_working_precision():

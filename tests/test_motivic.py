@@ -1,12 +1,16 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from mtv.indexcore import compositions, enumerate_hoffman, enumerate_saha
+from mtv import motivic
+from mtv.cli import main
+from mtv.errors import InvariantError
+from mtv.indexcore import compositions
 from mtv.motivic import (
     IrreducibleLeftFactor,
     LOG,
-    check_level,
+    build_matrix,
     d1_project,
     deriv_D,
     deriv_D1_fast,
@@ -95,17 +99,24 @@ def test_graded_rows_weight8_level2():
     assert row == {(2, 3): Fraction(-6), (3,): Fraction(75)}
 
 
-def test_level_checks_sweep():
-    for N in range(2, 10):
-        for w in enumerate_saha(N):
-            for r in range(1, N + 1, 2):
-                assert check_level(w, r, "S")
-    for N in range(1, 10):
-        for w in enumerate_hoffman(N):
-            for r in range(1, N + 1, 2):
-                assert check_level(w, r, "H")
-    # D_1 t(1,3) has the right factor (3): valid for "S", not a one-two word
-    assert check_level((1, 3), 1, "S") and not check_level((1, 3), 1, "H")
+@pytest.mark.parametrize("kind", ["S", "H", "Hstar"])
+@pytest.mark.parametrize("right, level", [((1, 1, 2), 2), ((1, 1, 1, 2), 3)])
+def test_right_factor_of_no_lower_level_raises(monkeypatch, capsys, kind, right, level):
+    # the level-lowering lemma is checked in every build: a right factor of
+    # level >= 2 in D_1 of a level-2 word is an error, not a term to drop
+    real = motivic.deriv_D
+
+    def deriv_with_extra_term(r, k):
+        return {**real(r, k), (("t", (1,)), right): 1}
+
+    monkeypatch.setattr(motivic, "deriv_D", deriv_with_extra_term)
+    message = (r"D_1 of the level-2 word \(1, 1, 2, 2, 2\) has the right factor "
+               rf"{re.escape(str(right))} of level {level}")
+    with pytest.raises(InvariantError, match=message):
+        build_matrix(kind, 8, 2)
+    assert main(["matrix", "--kind", kind, "--N", "8", "--level", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and re.fullmatch(f"error: {message}\n", out.err), out.err
 
 
 def test_leibniz_on_primitive_products():

@@ -20,7 +20,6 @@ from mtv.regularize import (
     t_shuffle_reg0,
     t_st_from_sh,
     t_stuffle_reg,
-    unshuffle_zeros,
     word_shuffle_reg,
     zeta_ones,
 )
@@ -144,27 +143,6 @@ def test_word_strip_order_independent():
         for length in range(7):
             for w in itertools.product((0, 1, -1), repeat=length):
                 assert lc_is_zero(lc_sub(word_shuffle_reg(w, wval), reg_zero_first(w, wval))), (w, wval)
-
-
-def test_unshuffle_zeros_examples():
-    for k in (2, 3, 4):
-        out = unshuffle_zeros(SignedIndex((k,), 1))
-        assert out == {zi(k + 1): SymPoly.const(-k)}
-    out = unshuffle_zeros(SignedIndex((2,), 2))
-    assert out == {zi(4): SymPoly.const(3)}
-    # agreement with the lie-coefficient family: zeta_1({2}^a) at the
-    # linear level equals 2(-1)^a zeta(2a+1); check through shuffle
-    # regularization at parameter 0 elsewhere (closedform tests)
-    assert unshuffle_zeros(zi(3)) == {zi(3): SymPoly.one()}
-
-
-def test_unshuffle_matches_shuffle_reg_at_zero():
-    for parts, lz in [((2,), 1), ((2, 1, 1), 1), ((3,), 2), ((1, 2), 1), ((-2, 1), 1)]:
-        s = SignedIndex(parts, lz)
-        via_formula: dict = {}
-        for key, c in unshuffle_zeros(s).items():
-            via_formula = lc_add(via_formula, lc_scale(shuffle_reg(key, ZERO), c))
-        assert lc_is_zero(lc_sub(shuffle_reg(s, ZERO), via_formula))
 
 
 def test_shift_param_exact_and_roundtrip():

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtv.indexcore import compositions, zi
-from mtv.symring import lc_eq, lc_scale, lc_sub, lc_is_zero
+from mtv.symring import lc_sub, lc_is_zero
 from mtv.wordalg import (
     shuffle,
     shuffle_lincomb,
     stuffle,
     stuffle_compat_check,
     stuffle_lincomb,
-    t_tilde_to_zeta,
     t_to_zeta,
 )
 
@@ -64,8 +63,6 @@ def test_t_to_zeta():
     assert out[zi(3, -2)] == Fraction(-1, 4)
     assert out[zi(-3, -2)] == Fraction(1, 4)
     assert t_to_zeta(()) == {zi(): Fraction(1)}
-    # rescaled version carries 2^|k|
-    assert lc_eq(t_tilde_to_zeta((3, 2)), lc_scale(t_to_zeta((3, 2)), Fraction(32)))
 
 
 def test_stuffle_compat_exhaustive_weight7():
