@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: eval, reg, stuffle, shuffle, dr, matrix, det,
-singular-lambda, enumerate, num, verify, report.  Results go to stdout,
+singular-lambda, enumerate, num, coeff, verify, identity.  Results go to stdout,
 diagnostics to stderr; exit code 0 on success or verification pass, 1
 on verification failure, 2 on usage errors, 3 when an internal
 invariant of the computation breaks.
@@ -36,7 +36,7 @@ from .indexcore import (
 from .motivic import IrreducibleLeftFactor, build_matrix, det_mod2_structure, deriv_D, reduce_deriv, singular_lambda
 from .numoracle import NumEnv, altz_num, t_num
 from .regularize import shuffle_reg, stuffle_reg
-from .symring import SymPoly
+from .symring import PARAMS, SymPoly
 from .wordalg import stuffle, shuffle as shuffle_product
 
 
@@ -71,8 +71,11 @@ def cmd_eval(args) -> int:
     text = args.expr.strip()
     m = re.fullmatch(r"t\*\(([^;)]*)(?:;\s*(\w+))?\)", text)
     if m:
-        parts = tuple(int(x) for x in m.group(1).split(","))
-        param = SymPoly.gen(m.group(2)) if m.group(2) else SymPoly.gen("V")
+        parts = parse_argument(f"t({m.group(1)})")
+        name = m.group(2) or "V"
+        if name not in PARAMS:
+            raise ValueError(f"a regularisation parameter is one of {', '.join(PARAMS)}; got {name!r}")
+        param = SymPoly.gen(name)
         ab = split_2a_x_2b(parts, 1)
         if ab is None:
             raise ValueError(f"expected a {{2}}^a,1,{{2}}^b pattern, got {parts}")
@@ -106,10 +109,7 @@ def _closed_form_t(idx):
 def cmd_reg(args) -> int:
     idx = parse_argument(args.index)
     param = SymPoly.zero() if args.param == "0" else SymPoly.gen(args.param)
-    if isinstance(idx, SignedIndex):
-        s = idx
-    else:
-        s = SignedIndex(tuple(idx), 0)
+    s = idx if isinstance(idx, SignedIndex) else SignedIndex(tuple(idx), 0)
     if args.scheme == "stuffle":
         if s.lead_zeros:
             print("stuffle regularization needs no leading zeros", file=sys.stderr)
@@ -203,6 +203,8 @@ def cmd_matrix(args) -> int:
 def cmd_det(args) -> int:
     if args.lam is not None and args.kind != "Hstar":
         raise ValueError(f"--lam applies only to --kind Hstar, whose determinant is parametric; got --kind {args.kind}")
+    if args.structure and args.kind not in ("S", "H"):
+        raise ValueError(f"structure report is defined for kinds S and H, got --kind {args.kind}")
     m = build_matrix(args.kind, args.N, args.level)
     det = m.det()
     if args.lam is not None and isinstance(det, SymPoly):
@@ -223,6 +225,8 @@ def cmd_singular_lambda(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.bprime and args.level is None:
+        raise ValueError("--bprime lists the lower-level basis of one level; give --level")
     if args.level is not None:
         B, Bp = basis_sets(args.kind, args.N, args.level)
         words = Bp if args.bprime else B
@@ -272,68 +276,58 @@ def cmd_coeff(args) -> int:
     if fn is None:
         print(f"no coefficient family {args.family} {args.pattern}", file=sys.stderr)
         return 2
-    if args.a < 0 or args.b < 0:
-        raise ValueError(f"--a and --b must be non-negative, got {args.a} and {args.b}")
-    print(fn(args.a, args.b))
+    if args.b is not None and "b" not in args.pattern:
+        raise ValueError(f"the pattern {args.pattern} has no b, so --b is refused")
+    b = args.b or 0
+    if args.a < 0 or b < 0:
+        raise ValueError(f"--a and --b must be non-negative, got {args.a} and {b}")
+    print(fn(args.a, b))
     return 0
 
 
-def _explicit_env(args):
-    """Build an environment only when the user pinned the precision;
-    otherwise the suites pick their own tuned defaults."""
-    return None if args.prec is None else _env_from_args(args)
-
-
 def cmd_verify(args) -> int:
-    if args.identity:
-        return _verify_identity(args, _env_from_args(args))
-    results = verify_mod.run_suite(args.suite, env=_explicit_env(args))
+    # without --prec each numeric suite runs at its own tuned default
+    env = None if args.prec is None else _env_from_args(args)
+    results = verify_mod.run_suite(args.suite, env=env)
     failures = verify_mod.print_results(results, fmt=args.format)
     return 0 if failures == 0 else 1
 
 
-def _verify_identity(args, env) -> int:
-    [(closed, direct)] = verify_mod.identity_pairs([(args.identity, args.a, args.b)], env)
+def cmd_identity(args) -> int:
+    [(closed, direct)] = verify_mod.identity_pairs([(args.identity, args.a, args.b)], _env_from_args(args))
     r = verify_mod._certified_check(args.identity, args.identity, [closed - direct])
     print(f"value {float(direct.val):.12f}  closed {float(closed.val):.12f}  "
           f"residual {r.residual:.3e}  bound {r.bound:.3e}  {r.status}")
     return 0 if r.status == "PASS" else 1
 
 
-def cmd_report(args) -> int:
-    if not args.suite:
-        print("a suite name is required", file=sys.stderr)
-        return 2
-    results = verify_mod.run_suite(args.suite, env=_explicit_env(args))
-    print(json.dumps([r.to_json() for r in results], indent=1))
-    return 1 if any(r.status == "FAIL" for r in results) else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mtv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, num=False):
+    # only the commands that print both formats take --format, only the numeric ones --prec
+    def formats(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        if num:
-            sp.add_argument("--prec", type=int, default=None)
+
+    def precision(sp):
+        sp.add_argument("--prec", type=int, default=None)
 
     sp = sub.add_parser("eval", help="closed-form evaluation of a t index")
     sp.add_argument("expr")
-    common(sp)
+    formats(sp)
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("reg", help="regularize an index")
     sp.add_argument("--scheme", choices=("stuffle", "shuffle"), required=True)
-    sp.add_argument("--param", default="T")
+    sp.add_argument("--param", choices=PARAMS + ("0",), default="T")
     sp.add_argument("index")
-    common(sp)
+    formats(sp)
     sp.set_defaults(fn=cmd_reg)
 
     sp = sub.add_parser("stuffle", help="stuffle product of two indices")
     sp.add_argument("left")
     sp.add_argument("right")
-    common(sp)
+    formats(sp)
     sp.set_defaults(fn=cmd_stuffle)
 
     sp = sub.add_parser("shuffle", help="shuffle product of two words over 0/1/-1 digits")
@@ -341,20 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp._negative_number_matcher = re.compile(r"-\d")
     sp.add_argument("left")
     sp.add_argument("right")
-    common(sp)
+    formats(sp)
     sp.set_defaults(fn=cmd_shuffle)
 
     sp = sub.add_parser("dr", help="derivation of odd weight r on a t index")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("index")
-    common(sp)
+    formats(sp)
     sp.set_defaults(fn=cmd_dr)
 
     sp = sub.add_parser("matrix", help="graded derivation matrix")
     sp.add_argument("--kind", choices=("S", "H", "Hstar"), required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--level", type=int, required=True)
-    common(sp)
+    formats(sp)
     sp.set_defaults(fn=cmd_matrix)
 
     sp = sub.add_parser("det", help="determinant of a graded derivation matrix")
@@ -363,12 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--lam", type=_rational, default=None, help="evaluate the parametric Hstar determinant at this rational")
     sp.add_argument("--structure", action="store_true", help="also verify the parity structure")
-    common(sp)
     sp.set_defaults(fn=cmd_det)
 
     sp = sub.add_parser("singular-lambda", help="degeneration point of the parametric level-1 matrix")
     sp.add_argument("--N", type=int, required=True)
-    common(sp)
     sp.set_defaults(fn=cmd_singular_lambda)
 
     sp = sub.add_parser("enumerate", help="basis words by weight (and level)")
@@ -376,34 +368,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--level", type=int, default=None)
     sp.add_argument("--bprime", action="store_true", help="list the lower-level basis instead")
-    common(sp)
+    formats(sp)
     sp.set_defaults(fn=cmd_enumerate)
 
     sp = sub.add_parser("num", help="numerical value of a t index or signed zeta index")
     sp.add_argument("index")
-    common(sp, num=True)
+    precision(sp)
     sp.set_defaults(fn=cmd_num)
 
     sp = sub.add_parser("coeff", help="rational coefficient tables")
     sp.add_argument("family", choices=("c", "d"))
     sp.add_argument("pattern", choices=("2a1", "2a32b", "2a12b"))
     sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, default=0)
-    common(sp)
+    sp.add_argument("--b", type=int, default=None, help="not taken by the pattern 2a1")
     sp.set_defaults(fn=cmd_coeff)
 
-    sp = sub.add_parser("verify", help="run a verification suite or a single identity")
+    sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", default="all")
-    sp.add_argument("--identity", choices=("t2212", "t2232"), default=None)
-    sp.add_argument("--a", type=int, default=0)
-    sp.add_argument("--b", type=int, default=0)
-    common(sp, num=True)
+    formats(sp)
+    precision(sp)
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("report", help="structured verification report (json)")
-    sp.add_argument("--suite", default="")
-    common(sp, num=True)
-    sp.set_defaults(fn=cmd_report)
+    sp = sub.add_parser("identity", help="check one closed form against its certified value")
+    sp.add_argument("identity", choices=("t2212", "t2232"))
+    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--b", type=int, required=True)
+    precision(sp)
+    sp.set_defaults(fn=cmd_identity)
 
     return p
 

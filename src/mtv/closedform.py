@@ -172,7 +172,7 @@ def eval_t2232_tilde(a: int, b: int) -> SymPoly:
 
 
 def eval_t2232(a: int, b: int) -> SymPoly:
-    return SymPoly.const(Fraction(1, 2 ** (2 * a + 2 * b + 3))) * eval_t2232_tilde(a, b)
+    return SymPoly.const(Fraction(1, 2) ** (2 * a + 2 * b + 3)) * eval_t2232_tilde(a, b)
 
 
 def eval_z2232(a: int, b: int) -> SymPoly:

@@ -299,15 +299,20 @@ def parse_argument(text: str):
         return tuple(int(c) for c in text)
     m = re.fullmatch(r"t\(([^)]*)\)", text)
     if m:
-        inner = m.group(1).strip()
-        parts = tuple(int(x) for x in inner.split(",")) if inner else ()
+        parts = _entries(m.group(1), text)
         if any(p < 1 for p in parts):
             raise ValueError(f"t-index entries must be positive: {text!r}")
         return parts
-    m = re.fullmatch(r"z(?:_(\d+))?\(([^)]*)\)", text)
+    m = re.fullmatch(r"z(?:_([0-9]+))?\(([^)]*)\)", text)
     if m:
-        lz = int(m.group(1) or 0)
-        inner = m.group(2).strip()
-        parts = tuple(int(x) for x in inner.split(",")) if inner else ()
-        return SignedIndex(parts, lz).validate()
+        return SignedIndex(_entries(m.group(2), text), int(m.group(1) or 0)).validate()
     raise ValueError(f"cannot parse argument {text!r}")
+
+
+def _entries(inner: str, text: str) -> tuple:
+    """The comma-separated entries of t(...) or z(...); int() alone would
+    also read non-ASCII digits such as "\u0663"."""
+    parts = [x.strip() for x in inner.split(",")] if inner.strip() else []
+    if not all(re.fullmatch(r"-?[0-9]+", x) for x in parts):
+        raise ValueError(f"index entries must be integers in ASCII digits: {text!r}")
+    return tuple(map(int, parts))

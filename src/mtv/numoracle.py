@@ -353,11 +353,11 @@ def eval_num(p: SymPoly, env: NumEnv, bindings=None) -> MPFloat:
     return total
 
 
-def lincomb_num(lc: dict, env: NumEnv, bindings=None) -> MPFloat:
+def lincomb_num(lc: dict, env: NumEnv) -> MPFloat:
     """Evaluate {SignedIndex: SymPoly} numerically through altz_num."""
     total = MPFloat(mpmath.mpf(0), 0.0)
     for key, coeff in lc.items():
-        total = total + eval_num(SymPoly.coerce(coeff), env, bindings) * altz_num(key, env)
+        total = total + eval_num(SymPoly.coerce(coeff), env) * altz_num(key, env)
     return total
 
 

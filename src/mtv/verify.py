@@ -49,7 +49,7 @@ from .regularize import (
     t_stuffle_reg,
     zeta_ones,
 )
-from .symring import SymPoly, lc_iadd, lc_is_zero, lc_scale, lc_sub
+from .symring import PARAMS, SymPoly, lc_iadd, lc_is_zero, lc_scale, lc_sub
 from .wordalg import stuffle, stuffle_compat_check, stuffle_lincomb
 
 BOUND_CAP = 1e-6  # a certified bound above this decides nothing
@@ -264,15 +264,15 @@ def genseries_checks(env=None) -> list:
     return out
 
 
-def _layer_values(diff: dict, env, params=("T", "V", "W", "U", "S")) -> list:
+def _layer_values(diff: dict, env) -> list:
     """Split a signed-index combination by parameter monomial and evaluate
     each layer, every one of which must vanish: one lincomb_num value per
     layer, no verdict."""
     layers: dict = {}
     for key, c in diff.items():
         for mono, q in SymPoly.coerce(c).terms.items():
-            ppart = tuple((g, e) for g, e in mono if g in params)
-            rest = SymPoly({tuple((g, e) for g, e in mono if g not in params): q})
+            ppart = tuple((g, e) for g, e in mono if g in PARAMS)
+            rest = SymPoly({tuple((g, e) for g, e in mono if g not in PARAMS): q})
             layer = layers.setdefault(ppart, {})
             layer[key] = layer.get(key, SymPoly.zero()) + rest
     return [lincomb_num(layer, env) for layer in layers.values()]

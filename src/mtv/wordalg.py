@@ -38,10 +38,10 @@ def _stuffle_parts(a: tuple, b: tuple) -> tuple:
         return ((a, 1),)
     out = {}
 
-    def put(head, tail_terms, scale=1):
+    def put(head, tail_terms):
         for parts, m in tail_terms:
             key = (head,) + parts
-            out[key] = out.get(key, 0) + m * scale
+            out[key] = out.get(key, 0) + m
 
     put(a[0], _stuffle_parts(a[1:], b))
     put(b[0], _stuffle_parts(a, b[1:]))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtv.cli import _parse_word, main
+from mtv.cli import _parse_word, build_parser, main
 from mtv.verify import coherence_checks
 from mtv.wordalg import shuffle as shuffle_product
 
@@ -142,7 +143,7 @@ def test_num(capsys, monkeypatch):
     for name in ("MTV_CUTOFF", "MTV_PREC"):  # the precision is set by --prec alone
         with monkeypatch.context() as m:
             m.setenv(name, "64")
-            for argv in (["num", "t(2)"], ["verify", "--suite", "counting"], ["report", "--suite", "counting"]):
+            for argv in (["num", "t(2)"], ["verify", "--suite", "counting"], ["identity", "t2212", "--a", "1", "--b", "1"]):
                 code, out, err = run_cli(capsys, *argv)
                 assert code == 2 and out == "" and err.count("\n") == 1, argv
                 assert err.startswith(f"error: {name} is not supported"), err
@@ -183,16 +184,17 @@ def test_verify_counting(capsys):
     assert code == 0 and "0 failures" in out
 
 
-def test_report_requires_suite(capsys):
-    code, out, err = run_cli(capsys, "report", "--suite", "")
-    assert code == 2
+def test_verify_json_requires_suite(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "", "--format", "json")
+    assert code == 2 and out == "" and "unknown suite ''" in err
 
 
-def test_report_json(capsys):
-    code, out, _ = run_cli(capsys, "report", "--suite", "counting")
+def test_verify_json(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "counting", "--format", "json")
     assert code == 0
     data = json.loads(out)
-    assert all(item["status"] == "PASS" for item in data)
+    assert data["failures"] == 0 and data["checks"]
+    assert all(item["status"] == "PASS" for item in data["checks"])
 
 
 def test_deterministic_output(capsys):
@@ -222,6 +224,37 @@ def test_usage_error_exit_code(capsys):
         assert code == 2 and out == "" and "--lam applies only to --kind Hstar" in err
     code, out, _ = run_cli(capsys, "det", "--kind", "Hstar", "--N", "5", "--level", "1", "--lam", "1/2")
     assert code == 0 and out == "1395/2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # an option the command would ignore, or a command that is gone
+    ["report", "--suite", "golden"],
+    ["num", "t(2)", "--format", "json"],
+    ["det", "--kind", "H", "--N", "3", "--level", "1", "--format", "json"],
+    ["verify", "--identity", "t2212", "--a", "1"],
+    ["verify", "--suite", "golden", "--a", "3"],
+    ["enumerate", "--kind", "H", "--N", "4", "--bprime"],
+    ["coeff", "c", "2a1", "--a", "1", "--b", "7"],
+    ["coeff", "c", "2a1", "--a", "1", "--b", "0"],
+    ["det", "--kind", "Hstar", "--N", "8", "--level", "2", "--structure"],
+    ["identity", "t2232", "--a", "-1", "--b", "-1"],
+    # a constant is not a regularisation parameter
+    *[["reg", "--scheme", "stuffle", "--param", const, "t(1)"] for const in ("pi2", "lam", "log2", "z3")],
+    *[["eval", f"t*(2,1;{const})"] for const in ("pi2", "lam", "z3")],
+    # index entries are ASCII digits
+    ["num", "t(\u0663)"],
+    ["num", "z(\u0663)"],
+    ["num", "z_\u0663(2)"],
+    ["stuffle", "t(\u0662)", "t(1)"],
+    ["eval", "t*(\u0662,1)"],
+])
+def test_refused_input_exits_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the arguments
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and "error: " in out.err and "Traceback" not in out.err, out
 
 
 def test_broken_invariant_exit_code(capsys, monkeypatch):
@@ -260,15 +293,15 @@ def test_invertibility_names_its_bounds(capsys):
 
 def test_settings_a_suite_would_ignore_are_refused(capsys):
     # every suite's bounds are fixed, so there is no --max-weight
-    for command, suite in (("verify", "coherence"), ("report", "counting")):
+    for suite in ("coherence", "counting"):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--suite", suite, "--max-weight", "6"])
+            main(["verify", "--suite", suite, "--max-weight", "6"])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and "unrecognized arguments: --max-weight 6" in err, err
     # the exact suites take no precision; "all" and the numeric suites do
-    for command in ("verify", "report"):
+    for fmt in ("text", "json"):
         for suite in ("counting", "golden", "invertibility"):
-            code, out, err = run_cli(capsys, command, "--suite", suite, "--prec", "53")
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--prec", "53", "--format", fmt)
             assert code == 2 and out == "" and err == f"error: the {suite} suite is exact and takes no precision\n"
 
 
@@ -297,7 +330,7 @@ def test_coherence_with_nothing_to_settle_passes():
 
 @pytest.mark.parametrize("prec, verdict", [("53", "PASS"), ("8", "FAIL"), ("64", "PASS")])
 def test_verify_identity_line(capsys, prec, verdict):
-    code, out, _ = run_cli(capsys, "verify", "--identity", "t2212", "--a", "1", "--b", "1", "--prec", prec)
+    code, out, _ = run_cli(capsys, "identity", "t2212", "--a", "1", "--b", "1", "--prec", prec)
     number = r"\d\.\d{3}e[-+]\d\d"
     pattern = rf"value 0\.\d{{12}}  closed 0\.\d{{12}}  residual ({number})  bound ({number})  {verdict}\n"
     m = re.fullmatch(pattern, out)
@@ -352,6 +385,9 @@ _commands = st.one_of(
     st.tuples(st.sampled_from([["stuffle"], ["shuffle"]]),
               st.lists(st.one_of(_index_text(), _word_text), min_size=2, max_size=2)),
     st.tuples(st.just(["dr"]), _index_text().map(lambda t: [t]), _flags(r=_small)),
+    st.tuples(st.just(["identity"]), st.sampled_from(["t2212", "t2232", "t22"]).map(lambda i: [i]),
+              _flags(a=st.integers(-1, 3).map(str), b=st.integers(-1, 3).map(str)),
+              _flags(True, prec=st.integers(-1, 80).map(str))),
     st.tuples(st.just(["coeff"]), st.sampled_from(["c", "d"]).map(lambda f: [f]),
               st.sampled_from(["2a1", "2a32b", "2a12b"]).map(lambda p: [p]), _flags(a=_small), _flags(True, b=_small)),
     st.tuples(st.sampled_from([["det"], ["matrix"]]),
@@ -371,6 +407,63 @@ def test_cli_fuzz_exits_cleanly(argv):
         except SystemExit as exc:  # argparse rejects the arguments
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
-    if code:
-        assert err.getvalue().strip(), argv
+    if code:  # exit 1 is a FAIL verdict, printed on stdout; 2 and 3 are errors on stderr
+        assert (out if code == 1 else err).getvalue().strip(), argv
     assert "Traceback" not in err.getvalue() + out.getvalue(), argv
+
+
+# ---------------------------------------------------------------------------
+# every option a subcommand defines is read by its handler
+# ---------------------------------------------------------------------------
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which attributes are read."""
+
+    def __init__(self, **kwargs):
+        super().__init__(_read=set(), **kwargs)
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+# one valid argument list per subcommand that gives every option it defines;
+# det needs two, since --lam applies to Hstar only and --structure to S and H only
+EVERY_OPTION = {
+    "eval": [["t*(2,1;V)", "--format", "json"]],
+    "reg": [["--scheme", "stuffle", "--param", "U", "t(2,1)", "--format", "json"]],
+    "stuffle": [["t(2)", "t(1,2)", "--format", "json"]],
+    "shuffle": [["10", "10", "--format", "json"]],
+    "dr": [["--r", "3", "t(2,1,2)", "--format", "json"]],
+    "matrix": [["--kind", "S", "--N", "6", "--level", "2", "--format", "json"]],
+    "det": [["--kind", "Hstar", "--N", "5", "--level", "1", "--lam", "1/2"],
+            ["--kind", "H", "--N", "6", "--level", "2", "--structure"]],
+    "singular-lambda": [["--N", "7"]],
+    "enumerate": [["--kind", "S", "--N", "8", "--level", "2", "--bprime", "--format", "json"]],
+    "num": [["t(2)", "--prec", "53"]],
+    "coeff": [["d", "2a12b", "--a", "1", "--b", "1"]],
+    "verify": [["--suite", "closedform", "--prec", "53", "--format", "json"]],
+    "identity": [["t2212", "--a", "1", "--b", "1", "--prec", "53"]],
+}
+
+
+def test_every_option_is_read(capsys):
+    parser = build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(EVERY_OPTION)
+    unread, total = {}, 0
+    for command, argvs in EVERY_OPTION.items():
+        options = [a for a in subparsers.choices[command]._actions if not isinstance(a, argparse._HelpAction)]
+        total += len(options)
+        given = {word for argv in argvs for word in argv}
+        assert all(set(a.option_strings) & given for a in options if a.option_strings), command
+        read = set()
+        for argv in argvs:
+            args = _ReadRecorder(**vars(parser.parse_args([command, *argv])))
+            assert args.fn(args) == 0, argv
+            read |= args._read
+        unread[command] = sorted({a.dest for a in options} - read)
+    capsys.readouterr()
+    assert {c: dests for c, dests in unread.items() if dests} == {}
+    assert total == 43

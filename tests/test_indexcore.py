@@ -212,9 +212,13 @@ def test_parse_and_format():
     for text in ("20", "0", "102"):  # a digit string is an index, and entries are positive
         with pytest.raises(ValueError, match="digits must be positive"):
             parse_argument(text)
-    for text in ("\u0663", "\u00b2"):  # ARABIC-INDIC DIGIT THREE and SUPERSCRIPT TWO are not index digits
+    for text in ("\u0663", "\u00b2", "z_\u0663(2)"):  # ARABIC-INDIC DIGIT THREE and SUPERSCRIPT TWO are not index digits
         with pytest.raises(ValueError, match="cannot parse"):
             parse_argument(text)
+    for text in ("t(\u0663)", "z(\u0663)", "t(\u0662,1)", "z(2,-\u0663)", "t(+2)", "t(1_0)"):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_argument(text)
+    assert parse_argument("t( 2, 1 )") == (2, 1) and parse_argument("z_0()") == SignedIndex((), 0)
     for text in ("z(0,2)", "z(0)", "z_1()"):
         with pytest.raises(ValueError, match="."):
             parse_argument(text)
