@@ -32,6 +32,7 @@ from .indexcore import (
     format_word,
     parse_argument,
     split_2a_x_2b,
+    t_entries,
 )
 from .motivic import IrreducibleLeftFactor, build_matrix, det_mod2_structure, deriv_D, reduce_deriv, singular_lambda
 from .numoracle import NumEnv, altz_num, t_num
@@ -71,7 +72,7 @@ def cmd_eval(args) -> int:
     text = args.expr.strip()
     m = re.fullmatch(r"t\*\(([^;)]*)(?:;\s*(\w+))?\)", text)
     if m:
-        parts = parse_argument(f"t({m.group(1)})")
+        parts = t_entries(m.group(1), args.expr)
         name = m.group(2) or "V"
         if name not in PARAMS:
             raise ValueError(f"a regularisation parameter is one of {', '.join(PARAMS)}; got {name!r}")
@@ -206,12 +207,12 @@ def cmd_det(args) -> int:
     if args.structure and args.kind not in ("S", "H"):
         raise ValueError(f"structure report is defined for kinds S and H, got --kind {args.kind}")
     m = build_matrix(args.kind, args.N, args.level)
-    det = m.det()
+    rep = det_mod2_structure(m) if args.structure else None  # the report carries the determinant
+    det = m.det() if rep is None else rep.det
     if args.lam is not None and isinstance(det, SymPoly):
         det = det.substitute({"lam": SymPoly.const(args.lam)}).const_value()
     print(det if not isinstance(det, SymPoly) else det.text())
-    if args.structure:
-        rep = det_mod2_structure(m)
+    if rep is not None:
         for note in rep.notes:
             print(f"note: {note}")
         print("structure:", "ok" if rep.ok else "FAILED")

@@ -17,6 +17,7 @@ plain tuples of small ints and are freely reinterpreted as indices.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import NamedTuple
 
@@ -68,12 +69,18 @@ def compositions(n: int):
             yield (first,) + rest
 
 
+def signings(parts: tuple):
+    """(product of the signs, signed parts) for each sign choice, all-plus first."""
+    for signs in itertools.product((1, -1), repeat=len(parts)):
+        yield math.prod(signs), tuple(s * k for s, k in zip(signs, parts))
+
+
 def signed_indices(max_weight: int):
     """Every signed index of weight 1..max_weight without leading zeros."""
     for w in range(1, max_weight + 1):
         for comp in compositions(w):
-            for signs in itertools.product((1, -1), repeat=len(comp)):
-                yield SignedIndex(tuple(s * k for s, k in zip(signs, comp)), 0)
+            for _, parts in signings(comp):
+                yield SignedIndex(parts, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +306,19 @@ def parse_argument(text: str):
         return tuple(int(c) for c in text)
     m = re.fullmatch(r"t\(([^)]*)\)", text)
     if m:
-        parts = _entries(m.group(1), text)
-        if any(p < 1 for p in parts):
-            raise ValueError(f"t-index entries must be positive: {text!r}")
-        return parts
+        return t_entries(m.group(1), text)
     m = re.fullmatch(r"z(?:_([0-9]+))?\(([^)]*)\)", text)
     if m:
         return SignedIndex(_entries(m.group(2), text), int(m.group(1) or 0)).validate()
     raise ValueError(f"cannot parse argument {text!r}")
+
+
+def t_entries(inner: str, text: str) -> tuple:
+    """The positive entries of a t index; an error quotes text, as the user typed it."""
+    parts = _entries(inner, text)
+    if any(p < 1 for p in parts):
+        raise ValueError(f"t-index entries must be positive: {text!r}")
+    return parts
 
 
 def _entries(inner: str, text: str) -> tuple:

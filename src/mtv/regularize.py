@@ -27,14 +27,13 @@ result.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .closedform import zbar_reduce
 from .errors import InvariantError
-from .indexcore import IntWord, SignedIndex, from_int_word, to_int_word, trailing_run
+from .indexcore import IntWord, SignedIndex, from_int_word, signings, to_int_word, trailing_run
 from .symring import LOG2, SymPoly, lc_iadd, lc_put, lc_scale, lc_sub, zeta_sym
 from .wordalg import _shuffle_words, _stuffle_parts, t_to_zeta
 
@@ -76,7 +75,7 @@ def stuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
                 if m != alpha:
                     raise InvariantError(f"{parts} occurs {m} times in its own stuffle with (1), not {alpha}")
                 continue
-            lc_iadd(out, lc_scale(stuffle_reg(SignedIndex(v, 0), param), SymPoly.const(-m)))
+            lc_iadd(out, lc_scale(stuffle_reg(SignedIndex(v, 0), param), -m))
         out = lc_scale(out, Fraction(1, alpha))
     _st_cache[key] = out
     return out
@@ -377,11 +376,9 @@ def distribution_rewrite(lc: dict) -> dict:
             continue
         w, d = s.weight, s.depth
         factor = Fraction(2 ** (w - d), 1 - 2 ** (w - d))
-        for signs in itertools.product((1, -1), repeat=d):
-            if all(e > 0 for e in signs):
-                continue
-            key = SignedIndex(tuple(e * x for e, x in zip(signs, s.parts)), 0)
-            lc_put(out, key, factor * SymPoly.coerce(c))
+        for _, parts in signings(s.parts):
+            if parts != s.parts:  # every sign choice but the all-plus one
+                lc_put(out, SignedIndex(parts, 0), factor * SymPoly.coerce(c))
     return out
 
 
@@ -417,10 +414,8 @@ def distribution_residual(k: tuple, alpha: int, ell: int, param=None) -> dict:
     d = len(k)
     w = sum(k)
     lhs: dict = {}
-    for eps in itertools.product((1, -1), repeat=d):
-        for delta in itertools.product((1, -1), repeat=alpha):
-            parts = tuple(e * x for e, x in zip(eps, k)) + delta
-            lc_iadd(lhs, word_shuffle_reg(to_int_word(SignedIndex(parts, ell)), wval))
+    for _, parts in signings(k + (1,) * alpha):
+        lc_iadd(lhs, word_shuffle_reg(to_int_word(SignedIndex(parts, ell)), wval))
     lhs = lc_scale(lhs, Fraction(2) ** (w + ell - d))
 
     rhs: dict = {}

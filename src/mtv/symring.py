@@ -396,23 +396,20 @@ LOG2 = SymPoly.gen("log2")
 # linear combinations over an arbitrary hashable basis
 # ---------------------------------------------------------------------------
 #
-# A LinComb is a plain dict {basis term: SymPoly}.  Zero coefficients are
-# never stored: lc_put is the one place that invariant lives.  Every sum
-# of coefficients goes through it; lc_scale only multiplies by a nonzero
-# scalar, which cannot make a coefficient vanish.
-
-def coeff_is_zero(c) -> bool:
-    return c.is_zero if isinstance(c, SymPoly) else c == 0
-
+# A LinComb is a plain dict {basis term: int, Fraction or SymPoly}, each
+# falsy exactly at zero.  Zero coefficients are never stored: lc_put is
+# the one place that invariant lives.  Every sum of coefficients goes
+# through it; lc_scale only multiplies by a nonzero scalar, which cannot
+# make a coefficient vanish.
 
 def lc_put(out: dict, key, coeff) -> None:
     """Add coeff to out[key] in place, removing the key if the sum is zero."""
     old = out.get(key)
     s = coeff if old is None else old + coeff
-    if coeff_is_zero(s):
-        out.pop(key, None)
-    else:
+    if s:
         out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def lc_iadd(out: dict, lc: dict) -> dict:
@@ -431,18 +428,10 @@ def lc_sub(a: dict, b: dict) -> dict:
 
 
 def lc_scale(a: dict, c) -> dict:
-    if isinstance(c, SymPoly):
-        if not c.terms:
-            return {}
-        if len(c.terms) == 1 and c.terms.get(()) == 1:
-            # v * 1 without the products; a SymPoly 1 still makes every value a SymPoly
-            return {k: SymPoly.coerce(v) for k, v in a.items()}
-    elif c == 1:
-        return dict(a)
-    elif c == 0:
+    if not c:
         return {}
     return {k: v * c for k, v in a.items()}
 
 
 def lc_is_zero(a: dict) -> bool:
-    return all(coeff_is_zero(v) for v in a.values())
+    return not any(a.values())

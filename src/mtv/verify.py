@@ -15,6 +15,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, eval_t12n, eval_t22, eval_t2212_star, eval_t2232
+from .errors import InvariantError
 from .indexcore import SignedIndex, basis_sets, compositions, enumerate_hoffman, enumerate_saha, fibonacci, signed_indices
 from .motivic import (
     build_matrix,
@@ -265,17 +266,19 @@ def genseries_checks(env=None) -> list:
 
 
 def _layer_values(diff: dict, env) -> list:
-    """Split a signed-index combination by parameter monomial and evaluate
-    each layer, every one of which must vanish: one lincomb_num value per
-    layer, no verdict."""
-    layers: dict = {}
-    for key, c in diff.items():
-        for mono, q in SymPoly.coerce(c).terms.items():
-            ppart = tuple((g, e) for g, e in mono if g in PARAMS)
-            rest = SymPoly({tuple((g, e) for g, e in mono if g not in PARAMS): q})
-            layer = layers.setdefault(ppart, {})
-            layer[key] = layer.get(key, SymPoly.zero()) + rest
-    return [lincomb_num(layer, env) for layer in layers.values()]
+    """Split a {SignedIndex: SymPoly} combination by the powers of the one
+    parameter it carries and evaluate each nonzero layer, every one of
+    which must vanish: one lincomb_num value per layer, no verdict."""
+    carried = {g for c in diff.values() for g in c.generators() if g in PARAMS}
+    if len(carried) > 1:
+        raise InvariantError(f"a combination settled by layers carries one parameter, not {sorted(carried)}")
+    param = carried.pop() if carried else PARAMS[0]  # with none carried, any name gives one layer
+    out = []
+    for k in range(max((c.max_degree(param) for c in diff.values()), default=-1) + 1):
+        layer = {key: q for key, c in diff.items() if (q := c.coeff_of_power(param, k))}
+        if layer:
+            out.append(lincomb_num(layer, env))
+    return out
 
 
 def coherence_checks(max_weight=6, env=None) -> list:
@@ -355,10 +358,10 @@ def coherence_checks(max_weight=6, env=None) -> list:
 
     ok = all(
         stuffle_compat_check(r, s)
-        for wr in range(0, 8)
+        for w in range(1, 8)
+        for wr in range(w + 1)
         for r in compositions(wr)
-        for s in compositions(7 - wr)
-        if sum(r) + sum(s) <= 7
+        for s in compositions(w - wr)
     )
     out.append(_check("index product is compatible with the signed expansion (weight <= 7)",
                       "stuffle-compat", ok))

@@ -5,8 +5,8 @@ letters either keep their order, swap, or merge, where merging two
 entries adds the absolute values and multiplies the signs.  The shuffle
 product acts on integral words over {0, +1, -1} and is the plain sum
 over interleavings.  Both return canonical linear combinations with
-Fraction coefficients, merged and deduplicated, so equality of outputs
-is structural equality.
+positive int multiplicities, merged and deduplicated, so equality of
+outputs is structural equality.
 
 Everything here is pure and operates on immutable tuples; the memo
 caches hold deterministic values only, so sharing across threads is
@@ -15,13 +15,11 @@ safe.
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .indexcore import SignedIndex
-from .symring import lc_add, lc_iadd, lc_scale
+from .indexcore import SignedIndex, signings
+from .symring import lc_iadd, lc_scale
 
 
 def _merge_entry(x: int, y: int) -> int:
@@ -53,7 +51,7 @@ def stuffle(a: SignedIndex, b: SignedIndex) -> dict:
     """Full quasi-shuffle expansion of a * b as {SignedIndex: coeff}."""
     if a.lead_zeros or b.lead_zeros:
         raise ValueError(f"stuffle needs lead_zeros = 0, got {a.lead_zeros} and {b.lead_zeros}")
-    return {SignedIndex(parts, 0): Fraction(m) for parts, m in _stuffle_parts(a.parts, b.parts)}
+    return {SignedIndex(parts, 0): m for parts, m in _stuffle_parts(a.parts, b.parts)}
 
 
 def stuffle_lincomb(a: dict, b: dict) -> dict:
@@ -83,7 +81,7 @@ def _shuffle_words(u: tuple, v: tuple) -> tuple:
 
 def shuffle(u: tuple, v: tuple) -> dict:
     """All interleavings of the words u and v, with multiplicity."""
-    return {w: Fraction(m) for w, m in _shuffle_words(tuple(u), tuple(v))}
+    return dict(_shuffle_words(tuple(u), tuple(v)))
 
 
 def shuffle_lincomb(a: dict, b: dict) -> dict:
@@ -100,20 +98,22 @@ def shuffle_lincomb(a: dict, b: dict) -> dict:
 
 def t_to_zeta(k: tuple) -> dict:
     """t(k) = 2^-d sum over sign choices of (prod eps) zeta(eps; k)."""
-    d = len(k)
-    out = {}
-    for signs in itertools.product((1, -1), repeat=d):
-        coeff = Fraction(math.prod(signs), 2 ** d)
-        parts = tuple(s * x for s, x in zip(signs, k))
-        out[SignedIndex(parts, 0)] = coeff
-    return out
+    return {SignedIndex(parts, 0): Fraction(sign, 2 ** len(k)) for sign, parts in signings(k)}
 
 
 def stuffle_compat_check(r: tuple, s: tuple) -> bool:
-    """t(r *_t s) expands to the same signed combination as t(r) *_z t(s)."""
+    """t(r *_t s) expands to the same signed combination as t(r) *_z t(s).
+    Both sides are scaled by 2^(d_r + d_s), so every coefficient is an
+    integer: a term m t(p) of r * s gives m 2^(d_r + d_s - d_p) (prod eps)."""
+    r, s = tuple(r), tuple(s)
+    depth = len(r) + len(s)
     lhs: dict = {}
-    for parts, m in _stuffle_parts(tuple(r), tuple(s)):
-        lc_iadd(lhs, lc_scale(t_to_zeta(parts), m))
-    rhs = stuffle_lincomb(t_to_zeta(tuple(r)), t_to_zeta(tuple(s)))
-    diff = lc_add(lhs, lc_scale(rhs, -1))
-    return all(c == 0 for c in diff.values())
+    for parts, m in _stuffle_parts(r, s):
+        for sign, signed in signings(parts):
+            lhs[signed] = lhs.get(signed, 0) + sign * m * 2 ** (depth - len(parts))
+    rhs: dict = {}
+    for sign_r, signed_r in signings(r):
+        for sign_s, signed_s in signings(s):
+            for parts, m in _stuffle_parts(signed_r, signed_s):
+                rhs[parts] = rhs.get(parts, 0) + sign_r * sign_s * m
+    return {p: c for p, c in lhs.items() if c} == {p: c for p, c in rhs.items() if c}

@@ -128,6 +128,32 @@ def test_det(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+def test_det_structure_eliminates_the_full_matrix_once(capsys, monkeypatch):
+    from mtv import motivic, ratmatrix
+
+    n = len(motivic.build_matrix("H", 13, 3).rows)
+    det_bareiss, sizes = ratmatrix.det_bareiss, []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return det_bareiss(rows)
+
+    monkeypatch.setattr(motivic, "det_bareiss", counted)
+    monkeypatch.setattr(ratmatrix, "det_bareiss", counted)
+    code, plain, _ = run_cli(capsys, "det", "--kind", "H", "--N", "13", "--level", "3")
+    assert code == 0 and sizes.count(n) == 1
+    sizes.clear()
+    code, out, _ = run_cli(capsys, "det", "--kind", "H", "--N", "13", "--level", "3", "--structure")
+    assert code == 0 and out.startswith(plain) and out.endswith("structure: ok\n")
+    assert sizes.count(n) == 1  # the report's determinant is the one printed
+
+
+def test_eval_errors_quote_the_argument_as_typed(capsys):
+    for arg, msg in (("t*(\u0662,1)", "index entries must be integers in ASCII digits"),
+                     ("t*(0,1;W)", "t-index entries must be positive")):
+        assert run_cli(capsys, "eval", arg) == (2, "", f"error: {msg}: {arg!r}\n")
+
+
 def test_num(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "num", "t(2)", "--prec", "53")
     assert code == 0 and out.startswith("1.2337")

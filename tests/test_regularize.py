@@ -243,6 +243,17 @@ def _distribution_verdict(k, alpha, ell, env) -> str:
     return _certified_check("distribution", "distribution", values).status
 
 
+def test_layers_split_by_the_powers_of_one_parameter():
+    from mtv.numoracle import NumEnv
+
+    env = NumEnv(prec=64)
+    assert _layer_values({}, env) == []
+    values = _layer_values({zi(2): T * T + PI2, zi(3): T, zi(2, -1): SymPoly.const(Fraction(1, 3))}, env)
+    assert len(values) == 3 and all(v.err > 0 for v in values)
+    with pytest.raises(InvariantError, match=r"\['T', 'W'\]"):
+        _layer_values({zi(2): T, zi(3): W * PI2}, env)
+
+
 def test_distribution_depth1_plain():
     from mtv.numoracle import NumEnv
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtv import wordalg
 from mtv.indexcore import compositions, zi
 from mtv.symring import lc_sub, lc_is_zero
 from mtv.wordalg import (
@@ -70,6 +71,27 @@ def test_stuffle_compat_exhaustive_weight7():
         for r in compositions(wr):
             for s in compositions(7 - wr):
                 assert stuffle_compat_check(r, s)
+
+
+def test_products_keep_int_multiplicities():
+    for out in (stuffle(zi(-2, 1), zi(2, -3)), shuffle((1, 0, -1), (0, 1))):
+        assert out and all(type(m) is int for m in out.values())
+
+
+def test_stuffle_compat_check_fails_on_a_broken_right_side(monkeypatch):
+    parts = wordalg._stuffle_parts
+    assert stuffle_compat_check((2, 1), (3,))
+
+    def broken(a, b):
+        # one extra term wherever a signed index enters: only t(r) *_z t(s) changes
+        return parts(a, b) + (((a + b, 1),) if any(x < 0 for x in a + b) else ())
+
+    parts.cache_clear()
+    monkeypatch.setattr(wordalg, "_stuffle_parts", broken)
+    try:
+        assert not stuffle_compat_check((2, 1), (3,))
+    finally:
+        parts.cache_clear()  # the memo now holds products computed through the broken recursion
 
 
 signed_idx = st.lists(
