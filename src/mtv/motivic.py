@@ -57,39 +57,51 @@ def deriv_D(r: int, k: tuple) -> dict:
     Returns {(left tag, right index): int}: every cut contributes +1 or
     -1.  Left tags are ("t", idx) for a rescaled t block, ("zl", s, idx)
     for a zeta block with s leading zeros, or ("log",) for the weight-one
-    logarithm.
+    logarithm.  The result is a fresh dict, free to modify.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError("r must be odd and positive")
-    k = tuple(k)
+    return dict(_deriv_D_all(tuple(k)).get(r, ()))
+
+
+@lru_cache(maxsize=1)
+def _deriv_D_all(k: tuple) -> dict:
+    """{odd r: D_r expansion of k}, each cut of k expanded once for every r.
+
+    graded_partial asks for r = 1, 3, ... of one word in a row, so a memo
+    of the last word serves it.  Within each r the terms are summed in
+    the same order as cut-by-cut expansion for that r alone.
+    """
     d = len(k)
     pre = list(accumulate(k, initial=0))  # sum(k[a:b]) == pre[b] - pre[a]
-    out: dict = {}
+    by_r: dict = {}
 
-    # deconcatenation of a weight-r prefix
+    # deconcatenation of a prefix of odd weight r
     for j in range(1, d + 1):
-        if pre[j] == r:
-            lc_put(out, (("t", k[:j]), k[j:]), 1)
+        if pre[j] % 2:
+            lc_put(by_r.setdefault(pre[j], {}), (("t", k[:j]), k[j:]), 1)
 
+    # the cut (i, j) of weight wij contributes to every odd r < wij - 1
+    # with r >= w_in (zero-headed) or r >= w_out (zero-tailed)
     for i in range(1, d):
         for j in range(i + 1, d + 1):
             wij = pre[j] - pre[i - 1]
-            if not (r < wij - 1):
-                continue
-            right = k[:i - 1] + (wij - r,) + k[j:]
-            # zero-headed cut
             w_in = pre[j] - pre[i]
-            if w_in <= r:
-                lc_put(out, (("zl", r - w_in, k[i:j]), right), 1)
-                if r == 1:
-                    lc_put(out, (LOG, right), -1)
-            # zero-tailed cut, with the subindex reversed
             w_out = pre[j - 1] - pre[i - 1]
-            if w_out <= r:
-                lc_put(out, (("zl", r - w_out, tuple(reversed(k[i - 1:j - 1]))), right), -1)
-                if r == 1:
-                    lc_put(out, (LOG, right), 1)
-    return out
+            head = k[i:j]
+            tail = tuple(reversed(k[i - 1:j - 1]))  # the zero-tailed subindex, reversed
+            for r in range(min(w_in, w_out) | 1, wij - 1, 2):
+                out = by_r.setdefault(r, {})
+                right = k[:i - 1] + (wij - r,) + k[j:]
+                if w_in <= r:
+                    lc_put(out, (("zl", r - w_in, head), right), 1)
+                    if r == 1:
+                        lc_put(out, (LOG, right), -1)
+                if w_out <= r:
+                    lc_put(out, (("zl", r - w_out, tail), right), -1)
+                    if r == 1:
+                        lc_put(out, (LOG, right), 1)
+    return by_r
 
 
 def deriv_D1_fast(k: tuple) -> dict:
@@ -299,9 +311,10 @@ def build_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
     if len(B) != len(Bp):
         raise InvariantError(f"bases of unequal size at {kind} N={N} level {ell}: {len(B)} and {len(Bp)}")
     entries = []
+    cols = set(Bp)
     for w in B:
         row_map = graded_partial(kind, N, ell, w)
-        unknown = set(row_map) - set(Bp)
+        unknown = set(row_map) - cols
         if unknown:
             raise InvariantError(f"row {w} hit non-basis words {sorted(unknown)}")
         entries.append([row_map.get(wp, _ZERO) for wp in Bp])

@@ -1,12 +1,18 @@
 """Dense exact-rational matrices with fraction-free determinants.
 
 Entries are ints or Fractions, or SymPolys affine in lam for the
-parametric matrices.  Each row is scaled to integers by the lcm of its
-denominators, read off the entries' numerators and denominators with no
-Fraction arithmetic, and the integer matrix is eliminated with the
-Bareiss recurrence.  The determinant of a parametric matrix is recovered
-from evaluations at lam = 0 and lam = 1, with a third evaluation
-checking that the determinant really is affine.
+parametric matrices.  A matrix is first cut into its diagonal blocks:
+one scan finds every c with all entries of rows[:c] in columns >= c
+zero, so the matrix is block lower triangular and its determinant is
+exactly the product of the blocks' determinants, whatever the input.
+The level matrices split along their trailing-ones classes, so the
+O(n^3) elimination runs on much smaller blocks.  Each block's rows are
+scaled to integers by the lcm of their denominators, read off the
+entries' numerators and denominators with no Fraction arithmetic, and
+the integer block is eliminated with the Bareiss recurrence.  The
+determinant of a parametric matrix is recovered from evaluations at
+lam = 0 and lam = 1, with a third evaluation checking that the
+determinant really is affine.
 """
 
 from __future__ import annotations
@@ -31,18 +37,31 @@ def _row_scaled_int(rows):
     return scaled, scale
 
 
-def det_bareiss(rows) -> Fraction:
-    """Exact determinant of a square matrix of ints and Fractions.
+def _diagonal_blocks(rows):
+    """The (start, end) offsets of the finest diagonal blocks of a square
+    matrix that is block lower triangular.
 
-    Rows are scaled to integers, then eliminated with the fraction-free
-    Bareiss recurrence; every division along the way is exact.
+    One scan keeps the rightmost nonzero column of the rows seen so far;
+    c is a cut exactly when every entry of rows[:c] in columns >= c is
+    zero.  A matrix with no such c < n is one block.
     """
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in rows):
-        raise ValueError(f"non-square matrix: {n} rows of lengths {sorted({len(r) for r in rows})}")
-    m, scale = _row_scaled_int(rows)
+    reach = 0  # one past the rightmost nonzero column of the rows so far
+    start = 0
+    for i, row in enumerate(rows):
+        for j in range(n - 1, reach - 1, -1):
+            if row[j]:
+                reach = j + 1
+                break
+        if reach <= i + 1:
+            yield start, i + 1
+            start = i + 1
+
+
+def _bareiss_int(m) -> int:
+    """Determinant of a square integer matrix, eliminated in place with
+    the fraction-free Bareiss recurrence; every division is exact."""
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -53,7 +72,7 @@ def det_bareiss(rows) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = m[k][k]
         tail = m[k][k + 1:]
         for row in m[k + 1:]:
@@ -65,7 +84,29 @@ def det_bareiss(rows) -> Fraction:
             else:
                 row[k + 1:] = [pivot * x // prev for x in row[k + 1:]]
         prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], scale)
+    return sign * m[n - 1][n - 1]
+
+
+def det_bareiss(rows) -> Fraction:
+    """Exact determinant of a square matrix of ints and Fractions.
+
+    The matrix is cut into its diagonal blocks (_diagonal_blocks); the
+    determinant is the product of theirs, since every entry above the
+    blocks is zero.  Each block's rows are scaled to integers and
+    eliminated on their own, and the first zero block ends the product.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"non-square matrix: {n} rows of lengths {sorted({len(r) for r in rows})}")
+    num = den = 1
+    for c0, c1 in _diagonal_blocks(rows):
+        block, scale = _row_scaled_int([row[c0:c1] for row in rows[c0:c1]])
+        d = _bareiss_int(block)
+        if d == 0:
+            return Fraction(0)
+        num *= d
+        den *= scale
+    return Fraction(num, den)
 
 
 def _affine_parts(x):

@@ -139,7 +139,7 @@ def golden_checks() -> list:
 
 
 def invertibility_checks() -> list:
-    max_n = 12
+    max_n = 14
     out = []
     plain = {}  # (N, level) -> the kind-H matrix, for the comparison at lam = 1/2
     for kind in ("S", "H"):

@@ -313,8 +313,8 @@ def test_invertibility_names_its_bounds(capsys):
     assert code == 0 and "0 failures" in out
     lines = _verdicts(out)
     for ref in ("invertibility-S", "invertibility-H", "invertibility-Hstar"):
-        assert lines[ref].startswith("PASS") and lines[ref].endswith("weight <= 12"), lines[ref]
-    assert lines["Hstar-at-half"].startswith("PASS") and lines["Hstar-at-half"].endswith("weight <= 12")
+        assert lines[ref].startswith("PASS") and lines[ref].endswith("weight <= 14"), lines[ref]
+    assert lines["Hstar-at-half"].startswith("PASS") and lines["Hstar-at-half"].endswith("weight <= 14")
 
 
 def test_settings_a_suite_would_ignore_are_refused(capsys):

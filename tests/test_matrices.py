@@ -1,10 +1,11 @@
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
 from mtv.indexcore import trailing_ones_partition
 from mtv.motivic import FiltMatrix, build_matrix, det_mod2_structure
-from mtv.ratmatrix import det_bareiss, det_exact
+from mtv.ratmatrix import _diagonal_blocks, det_bareiss, det_exact
 from mtv.symring import SymPoly
 
 
@@ -49,6 +50,52 @@ def test_det_bareiss_integer_path_against_cofactors():
         assert isinstance(det, Fraction) and det == cofactor_det(m), name
     assert cofactor_det(cases["zero pivot needing a row swap"]) != 0
     assert det_bareiss(cases["singular"]) == 0
+
+
+def _block_lower(rng, sizes, dens=(1, 2, 3, 5)):
+    """A random block lower-triangular Fraction matrix with the given
+    diagonal block sizes: every entry above the blocks is zero."""
+    ends = [sum(sizes[:b + 1]) for b in range(len(sizes))]
+    n = ends[-1]
+    block_end = [next(e for e in ends if e > i) for i in range(n)]
+    return [[Fraction(rng.randint(-4, 4), rng.choice(dens)) if j < block_end[i] else Fraction(0)
+             for j in range(n)] for i in range(n)]
+
+
+def test_det_bareiss_splits_block_lower_triangular_matrices():
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) + [n]
+        sizes = [b - a for a, b in zip([0] + cuts, cuts)]
+        m = _block_lower(rng, sizes)
+        assert det_bareiss(m) == cofactor_det(m), (sizes, m)
+        # every cut of the construction is found (a block may split further)
+        assert set(cuts) <= {c1 for _, c1 in _diagonal_blocks(m)}, (sizes, m)
+
+
+def test_det_bareiss_does_not_cut_below_an_entry_in_the_last_column():
+    # blocks [2, 2] but for one entry in the last column of the first row:
+    # the matrix is one block, and the blocks' product is not its determinant
+    m = [[Fraction(1), Fraction(2), Fraction(0), Fraction(3)],
+         [Fraction(1, 2), Fraction(1), Fraction(0), Fraction(0)],
+         [Fraction(1), Fraction(0), Fraction(2), Fraction(1)],
+         [Fraction(0), Fraction(1), Fraction(1), Fraction(1)]]
+    assert list(_diagonal_blocks(m)) == [(0, 4)]
+    blocks = cofactor_det([r[:2] for r in m[:2]]) * cofactor_det([r[2:] for r in m[2:]])
+    assert det_bareiss(m) == cofactor_det(m) != blocks
+
+
+def test_det_bareiss_with_a_singular_middle_block_is_zero():
+    rng = random.Random(7)
+    m = _block_lower(rng, [2, 3, 2])
+    for j in range(2, 5):  # middle block rank 2: its third row is the sum of the first two
+        m[2][j], m[3][j] = Fraction(j, 3), Fraction(1, j)
+        m[4][j] = m[2][j] + m[3][j]
+    for i in (0, 1, 5, 6):  # the outer blocks stay invertible
+        m[i][i] += 20
+    assert cofactor_det([r[:2] for r in m[:2]]) != 0 and cofactor_det([r[5:] for r in m[5:]]) != 0
+    assert det_bareiss(m) == cofactor_det(m) == 0
 
 
 def test_det_exact_affine():

@@ -227,14 +227,21 @@ def _deriv_D_by_slices(r, k):
 
 
 def test_deriv_D_matches_slice_sums_with_integer_coefficients():
-    for w in range(1, 9):
+    for w in range(1, 11):
         for k in compositions(w):
             if any(x > 3 for x in k):
                 continue
-            for r in range(1, 8, 2):
+            for r in range(1, w + 3, 2):
                 got = deriv_D(r, k)
                 assert got == _deriv_D_by_slices(r, k), (r, k)
                 assert all(type(c) is int for c in got.values()), (r, k)
+                # the result is the caller's: changing it leaves the next call alone
+                got.clear()
+                got[(LOG, ())] = 5
+                assert deriv_D(r, k) == _deriv_D_by_slices(r, k), (r, k)
+            for r in (0, 2, w + w % 2, -1):
+                with pytest.raises(ValueError, match="r must be odd and positive"):
+                    deriv_D(r, k)
 
 
 def test_graded_partial_raises_irreducible_on_every_call(monkeypatch):
