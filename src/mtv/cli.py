@@ -107,10 +107,18 @@ def _closed_form_t(idx):
     return None if ab is None else eval_t2232(*ab)
 
 
+def _zeta_index(text: str) -> SignedIndex:
+    """The z(...) argument of reg or stuffle; a t(...) or digit-string
+    index names a t value, a different number, so it is refused."""
+    idx = parse_argument(text)
+    if not isinstance(idx, SignedIndex):
+        raise ValueError(f"expected a signed zeta index z(...), got the t index {text!r}")
+    return idx
+
+
 def cmd_reg(args) -> int:
-    idx = parse_argument(args.index)
+    s = _zeta_index(args.index)
     param = SymPoly.zero() if args.param == "0" else SymPoly.gen(args.param)
-    s = idx if isinstance(idx, SignedIndex) else SignedIndex(tuple(idx), 0)
     if args.scheme == "stuffle":
         if s.lead_zeros:
             print("stuffle regularization needs no leading zeros", file=sys.stderr)
@@ -123,10 +131,7 @@ def cmd_reg(args) -> int:
 
 
 def cmd_stuffle(args) -> int:
-    a, b = parse_argument(args.left), parse_argument(args.right)
-    ka = a if isinstance(a, SignedIndex) else SignedIndex(tuple(a), 0)
-    kb = b if isinstance(b, SignedIndex) else SignedIndex(tuple(b), 0)
-    _print_lincomb(stuffle(ka, kb), args.format)
+    _print_lincomb(stuffle(_zeta_index(args.left), _zeta_index(args.right)), args.format)
     return 0
 
 

@@ -218,6 +218,8 @@ def basis_sets(kind: str, N: int, ell: int):
         raise ValueError(f"kind must be 'S' or 'H', got {kind!r}")
     if N < 1 or ell < 1:
         raise ValueError("need N >= 1 and ell >= 1")
+    if ell > N:
+        raise ValueError(f"level {ell} exceeds the weight N = {N}")
     if (N - ell) % 2 != 0:
         raise ValueError(f"N = {N} and ell = {ell} must have equal parity")
     B = _words_of_level(kind, N, ell)

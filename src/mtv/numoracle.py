@@ -30,7 +30,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import InvariantError
-from .indexcore import SignedIndex, to_int_word
+from .indexcore import SignedIndex, format_signed, to_int_word
 from .symring import SymPoly
 
 
@@ -313,7 +313,7 @@ def altz_num(s: SignedIndex, env: NumEnv) -> MPFloat:
     (-1)^depth I(0; to_int_word(s); 1)."""
     if not s.parts:
         return MPFloat(mpmath.mpf(1), 0.0)
-    v = _split(to_int_word(s), env, f"signed index {s}")
+    v = _split(to_int_word(s), env, f"signed index {format_signed(s)}")
     return -v if s.depth % 2 else v
 
 

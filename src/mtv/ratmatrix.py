@@ -9,10 +9,10 @@ The level matrices split along their trailing-ones classes, so the
 O(n^3) elimination runs on much smaller blocks.  Each block's rows are
 scaled to integers by the lcm of their denominators, read off the
 entries' numerators and denominators with no Fraction arithmetic, and
-the integer block is eliminated with the Bareiss recurrence.  The
-determinant of a parametric matrix is recovered from evaluations at
-lam = 0 and lam = 1, with a third evaluation checking that the
-determinant really is affine.
+the integer block is eliminated with the Bareiss recurrence.  A
+parametric matrix is cut where its entries vanish at every lam; inside
+the Hstar blocks lam enters only the row of 2^a 1^ell, so expanding
+along it shows the determinant affine, and lam = 0 and 1 give it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ def _diagonal_blocks(rows):
     zero.  A matrix with no such c < n is one block.
     """
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"non-square matrix: {n} rows of lengths {sorted({len(r) for r in rows})}")
     reach = 0  # one past the rightmost nonzero column of the rows so far
     start = 0
     for i, row in enumerate(rows):
@@ -95,9 +97,6 @@ def det_bareiss(rows) -> Fraction:
     blocks is zero.  Each block's rows are scaled to integers and
     eliminated on their own, and the first zero block ends the product.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError(f"non-square matrix: {n} rows of lengths {sorted({len(r) for r in rows})}")
     num = den = 1
     for c0, c1 in _diagonal_blocks(rows):
         block, scale = _row_scaled_int([row[c0:c1] for row in rows[c0:c1]])
@@ -128,17 +127,20 @@ def det_exact(rows):
     """Determinant of a matrix whose entries are ints, Fractions or
     SymPolys affine in lam.  Returns a Fraction, or a SymPoly affine in lam.
 
-    Parametric determinants are interpolated from lam = 0 and lam = 1
-    and cross-checked at lam = 2; a determinant that is not affine raises
-    InvariantError.
+    The diagonal blocks of the entries nonzero at some lam are blocks at
+    every lam.  When lam enters at most one row inside its block, the
+    determinant is affine in lam, so lam = 0 and lam = 1 give it; lam in
+    two such rows raises InvariantError.
     """
     parts = [[_affine_parts(x) for x in row] for row in rows]
     if not any(c1 for row in parts for _, c1 in row):
         return det_bareiss([[c0 for c0, _ in row] for row in parts])
-    d0, d1, d2 = (det_bareiss([[c0 + lam * c1 if c1 else c0 for c0, c1 in row] for row in parts])
-                  for lam in (0, 1, 2))
-    if d2 != 2 * d1 - d0:
-        raise InvariantError(f"determinant is not affine in lam: {d0}, {d1}, {d2} at lam = 0, 1, 2")
+    lam_rows = [i for b0, b1 in _diagonal_blocks([[c0 or c1 for c0, c1 in row] for row in parts])
+                for i in range(b0, b1) if any(c1 for _, c1 in parts[i][b0:b1])]
+    if len(lam_rows) > 1:
+        raise InvariantError(f"lam enters rows {lam_rows} inside their diagonal blocks: not affine")
+    d0, d1 = (det_bareiss([[c0 + lam * c1 if c1 else c0 for c0, c1 in row] for row in parts])
+              for lam in (0, 1))
     return SymPoly.const(d0) + SymPoly.gen("lam", 1, d1 - d0)
 
 

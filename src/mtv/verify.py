@@ -106,12 +106,8 @@ def counting_checks() -> list:
     out.append(_check("one-two set sizes are Fibonacci numbers", "count-hoffman", ok))
     ok = True
     for kind in ("S", "H"):
-        for N in range(1, 17):
-            for ell in range(1, N + 1):
-                if (N - ell) % 2:
-                    continue
-                if kind == "S" and N < 2:
-                    continue
+        for N in range(2 if kind == "S" else 1, 17):
+            for ell in range(2 - N % 2, N + 1, 2):
                 B, Bp = basis_sets(kind, N, ell)
                 if len(B) != len(Bp):
                     ok = False
@@ -140,54 +136,36 @@ def golden_checks() -> list:
 
 def invertibility_checks() -> list:
     max_n = 14
-    out = []
-    plain = {}  # (N, level) -> the kind-H matrix, for the comparison at lam = 1/2
-    for kind in ("S", "H"):
-        all_ok = True
-        detail = []
-        for N in range(1, max_n + 1):
-            for ell in range(1, N + 1):
-                if (N - ell) % 2:
-                    continue
-                if kind == "S" and N < 2:
-                    continue
-                m = build_matrix(kind, N, ell)
-                if not m.rows:
-                    continue
-                if kind == "H":
-                    plain[N, ell] = m.entries
-                rep = det_mod2_structure(m)
-                if not rep.ok:
-                    all_ok = False
-                    detail.append(f"{kind},{N},{ell}: {rep.notes}")
-        out.append(_check(f"kind {kind}: nonzero determinants and parity structure, weight <= {max_n}",
-                          f"invertibility-{kind}", all_ok, detail="; ".join(detail)))
-    all_ok = True
-    half = {"lam": SymPoly.const(Fraction(1, 2))}
+    failed = {"S": [], "H": []}
+    star_ok = True
     mismatched = []
+    half = {"lam": SymPoly.const(Fraction(1, 2))}
     for N in range(1, max_n + 1):
-        for ell in range(1, N + 1):
-            if (N - ell) % 2:
-                continue
-            m = build_matrix("Hstar", N, ell)
-            if not m.rows:
-                continue
-            det = m.det()
+        for ell in range(2 - N % 2, N + 1, 2):
+            for kind in ("S", "H") if N >= 2 else ("H",):
+                m = build_matrix(kind, N, ell)
+                if m.rows and not (rep := det_mod2_structure(m)).ok:
+                    failed[kind].append(f"{kind},{N},{ell}: {rep.notes}")
+            star = build_matrix("Hstar", N, ell)  # m is now the kind-H matrix of this level
+            det = star.det()
             if isinstance(det, SymPoly):
                 for lam in (Fraction(1, 2), Fraction(1)):
                     if det.substitute({"lam": SymPoly.const(lam)}).const_value() == 0:
-                        all_ok = False
+                        star_ok = False
             elif det == 0:
-                all_ok = False
+                star_ok = False
             at_half = [[x.substitute(half).const_value() if isinstance(x, SymPoly) else x for x in row]
-                       for row in m.entries]
-            if at_half != plain.get((N, ell)):
+                       for row in star.entries]
+            if at_half != m.entries:
                 mismatched.append(f"{N},{ell}")
-    out.append(_check(f"parametric matrices invertible at lam = 1/2 and 1, weight <= {max_n}",
-                      "invertibility-Hstar", all_ok))
-    out.append(_check(f"parametric matrix at lam = 1/2 equals the plain matrix, weight <= {max_n}",
-                      "Hstar-at-half", not mismatched, detail="; ".join(mismatched)))
-    return out
+    return [_check(f"kind {kind}: nonzero determinants and parity structure, weight <= {max_n}",
+                   f"invertibility-{kind}", not failed[kind], detail="; ".join(failed[kind]))
+            for kind in ("S", "H")] + [
+        _check(f"parametric matrices invertible at lam = 1/2 and 1, weight <= {max_n}",
+               "invertibility-Hstar", star_ok),
+        _check(f"parametric matrix at lam = 1/2 equals the plain matrix, weight <= {max_n}",
+               "Hstar-at-half", not mismatched, detail="; ".join(mismatched)),
+    ]
 
 
 def closedform_checks(env=None) -> list:

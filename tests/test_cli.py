@@ -52,7 +52,7 @@ def test_eval(capsys):
 
 
 def test_reg(capsys):
-    code, out, _ = run_cli(capsys, "reg", "--scheme", "stuffle", "--param", "U", "t(2,1)")
+    code, out, _ = run_cli(capsys, "reg", "--scheme", "stuffle", "--param", "U", "z(2,1)")
     assert code == 0
     assert "(U) * z(2)" in out and "(-1) * z(3)" in out
     code, out, _ = run_cli(capsys, "reg", "--scheme", "shuffle", "--param", "0", "z_1(2)")
@@ -62,8 +62,21 @@ def test_reg(capsys):
     assert code == 2 and out == "" and err == "error: index digits must be positive: '20'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["reg", "--scheme", "stuffle", "--param", "U", "t(2,1)"],
+    ["reg", "--scheme", "shuffle", "t(2,1)"],
+    ["reg", "--scheme", "shuffle", "21"],
+    ["stuffle", "z(2)", "t(1,2)"],
+    ["stuffle", "2", "z(1,2)"],
+])
+def test_reg_and_stuffle_refuse_a_t_index(capsys, argv):
+    # both act on zeta indices; a t index with the same entries is another number
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "z(...)" in err and "t index" in err
+
+
 def test_stuffle_shuffle(capsys):
-    code, out, _ = run_cli(capsys, "stuffle", "t(2)", "t(1,2)")
+    code, out, _ = run_cli(capsys, "stuffle", "z(2)", "z(1,2)")
     assert code == 0 and "z(1,2,2)" in out
     code, out, _ = run_cli(capsys, "shuffle", "10", "10", "--format", "json")
     assert code == 0
@@ -118,6 +131,20 @@ def test_dr(capsys):
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--kind", "S", "--N", "4")
     assert code == 0 and out.split() == ["22", "112", "13"]
+
+
+def test_level_above_the_weight_exits_2(capsys):
+    for argv in (["det", "--kind", "H", "--N", "3", "--level", "5", "--structure"],
+                 ["det", "--kind", "S", "--N", "3", "--level", "5", "--structure"],
+                 ["matrix", "--kind", "Hstar", "--N", "3", "--level", "5"],
+                 ["enumerate", "--kind", "H", "--N", "3", "--level", "5"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err == "error: level 5 exceeds the weight N = 3\n", argv
+
+
+def test_num_names_a_divergent_signed_index_as_typed(capsys):
+    code, out, err = run_cli(capsys, "num", "z(1)")
+    assert code == 2 and out == "" and err == "error: divergent signed index z(1)\n"
 
 
 def test_det(capsys):
@@ -291,7 +318,7 @@ def test_broken_invariant_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(regularize, "_st_cache", {})
     monkeypatch.setattr(regularize, "_word_cache", {})
     monkeypatch.setattr(regularize, "_stuffle_parts", lambda u, v: ((u + v, 2),))
-    code, out, err = run_cli(capsys, "reg", "--scheme", "stuffle", "t(2,1)")
+    code, out, err = run_cli(capsys, "reg", "--scheme", "stuffle", "z(2,1)")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "occurs 2 times" in err and "Traceback" not in err
 
@@ -458,8 +485,8 @@ class _ReadRecorder(argparse.Namespace):
 # det needs two, since --lam applies to Hstar only and --structure to S and H only
 EVERY_OPTION = {
     "eval": [["t*(2,1;V)", "--format", "json"]],
-    "reg": [["--scheme", "stuffle", "--param", "U", "t(2,1)", "--format", "json"]],
-    "stuffle": [["t(2)", "t(1,2)", "--format", "json"]],
+    "reg": [["--scheme", "stuffle", "--param", "U", "z(2,1)", "--format", "json"]],
+    "stuffle": [["z(2)", "z(1,2)", "--format", "json"]],
     "shuffle": [["10", "10", "--format", "json"]],
     "dr": [["--r", "3", "t(2,1,2)", "--format", "json"]],
     "matrix": [["--kind", "S", "--N", "6", "--level", "2", "--format", "json"]],

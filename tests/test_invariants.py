@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mtv import motivic, ratmatrix
+from mtv import motivic
 from mtv.errors import InvariantError
 from mtv.motivic import build_matrix, graded_partial, pitilde
 from mtv.ratmatrix import det_bareiss, det_exact, parity
@@ -169,8 +169,8 @@ def test_broken_invariants_raise_runtime_error(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(motivic, "deriv_D", lambda r, k: {(("t", (1,)), (4,)): Fraction(1)})
             graded_partial("H", 3, 1, (1, 2))
-    # a determinant routine that is right at lam = 0 and 1 but not at lam = 2
-    real = ratmatrix.det_bareiss
-    monkeypatch.setattr(ratmatrix, "det_bareiss", lambda rows: real(rows) + (rows[0][0] == 3))
-    with pytest.raises(InvariantError, match="not affine in lam: .*at lam = 0, 1, 2"):
-        det_exact([[SymPoly.gen("lam") + 1]])
+    # lam in three diagonal blocks: the determinant lam^3 - 3 lam^2 + 2 lam is
+    # zero at lam = 0, 1 and 2, so no evaluation there could tell it from 0
+    lam = SymPoly.gen("lam")
+    with pytest.raises(InvariantError, match=r"lam enters rows \[0, 1, 2\]"):
+        det_exact([[lam, 0, 0], [0, lam - 1, 0], [0, 0, lam - 2]])

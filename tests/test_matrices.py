@@ -3,6 +3,10 @@ import random
 from fractions import Fraction
 from importlib import resources
 
+import pytest
+
+from mtv import ratmatrix
+from mtv.errors import InvariantError
 from mtv.indexcore import trailing_ones_partition
 from mtv.motivic import FiltMatrix, build_matrix, det_mod2_structure
 from mtv.ratmatrix import _diagonal_blocks, det_bareiss, det_exact
@@ -106,15 +110,42 @@ def test_det_exact_affine():
     assert det == 7 * lam - 14
 
 
+def test_det_exact_refuses_lam_in_two_rows_of_the_blocks():
+    lam = SymPoly.gen("lam")
+    # lam^3 - 3 lam^2 + 2 lam vanishes at lam = 0, 1 and 2, so evaluating
+    # there cannot tell it from 0; three blocks each carry lam
+    with pytest.raises(InvariantError, match=r"rows \[0, 1, 2\]"):
+        det_exact([[lam, 0, 0], [0, lam - 1, 0], [0, 0, lam - 2]])
+    # 1 - lam^2: lam only off the diagonal, which joins the two rows in one block
+    with pytest.raises(InvariantError, match=r"rows \[0, 1\]"):
+        det_exact([[SymPoly.one(), lam], [lam, SymPoly.one()]])
+    # lam below the blocks only: the determinant is constant
+    assert det_exact([[SymPoly.const(2), 0], [lam, SymPoly.const(3)]]) == SymPoly.const(6)
+    # lam in one row of the one block: affine
+    assert det_exact([[lam + 1, lam], [0, SymPoly.const(3)]]) == 3 * lam + 3
+
+
+def test_hstar_det_eliminates_the_full_matrix_twice(monkeypatch):
+    m = build_matrix("Hstar", 9, 1)
+    real, sizes = ratmatrix.det_bareiss, []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(ratmatrix, "det_bareiss", counted)
+    m.det()
+    assert sizes == [len(m.rows)] * 2  # lam = 0 and lam = 1
+
+
 def test_det_exact_equals_per_lambda_substitution():
-    # the reference route: substitute lam into every entry, then eliminate
-    for N in range(1, 10):
+    # the reference route: substitute lam into every entry, then eliminate;
+    # det_exact evaluates at lam = 0 and 1 only, so 2, 1/2 and 3 are checks
+    for N in range(1, 13):
         for ell in range(N % 2 or 2, N + 1, 2):
             m = build_matrix("Hstar", N, ell)
-            if not m.rows:
-                continue
             det = m.det()
-            for lam in (Fraction(0), Fraction(1), Fraction(2)):
+            for lam in (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)):
                 value = {"lam": SymPoly.const(lam)}
                 rows = [[x.substitute(value).const_value() if isinstance(x, SymPoly) else x for x in row]
                         for row in m.entries]
