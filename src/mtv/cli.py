@@ -214,9 +214,9 @@ def cmd_det(args) -> int:
     m = build_matrix(args.kind, args.N, args.level)
     rep = det_mod2_structure(m) if args.structure else None  # the report carries the determinant
     det = m.det() if rep is None else rep.det
-    if args.lam is not None and isinstance(det, SymPoly):
+    if args.lam is not None:  # kind Hstar: a SymPoly affine in lam
         det = det.substitute({"lam": SymPoly.const(args.lam)}).const_value()
-    print(det if not isinstance(det, SymPoly) else det.text())
+    print(det)
     if rep is not None:
         for note in rep.notes:
             print(f"note: {note}")

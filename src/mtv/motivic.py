@@ -11,7 +11,9 @@ the structural lemmas behind the construction into runtime checks.
 Matrix conventions: rows are indexed by the weight-N level-l words B,
 columns by the lower-level words B'; entry (w, w') is the coefficient
 of w' in the graded image of w after the projection log2 -> 1/2,
-zeta(2r+1) -> 2^(2r-1).
+zeta(2r+1) -> 2^(2r-1).  The parametric matrix Hstar(lam) is H plus
+lam - 1/2 at one cell per row ending in 1 (star_matrix), and its affine
+determinant comes from two Fraction eliminations, at lam = 1/2 and 1.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .indexcore import (
     trailing_run,
     word_level,
 )
-from .ratmatrix import det_bareiss, det_exact, is_integer, parity
+from .ratmatrix import det_bareiss, diagonal_blocks, parity
 from .symring import SymPoly, lc_put
 
 LOG = ("log",)
@@ -239,10 +241,11 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple):
     """Row of the graded derivation matrix for the basis word w.
 
     Returns {B'-word: coefficient}; coefficients are Fractions, or
-    SymPolys affine in lam for kind 'Hstar'.  D_r sends a level-l word
-    to right factors of level < l (the lemma that makes the matrices
-    filtered); a right factor of level >= l raises InvariantError, and
-    only those of level l - 1 enter the row.
+    SymPolys affine in lam for kind 'Hstar' (the reference rows of
+    star_matrix).  D_r sends a level-l word to right factors of level
+    < l (the lemma that makes the matrices filtered); a right factor of
+    level >= l raises InvariantError, and only those of level l - 1
+    enter the row.
     """
     word_kind = "S" if kind == "S" else "H"
     w = tuple(w)
@@ -272,19 +275,20 @@ class FiltMatrix:
     ell: int
     rows: list
     cols: list
-    entries: list  # list of lists; Fraction or SymPoly affine in lam
+    entries: list  # list of lists of Fractions; for Hstar, SymPolys lam - 1/2 + H's entry at the cells
+    plain: list | None = None  # Hstar: the kind-H entries, its value at lam = 1/2
+    cells: tuple = ()  # Hstar: the (row, column) offsets of the lam cells
 
     def entry(self, w, wp):
         return self.entries[self.rows.index(w)][self.cols.index(wp)]
 
     def det(self):
-        return det_exact(self.entries)
+        """A Fraction; for Hstar, a SymPoly affine in lam."""
+        return _star_det(self.plain, self.cells) if self.kind == "Hstar" else det_bareiss(self.entries)
 
     def to_json(self) -> dict:
         def fmt(x):
-            if isinstance(x, SymPoly):
-                if x.max_degree("lam") == 0:
-                    return str(x.const_value())
+            if isinstance(x, SymPoly):  # a lam cell
                 return {
                     "const": str(x.coeff_of_power("lam", 0).const_value()),
                     "lambda": str(x.coeff_of_power("lam", 1).const_value()),
@@ -302,23 +306,69 @@ class FiltMatrix:
 
 
 def build_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
-    """The matrix of the graded derivation with respect to (B, B')."""
+    """The matrix of the graded derivation with respect to (B, B');
+    kind Hstar is star_matrix of the kind-H matrix."""
     if kind not in ("S", "H", "Hstar"):
         raise ValueError(f"kind must be 'S', 'H' or 'Hstar', got {kind!r}")
     if kind == "S" and N < 2:
         raise ValueError(f"kind S has no words of weight {N}; need N >= 2")
-    B, Bp = basis_sets("S" if kind == "S" else "H", N, ell)
+    word_kind = "S" if kind == "S" else "H"
+    B, Bp = basis_sets(word_kind, N, ell)
     if len(B) != len(Bp):
         raise InvariantError(f"bases of unequal size at {kind} N={N} level {ell}: {len(B)} and {len(Bp)}")
     entries = []
     cols = set(Bp)
     for w in B:
-        row_map = graded_partial(kind, N, ell, w)
+        row_map = graded_partial(word_kind, N, ell, w)
         unknown = set(row_map) - cols
         if unknown:
             raise InvariantError(f"row {w} hit non-basis words {sorted(unknown)}")
         entries.append([row_map.get(wp, _ZERO) for wp in Bp])
-    return FiltMatrix(kind, N, ell, list(B), list(Bp), entries)
+    m = FiltMatrix(word_kind, N, ell, list(B), list(Bp), entries)
+    return star_matrix(m) if kind == "Hstar" else m
+
+
+def star_matrix(h: FiltMatrix) -> FiltMatrix:
+    """Hstar(lam): the kind-H matrix h plus lam - 1/2 at the cell
+    (w, w[:-1]) of every row w ending in 1.  That is D*_1's term
+    ("zst1", 1) x w[:-1], which lie_reduce sends to (2 lam - 1) log and
+    pitilde to lam - 1/2; D*_r's terms with r >= 3 fall below level
+    ell - 1.  A row whose w[:-1] is not a column raises InvariantError.
+    """
+    col = {u: j for j, u in enumerate(h.cols)}
+    entries = list(h.entries)
+    cells = []
+    for i, w in enumerate(h.rows):
+        if w[-1] != 1:
+            continue
+        j = col.get(w[:-1])
+        if j is None:
+            raise InvariantError(f"row {w} ends in 1 but {w[:-1]} is not a column")
+        entries[i] = entries[i][:]
+        entries[i][j] = SymPoly.gen("lam") - Fraction(1, 2) + entries[i][j]
+        cells.append((i, j))
+    return FiltMatrix("Hstar", h.N, h.ell, h.rows, h.cols, entries, h.entries, tuple(cells))
+
+
+def _star_det(plain: list, cells) -> SymPoly:
+    """det(plain + (lam - 1/2) at the cells) as d0 + d1 lam.
+
+    The diagonal blocks of the entries nonzero at lam = 1/2 or 1 (so at
+    some lam) are blocks at every lam.  If the cells inside them lie in
+    one row, the determinant is affine in lam, and its values at 1/2
+    (plain's own) and 1 give it; if in two or more, InvariantError.
+    """
+    at_one, pattern = list(plain), list(plain)
+    for i, j in cells:
+        at_one[i] = at_one[i][:]
+        at_one[i][j] += Fraction(1, 2)
+        pattern[i] = [a or b for a, b in zip(plain[i], at_one[i])]
+    first = [b0 for b0, b1 in diagonal_blocks(pattern) for _ in range(b0, b1)]  # row -> its block's start
+    inside = sorted({i for i, j in cells if j >= first[i]})
+    if len(inside) > 1:
+        raise InvariantError(f"lam enters rows {inside} inside their diagonal blocks: not affine")
+    d_half, d_one = det_bareiss(plain), det_bareiss(at_one)
+    return SymPoly.const(2 * d_half - d_one) + SymPoly.gen("lam", 1, 2 * (d_one - d_half))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +427,7 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
             # the determinant is even; invertibility comes from the odd
             # leading minor together with a nonzero last row.
             last = m.entries[-1]
-            if not all(is_integer(x) and parity(x) == 0 for x in last):
+            if not all(x.denominator == 1 and x.numerator % 2 == 0 for x in last):
                 ok = False
                 notes.append("last row should consist of even integers")
             if all(x == 0 for x in last):
@@ -437,16 +487,14 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
 
 def singular_lambda(N: int) -> Fraction:
     """The value of lam at which the parametric level-one matrix of odd
-    weight N degenerates; the determinant is affine in lam and the
-    root is returned exactly."""
+    weight N degenerates, exactly.  The determinant is affine in lam with
+    a nonzero slope; one that is not raises InvariantError."""
     if N < 1 or N % 2 == 0:
         raise ValueError("need odd N >= 1")
     det = build_matrix("Hstar", N, 1).det()
-    if not isinstance(det, SymPoly) or det.max_degree("lam") != 1:
-        raise ValueError(f"determinant {det} is not affine in lam")
-    a = det.coeff_of_power("lam", 0).const_value()
-    b = det.coeff_of_power("lam", 1).const_value()
-    return -a / b
+    if det.max_degree("lam") != 1:
+        raise InvariantError(f"determinant {det} is not affine in lam")
+    return -det.coeff_of_power("lam", 0).const_value() / det.coeff_of_power("lam", 1).const_value()
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,7 @@ def t_num(k: tuple, env: NumEnv) -> MPFloat:
     if not k:
         return MPFloat(mpmath.mpf(1), 0.0)
     word = tuple(x for i, ki in enumerate(k) for x in ("b" if i else "a",) + (0,) * (ki - 1))
-    return _split(word, env, f"t index {k}")
+    return _split(word, env, f"t index t({','.join(map(str, k))})")
 
 
 def altz_num(s: SignedIndex, env: NumEnv) -> MPFloat:

@@ -1,29 +1,22 @@
 """Dense exact-rational matrices with fraction-free determinants.
 
-Entries are ints or Fractions, or SymPolys affine in lam for the
-parametric matrices.  A matrix is first cut into its diagonal blocks:
-one scan finds every c with all entries of rows[:c] in columns >= c
-zero, so the matrix is block lower triangular and its determinant is
-exactly the product of the blocks' determinants, whatever the input.
-The level matrices split along their trailing-ones classes, so the
-O(n^3) elimination runs on much smaller blocks.  Each block's rows are
-scaled to integers by the lcm of their denominators, read off the
-entries' numerators and denominators with no Fraction arithmetic, and
-the integer block is eliminated with the Bareiss recurrence.  A
-parametric matrix is cut where its entries vanish at every lam; inside
-the Hstar blocks lam enters only the row of 2^a 1^ell, so expanding
-along it shows the determinant affine, and lam = 0 and 1 give it.
+Entries are ints or Fractions; the parametric Hstar matrices are
+reduced to two Fraction matrices in motivic before they get here.  A
+matrix is first cut into its diagonal blocks: one scan finds every c
+with all entries of rows[:c] in columns >= c zero, so the matrix is
+block lower triangular and its determinant is exactly the product of
+the blocks' determinants, whatever the input.  The level matrices split
+along their trailing-ones classes, so the O(n^3) elimination runs on
+much smaller blocks.  Each block's rows are scaled to integers by the
+lcm of their denominators, read off the entries' numerators and
+denominators with no Fraction arithmetic, and the integer block is
+eliminated with the Bareiss recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .errors import InvariantError
-from .symring import SymPoly
-
-_LAM = (("lam", 1),)
 
 
 def _row_scaled_int(rows):
@@ -37,7 +30,7 @@ def _row_scaled_int(rows):
     return scaled, scale
 
 
-def _diagonal_blocks(rows):
+def diagonal_blocks(rows):
     """The (start, end) offsets of the finest diagonal blocks of a square
     matrix that is block lower triangular.
 
@@ -92,13 +85,13 @@ def _bareiss_int(m) -> int:
 def det_bareiss(rows) -> Fraction:
     """Exact determinant of a square matrix of ints and Fractions.
 
-    The matrix is cut into its diagonal blocks (_diagonal_blocks); the
+    The matrix is cut into its diagonal blocks (diagonal_blocks); the
     determinant is the product of theirs, since every entry above the
     blocks is zero.  Each block's rows are scaled to integers and
     eliminated on their own, and the first zero block ends the product.
     """
     num = den = 1
-    for c0, c1 in _diagonal_blocks(rows):
+    for c0, c1 in diagonal_blocks(rows):
         block, scale = _row_scaled_int([row[c0:c1] for row in rows[c0:c1]])
         d = _bareiss_int(block)
         if d == 0:
@@ -106,46 +99,6 @@ def det_bareiss(rows) -> Fraction:
         num *= d
         den *= scale
     return Fraction(num, den)
-
-
-def _affine_parts(x):
-    """(c0, c1) with x = c0 + c1 lam, read from the terms of a SymPoly."""
-    if not isinstance(x, SymPoly):
-        return x, 0
-    c0 = c1 = 0
-    for mono, c in x.terms.items():
-        if mono == ():
-            c0 = c
-        elif mono == _LAM:
-            c1 = c
-        else:
-            raise ValueError(f"entries must be affine in lam, got {x}")
-    return c0, c1
-
-
-def det_exact(rows):
-    """Determinant of a matrix whose entries are ints, Fractions or
-    SymPolys affine in lam.  Returns a Fraction, or a SymPoly affine in lam.
-
-    The diagonal blocks of the entries nonzero at some lam are blocks at
-    every lam.  When lam enters at most one row inside its block, the
-    determinant is affine in lam, so lam = 0 and lam = 1 give it; lam in
-    two such rows raises InvariantError.
-    """
-    parts = [[_affine_parts(x) for x in row] for row in rows]
-    if not any(c1 for row in parts for _, c1 in row):
-        return det_bareiss([[c0 for c0, _ in row] for row in parts])
-    lam_rows = [i for b0, b1 in _diagonal_blocks([[c0 or c1 for c0, c1 in row] for row in parts])
-                for i in range(b0, b1) if any(c1 for _, c1 in parts[i][b0:b1])]
-    if len(lam_rows) > 1:
-        raise InvariantError(f"lam enters rows {lam_rows} inside their diagonal blocks: not affine")
-    d0, d1 = (det_bareiss([[c0 + lam * c1 if c1 else c0 for c0, c1 in row] for row in parts])
-              for lam in (0, 1))
-    return SymPoly.const(d0) + SymPoly.gen("lam", 1, d1 - d0)
-
-
-def is_integer(x) -> bool:
-    return x.denominator == 1
 
 
 def parity(x) -> int:

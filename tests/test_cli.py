@@ -147,6 +147,12 @@ def test_num_names_a_divergent_signed_index_as_typed(capsys):
     assert code == 2 and out == "" and err == "error: divergent signed index z(1)\n"
 
 
+@pytest.mark.parametrize("spelling", ["t(2,1)", "21"])
+def test_num_names_a_divergent_t_index_in_the_t_notation(capsys, spelling):
+    code, out, err = run_cli(capsys, "num", spelling)
+    assert code == 2 and out == "" and err == "error: divergent t index t(2,1)\n"
+
+
 def test_det(capsys):
     code, out, _ = run_cli(capsys, "det", "--kind", "Hstar", "--N", "3", "--level", "1")
     assert code == 0 and out.strip() == "-14 + 7*lam"
@@ -339,9 +345,8 @@ def test_invertibility_names_its_bounds(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "invertibility")
     assert code == 0 and "0 failures" in out
     lines = _verdicts(out)
-    for ref in ("invertibility-S", "invertibility-H", "invertibility-Hstar"):
+    for ref in ("invertibility-S", "invertibility-H", "invertibility-Hstar", "Hstar-from-definition"):
         assert lines[ref].startswith("PASS") and lines[ref].endswith("weight <= 14"), lines[ref]
-    assert lines["Hstar-at-half"].startswith("PASS") and lines["Hstar-at-half"].endswith("weight <= 14")
 
 
 def test_settings_a_suite_would_ignore_are_refused(capsys):

@@ -5,11 +5,11 @@ from importlib import resources
 
 import pytest
 
-from mtv import ratmatrix
+from mtv import motivic
 from mtv.errors import InvariantError
 from mtv.indexcore import trailing_ones_partition
 from mtv.motivic import FiltMatrix, build_matrix, det_mod2_structure
-from mtv.ratmatrix import _diagonal_blocks, det_bareiss, det_exact
+from mtv.ratmatrix import det_bareiss, diagonal_blocks
 from mtv.symring import SymPoly
 
 
@@ -75,7 +75,7 @@ def test_det_bareiss_splits_block_lower_triangular_matrices():
         m = _block_lower(rng, sizes)
         assert det_bareiss(m) == cofactor_det(m), (sizes, m)
         # every cut of the construction is found (a block may split further)
-        assert set(cuts) <= {c1 for _, c1 in _diagonal_blocks(m)}, (sizes, m)
+        assert set(cuts) <= {c1 for _, c1 in diagonal_blocks(m)}, (sizes, m)
 
 
 def test_det_bareiss_does_not_cut_below_an_entry_in_the_last_column():
@@ -85,7 +85,7 @@ def test_det_bareiss_does_not_cut_below_an_entry_in_the_last_column():
          [Fraction(1, 2), Fraction(1), Fraction(0), Fraction(0)],
          [Fraction(1), Fraction(0), Fraction(2), Fraction(1)],
          [Fraction(0), Fraction(1), Fraction(1), Fraction(1)]]
-    assert list(_diagonal_blocks(m)) == [(0, 4)]
+    assert list(diagonal_blocks(m)) == [(0, 4)]
     blocks = cofactor_det([r[:2] for r in m[:2]]) * cofactor_det([r[2:] for r in m[2:]])
     assert det_bareiss(m) == cofactor_det(m) != blocks
 
@@ -102,45 +102,55 @@ def test_det_bareiss_with_a_singular_middle_block_is_zero():
     assert det_bareiss(m) == cofactor_det(m) == 0
 
 
-def test_det_exact_affine():
+def _star_det(plain, cells):
+    """The Hstar determinant of a hand-built matrix: plain + (lam - 1/2) at the cells."""
+    plain = [[Fraction(x) for x in row] for row in plain]
+    return FiltMatrix("Hstar", 0, 0, [], [], [], plain, tuple(cells)).det()
+
+
+def test_hstar_det_affine_with_a_hand_placed_cell():
     # the weight-3 parametric matrix by hand: det [[1, -7], [lam-1, -7]] = 7 lam - 14
     lam = SymPoly.gen("lam")
-    rows = [[SymPoly.one(), SymPoly.const(-7)], [lam - 1, SymPoly.const(-7)]]
-    det = det_exact(rows)
-    assert det == 7 * lam - 14
+    assert _star_det([[1, -7], [Fraction(-1, 2), -7]], [(1, 0)]) == 7 * lam - 14
+    m = build_matrix("Hstar", 3, 1)
+    assert m.cells == ((1, 0),) and m.det() == 7 * lam - 14
 
 
-def test_det_exact_refuses_lam_in_two_rows_of_the_blocks():
+def test_hstar_det_refuses_two_cells_inside_the_blocks():
     lam = SymPoly.gen("lam")
-    # lam^3 - 3 lam^2 + 2 lam vanishes at lam = 0, 1 and 2, so evaluating
-    # there cannot tell it from 0; three blocks each carry lam
+    half = Fraction(1, 2)
+    # lam, lam - 1, lam - 2 on the diagonal: lam^3 - 3 lam^2 + 2 lam vanishes
+    # at lam = 0, 1 and 2, and no two evaluations could tell it from affine
     with pytest.raises(InvariantError, match=r"rows \[0, 1, 2\]"):
-        det_exact([[lam, 0, 0], [0, lam - 1, 0], [0, 0, lam - 2]])
+        _star_det([[half, 0, 0], [0, -half, 0], [0, 0, -3 * half]], [(0, 0), (1, 1), (2, 2)])
     # 1 - lam^2: lam only off the diagonal, which joins the two rows in one block
     with pytest.raises(InvariantError, match=r"rows \[0, 1\]"):
-        det_exact([[SymPoly.one(), lam], [lam, SymPoly.one()]])
+        _star_det([[1, half], [half, 1]], [(0, 1), (1, 0)])
+    # a cell whose entry is 0 at lam = 1 still joins its row to the block
+    with pytest.raises(InvariantError, match=r"rows \[0, 1\]"):
+        _star_det([[1, -half], [half, 1]], [(0, 1), (1, 0)])
     # lam below the blocks only: the determinant is constant
-    assert det_exact([[SymPoly.const(2), 0], [lam, SymPoly.const(3)]]) == SymPoly.const(6)
+    assert _star_det([[2, 0], [half, 3]], [(1, 0)]) == SymPoly.const(6)
     # lam in one row of the one block: affine
-    assert det_exact([[lam + 1, lam], [0, SymPoly.const(3)]]) == 3 * lam + 3
+    assert _star_det([[Fraction(3, 2), half], [0, 3]], [(0, 0), (0, 1)]) == 3 * lam + 3
 
 
 def test_hstar_det_eliminates_the_full_matrix_twice(monkeypatch):
     m = build_matrix("Hstar", 9, 1)
-    real, sizes = ratmatrix.det_bareiss, []
+    real, sizes = motivic.det_bareiss, []
 
     def counted(rows):
         sizes.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(ratmatrix, "det_bareiss", counted)
+    monkeypatch.setattr(motivic, "det_bareiss", counted)
     m.det()
-    assert sizes == [len(m.rows)] * 2  # lam = 0 and lam = 1
+    assert sizes == [len(m.rows)] * 2  # lam = 1/2 and lam = 1
 
 
-def test_det_exact_equals_per_lambda_substitution():
+def test_hstar_det_equals_per_lambda_substitution():
     # the reference route: substitute lam into every entry, then eliminate;
-    # det_exact evaluates at lam = 0 and 1 only, so 2, 1/2 and 3 are checks
+    # the determinant is read at lam = 1/2 and 1 only, so 0, 2 and 3 are checks
     for N in range(1, 13):
         for ell in range(N % 2 or 2, N + 1, 2):
             m = build_matrix("Hstar", N, ell)
@@ -149,8 +159,25 @@ def test_det_exact_equals_per_lambda_substitution():
                 value = {"lam": SymPoly.const(lam)}
                 rows = [[x.substitute(value).const_value() if isinstance(x, SymPoly) else x for x in row]
                         for row in m.entries]
-                got = det.substitute(value).const_value() if isinstance(det, SymPoly) else det
-                assert got == det_bareiss(rows), (N, ell, lam)
+                assert det.substitute(value).const_value() == det_bareiss(rows), (N, ell, lam)
+
+
+def test_hstar_is_h_plus_one_lam_cell_per_row_ending_in_1():
+    lam = SymPoly.gen("lam")
+    for N, ell in ((8, 2), (9, 3), (10, 4)):
+        h, hs = build_matrix("H", N, ell), build_matrix("Hstar", N, ell)
+        cells = {(i, hs.cols.index(w[:-1])) for i, w in enumerate(hs.rows) if w[-1] == 1}
+        assert set(hs.cells) == cells and hs.plain == h.entries
+        for i, (rx, ry) in enumerate(zip(hs.entries, h.entries)):
+            for j, (x, y) in enumerate(zip(rx, ry)):
+                assert x == (y + lam - Fraction(1, 2) if (i, j) in cells else y)
+
+
+def test_star_matrix_refuses_a_row_whose_prefix_is_no_column():
+    h = build_matrix("H", 3, 1)
+    h.cols = [(3,), ()]
+    with pytest.raises(InvariantError, match=r"row \(2, 1\) ends in 1 but \(2,\) is not a column"):
+        motivic.star_matrix(h)
 
 
 def test_golden_matrices_reproduced():
@@ -202,11 +229,8 @@ def test_hstar_invertible_at_half_and_one():
             if not m.rows:
                 continue
             det = m.det()
-            if isinstance(det, SymPoly):
-                for lam in (Fraction(1, 2), Fraction(1)):
-                    assert det.substitute({"lam": SymPoly.const(lam)}).const_value() != 0
-            else:
-                assert det != 0
+            for lam in (Fraction(1, 2), Fraction(1)):
+                assert det.substitute({"lam": SymPoly.const(lam)}).const_value() != 0
 
 
 def test_weight8_parametric_det_vanishes_at_singular_value():
@@ -232,7 +256,7 @@ def test_matrix_json_shape():
 
 
 def test_singular_lambda_past_19_by_a_second_determinant_route():
-    # the affine interpolation in det_exact gives the root; substituting it
+    # the affine interpolation of the Hstar determinant gives the root; substituting it
     # into the entries and eliminating again must give a singular matrix
     from mtv.motivic import singular_lambda
 

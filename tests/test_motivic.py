@@ -1,4 +1,5 @@
 import re
+from functools import lru_cache
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,35 @@ def test_singular_lambda_det_affine_through_19():
     for N in range(1, 20, 2):
         det = build_matrix("Hstar", N, 1).det()
         assert isinstance(det, SymPoly) and det.max_degree("lam") == 1
+
+
+def test_singular_lambda_refuses_a_determinant_not_affine(monkeypatch, capsys):
+    # a slope of 0 or a lam^2 term breaks the block-structure argument: an
+    # invariant (exit 3), not bad input; an even weight stays bad input
+    lam = SymPoly.gen("lam")
+    for det in (SymPoly.const(5), lam * lam - 1):
+        monkeypatch.setattr(motivic.FiltMatrix, "det", lambda self, det=det: det)
+        with pytest.raises(InvariantError, match="is not affine in lam"):
+            singular_lambda(5)
+        assert main(["singular-lambda", "--N", "5"]) == 3
+        assert capsys.readouterr().err == f"error: determinant {det} is not affine in lam\n"
+    with pytest.raises(ValueError, match="odd N"):
+        singular_lambda(4)
+
+
+def test_hstar_build_expands_each_word_once_without_deriv_D_star(monkeypatch):
+    # Hstar is derived from the H rows: no second pass over any word's cuts
+    def refuse(r, k):
+        raise AssertionError(f"deriv_D_star({r}, {k}) called")
+
+    monkeypatch.setattr(motivic, "deriv_D_star", refuse)
+    expanded = []
+    real = motivic._deriv_D_all.__wrapped__
+    monkeypatch.setattr(motivic, "_deriv_D_all", lru_cache(maxsize=1)(lambda k: expanded.append(k) or real(k)))
+    for N, ell in ((8, 2), (9, 1), (10, 4)):
+        expanded.clear()
+        m = build_matrix("Hstar", N, ell)
+        assert sorted(expanded) == sorted(m.rows), (N, ell)
 
 
 def _tag_weight(tag):
