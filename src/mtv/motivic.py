@@ -12,8 +12,11 @@ Matrix conventions: rows are indexed by the weight-N level-l words B,
 columns by the lower-level words B'; entry (w, w') is the coefficient
 of w' in the graded image of w after the projection log2 -> 1/2,
 zeta(2r+1) -> 2^(2r-1).  The parametric matrix Hstar(lam) is H plus
-lam - 1/2 at one cell per row ending in 1 (star_matrix), and its affine
-determinant comes from two Fraction eliminations, at lam = 1/2 and 1.
+lam - 1/2 at one cell per row ending in 1 (star_matrix).  Determinants
+are read from one block factorisation (ratmatrix.block_dets): Hstar's
+affine determinant from H's blocks at lam = 1/2 and, at lam = 1, the
+one block that holds a cell, and the structure report's final class
+from the blocks inside it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .indexcore import (
     trailing_run,
     word_level,
 )
-from .ratmatrix import det_bareiss, diagonal_blocks, parity
+from .ratmatrix import block_dets, det_bareiss, diagonal_blocks, parity
 from .symring import SymPoly, lc_put
 
 LOG = ("log",)
@@ -357,17 +360,24 @@ def _star_det(plain: list, cells) -> SymPoly:
     some lam) are blocks at every lam.  If the cells inside them lie in
     one row, the determinant is affine in lam, and its values at 1/2
     (plain's own) and 1 give it; if in two or more, InvariantError.
+    Plain's own blocks refine those, so each is eliminated once at 1/2,
+    and only the block holding the in-block row again at 1.
     """
     at_one, pattern = list(plain), list(plain)
     for i, j in cells:
         at_one[i] = at_one[i][:]
         at_one[i][j] += Fraction(1, 2)
         pattern[i] = [a or b for a, b in zip(plain[i], at_one[i])]
-    first = [b0 for b0, b1 in diagonal_blocks(pattern) for _ in range(b0, b1)]  # row -> its block's start
-    inside = sorted({i for i, j in cells if j >= first[i]})
+    blocks = {i: b for b in diagonal_blocks(pattern) for i in range(*b)}  # row -> its block
+    inside = sorted({i for i, j in cells if j >= blocks[i][0]})
     if len(inside) > 1:
         raise InvariantError(f"lam enters rows {inside} inside their diagonal blocks: not affine")
-    d_half, d_one = det_bareiss(plain), det_bareiss(at_one)
+    b0, b1 = blocks[inside[0]] if inside else (0, 0)  # no lam block: an empty one, of det 1
+    d_half, d_one = Fraction(1), det_bareiss([row[b0:b1] for row in at_one[b0:b1]])
+    for c0, _, d in block_dets(plain):
+        d_half *= d
+        if not b0 <= c0 < b1:
+            d_one *= d
     return SymPoly.const(2 * d_half - d_one) + SymPoly.gen("lam", 1, 2 * (d_one - d_half))
 
 
@@ -377,9 +387,6 @@ def _star_det(plain: list, cells) -> SymPoly:
 
 @dataclass
 class Mod2Report:
-    kind: str
-    N: int
-    ell: int
     ok: bool
     det: object
     notes: list
@@ -397,88 +404,86 @@ def _upper_unitriangular_mod2(rows) -> bool:
 
 
 def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
-    """Verify the parity structure that forces the exact determinants.
+    """Check the parity structure of a level matrix, with its exact
+    determinant, which must be nonzero for every kind.
 
     For the one-two-three matrices at level > 1: integral entries,
-    upper-unitriangular mod 2.  At level 1 the last row has a single
-    even entry in the last column and the complementary minor is
-    upper-unitriangular mod 2.  For the one-two matrices: block lower
-    triangular along the trailing-ones classes, every non-final
-    diagonal block upper-unitriangular mod 2, and the full determinant
-    in 1/2 + Z (at lam = 1/2 for the parametric version this reduces to
-    the plain case, so the report is only defined for kinds S and H).
+    upper-unitriangular mod 2, so the determinant is odd.  At level 1
+    the last row consists of even integers and is nonzero, and the
+    complementary leading minor is upper-unitriangular mod 2; the
+    determinant is then even, so the verdict rests on its exact value.
+    For the one-two matrices: block lower triangular along the
+    trailing-ones classes, every non-final diagonal block
+    upper-unitriangular mod 2, and the final block's determinant in
+    1/2 + Z.  The determinant is the product of the diagonal blocks'
+    (block_dets), and the final block's that of the blocks inside it,
+    or its own elimination where its boundary is no cut.  At lam = 1/2
+    the parametric version is the plain one, so the report is only
+    defined for kinds S and H.
     """
-    notes = []
-    ok = True
-    det = m.det()
+    notes, failures = [], []
+
+    def fail(note):
+        notes.append(note)
+        failures.append(note)
+
     if m.kind == "S":
+        det = m.det()
         if m.ell > 1:
             if not _upper_unitriangular_mod2(m.entries):
-                ok = False
-                notes.append("expected upper unitriangular mod 2")
+                fail("expected upper unitriangular mod 2")
             else:
                 notes.append("upper unitriangular mod 2, determinant odd")
                 if parity(det) != 1:
-                    ok = False
-                    notes.append("determinant not odd")
+                    fail("determinant not odd")
         else:
-            # level 1: the final row belongs to the word 2^a 3 and consists
-            # of even integers (its cuts all carry even coefficients), so
-            # the determinant is even; invertibility comes from the odd
-            # leading minor together with a nonzero last row.
+            # level 1: the final row consists of even integers, so the
+            # determinant is even and the parity checks cannot show it
+            # nonzero; that rests on the exact determinant, checked below.
             last = m.entries[-1]
             if not all(x.denominator == 1 and x.numerator % 2 == 0 for x in last):
-                ok = False
-                notes.append("last row should consist of even integers")
+                fail("last row should consist of even integers")
             if all(x == 0 for x in last):
-                ok = False
-                notes.append("last row vanishes")
+                fail("last row vanishes")
             minor = [row[:-1] for row in m.entries[:-1]]
             if not _upper_unitriangular_mod2(minor):
-                ok = False
-                notes.append("leading minor not upper unitriangular mod 2")
+                fail("leading minor not upper unitriangular mod 2")
             else:
                 notes.append("even last row over an odd leading minor")
-        if det == 0:
-            ok = False
-            notes.append("determinant vanishes")
     elif m.kind == "H":
         classes_B, classes_Bp = trailing_ones_partition(m.rows, m.cols, m.N, m.ell)
         sizes_B = [len(c) for c in classes_B]
-        sizes_Bp = [len(c) for c in classes_Bp]
-        if sizes_B != sizes_Bp:
-            ok = False
-            notes.append("trailing-ones classes of unequal sizes")
+        if sizes_B != [len(c) for c in classes_Bp]:
+            fail("trailing-ones classes of unequal sizes")
         # the sorted bases list the classes contiguously in ascending order
         if [w for c in classes_B for w in c] != m.rows or [u for c in classes_Bp for u in c] != m.cols:
-            ok = False
-            notes.append("trailing-ones classes not contiguous in the basis order")
-        offsets = [0]
-        for s in sizes_B:
-            offsets.append(offsets[-1] + s)
+            fail("trailing-ones classes not contiguous in the basis order")
+        offsets = list(accumulate(sizes_B, initial=0))
         blocks = list(zip(offsets, offsets[1:]))
         for bi, (r0, r1) in enumerate(blocks):
             for bj, (c0, c1) in enumerate(blocks[bi + 1:], bi + 1):
                 if any(x != 0 for row in m.entries[r0:r1] for x in row[c0:c1]):
-                    ok = False
-                    notes.append(f"block ({bi}, {bj}) above the block diagonal is nonzero")
+                    fail(f"block ({bi}, {bj}) above the block diagonal is nonzero")
         for bi, (r0, r1) in enumerate(blocks[:-1]):
             if not _upper_unitriangular_mod2([row[r0:r1] for row in m.entries[r0:r1]]):
-                ok = False
-                notes.append(f"diagonal block {bi} not upper unitriangular mod 2")
+                fail(f"diagonal block {bi} not upper unitriangular mod 2")
         r0, r1 = blocks[-1]
-        fdet = det_bareiss([row[r0:r1] for row in m.entries[r0:r1]])
+        dets = {c0: d for c0, _, d in block_dets(m.entries)}  # block start -> its determinant
+        det = fdet = Fraction(1)
+        for c0, d in dets.items():
+            det *= d
+            fdet *= d if c0 >= r0 else 1
+        if r0 not in dets:  # a class boundary inside a block has failed above; stay exact
+            fdet = det_bareiss([row[r0:r1] for row in m.entries[r0:r1]])
         if (2 * fdet).denominator != 1 or parity(2 * fdet) != 1:
-            ok = False
-            notes.append("final block determinant not in 1/2 + Z")
+            fail("final block determinant not in 1/2 + Z")
         else:
             notes.append("final block determinant in 1/2 + Z")
-        if det == 0:
-            ok = False
-            notes.append("determinant vanishes")
     else:
         raise ValueError("structure report is defined for kinds S and H")
-    return Mod2Report(m.kind, m.N, m.ell, ok, det, notes)
+    if det == 0:
+        fail("determinant vanishes")
+    return Mod2Report(not failures, det, notes)
 
 
 # ---------------------------------------------------------------------------

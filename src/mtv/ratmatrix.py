@@ -1,33 +1,23 @@
 """Dense exact-rational matrices with fraction-free determinants.
 
 Entries are ints or Fractions; the parametric Hstar matrices are
-reduced to two Fraction matrices in motivic before they get here.  A
+reduced to Fraction matrices in motivic before they get here.  A
 matrix is first cut into its diagonal blocks: one scan finds every c
 with all entries of rows[:c] in columns >= c zero, so the matrix is
 block lower triangular and its determinant is exactly the product of
 the blocks' determinants, whatever the input.  The level matrices split
 along their trailing-ones classes, so the O(n^3) elimination runs on
-much smaller blocks.  Each block's rows are scaled to integers by the
-lcm of their denominators, read off the entries' numerators and
-denominators with no Fraction arithmetic, and the integer block is
-eliminated with the Bareiss recurrence.
+much smaller blocks.  block_dets is the one elimination loop, and
+callers that need one block's determinant read it there: each block's
+rows are scaled to integers by the lcm of their denominators, read off
+the entries' numerators and denominators with no Fraction arithmetic,
+and the integer block is eliminated once with the Bareiss recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def _row_scaled_int(rows):
-    """Scale each row to integers; returns (int rows, product of the scales)."""
-    scaled = []
-    scale = 1
-    for row in rows:
-        den = math.lcm(*[x.denominator for x in row])
-        scale *= den
-        scaled.append([x.numerator * (den // x.denominator) for x in row])
-    return scaled, scale
 
 
 def diagonal_blocks(rows):
@@ -82,23 +72,28 @@ def _bareiss_int(m) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_bareiss(rows) -> Fraction:
-    """Exact determinant of a square matrix of ints and Fractions.
+def block_dets(rows) -> list:
+    """[(start, end, det)] for the diagonal blocks of a square matrix of
+    ints and Fractions (diagonal_blocks), each block eliminated once.
 
-    The matrix is cut into its diagonal blocks (diagonal_blocks); the
-    determinant is the product of theirs, since every entry above the
-    blocks is zero.  Each block's rows are scaled to integers and
-    eliminated on their own, and the first zero block ends the product.
+    The matrix's determinant is the product of the dets, since every
+    entry above the blocks is zero.
     """
-    num = den = 1
+    out = []
     for c0, c1 in diagonal_blocks(rows):
-        block, scale = _row_scaled_int([row[c0:c1] for row in rows[c0:c1]])
-        d = _bareiss_int(block)
-        if d == 0:
-            return Fraction(0)
-        num *= d
-        den *= scale
-    return Fraction(num, den)
+        block, scale = [], 1  # each row scaled to integers by the lcm of its denominators
+        for row in [r[c0:c1] for r in rows[c0:c1]]:
+            den = math.lcm(*[x.denominator for x in row])
+            scale *= den
+            block.append([x.numerator * (den // x.denominator) for x in row])
+        out.append((c0, c1, Fraction(_bareiss_int(block), scale)))
+    return out
+
+
+def det_bareiss(rows) -> Fraction:
+    """Exact determinant of a square matrix of ints and Fractions: the
+    product of its diagonal blocks' determinants (block_dets)."""
+    return math.prod((d for _, _, d in block_dets(rows)), start=Fraction(1))
 
 
 def parity(x) -> int:

@@ -161,24 +161,27 @@ def test_det(capsys):
     assert code == 0 and out.strip() == "0"
 
 
-def test_det_structure_eliminates_the_full_matrix_once(capsys, monkeypatch):
+def test_det_structure_eliminates_each_block_once(capsys, monkeypatch):
     from mtv import motivic, ratmatrix
 
-    n = len(motivic.build_matrix("H", 13, 3).rows)
-    det_bareiss, sizes = ratmatrix.det_bareiss, []
+    m = motivic.build_matrix("H", 13, 3)
+    blocks = [c1 - c0 for c0, c1 in ratmatrix.diagonal_blocks(m.entries)]
+    assert len(blocks) == 3 and sum(blocks) == len(m.rows)
+    real, sizes = ratmatrix._bareiss_int, []
 
-    def counted(rows):
-        sizes.append(len(rows))
-        return det_bareiss(rows)
+    def counted(block):
+        sizes.append(len(block))
+        return real(block)
 
-    monkeypatch.setattr(motivic, "det_bareiss", counted)
-    monkeypatch.setattr(ratmatrix, "det_bareiss", counted)
+    monkeypatch.setattr(ratmatrix, "_bareiss_int", counted)
     code, plain, _ = run_cli(capsys, "det", "--kind", "H", "--N", "13", "--level", "3")
-    assert code == 0 and sizes.count(n) == 1
+    assert code == 0 and sizes == blocks
     sizes.clear()
     code, out, _ = run_cli(capsys, "det", "--kind", "H", "--N", "13", "--level", "3", "--structure")
     assert code == 0 and out.startswith(plain) and out.endswith("structure: ok\n")
-    assert sizes.count(n) == 1  # the report's determinant is the one printed
+    # the report's determinant is the one printed, and its final class is read
+    # from the blocks inside it: no block is eliminated twice
+    assert sizes == blocks
 
 
 def test_eval_errors_quote_the_argument_as_typed(capsys):

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from mtv import motivic
+from mtv import motivic, ratmatrix
 from mtv.errors import InvariantError
 from mtv.indexcore import trailing_ones_partition
 from mtv.motivic import FiltMatrix, build_matrix, det_mod2_structure
@@ -27,6 +27,26 @@ def cofactor_det(m):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         total += (-1) ** j * m[0][j] * cofactor_det(minor)
     return total
+
+
+def gauss_det(m):
+    """Plain Fraction Gauss elimination of the whole matrix, with no block
+    cuts: a reference determinant for matrices too large for cofactors."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for row in a[k + 1:]:
+            f = row[k] / a[k][k]
+            if f:
+                row[k:] = [x - f * y for x, y in zip(row[k:], a[k][k:])]
+    return det
 
 
 def test_det_bareiss():
@@ -51,7 +71,7 @@ def test_det_bareiss_integer_path_against_cofactors():
     }
     for name, m in cases.items():
         det = det_bareiss(m)
-        assert isinstance(det, Fraction) and det == cofactor_det(m), name
+        assert isinstance(det, Fraction) and det == cofactor_det(m) == gauss_det(m), name
     assert cofactor_det(cases["zero pivot needing a row swap"]) != 0
     assert det_bareiss(cases["singular"]) == 0
 
@@ -135,17 +155,40 @@ def test_hstar_det_refuses_two_cells_inside_the_blocks():
     assert _star_det([[Fraction(3, 2), half], [0, 3]], [(0, 0), (0, 1)]) == 3 * lam + 3
 
 
-def test_hstar_det_eliminates_the_full_matrix_twice(monkeypatch):
-    m = build_matrix("Hstar", 9, 1)
-    real, sizes = motivic.det_bareiss, []
+def test_hstar_det_eliminates_each_block_once_and_the_lam_block_twice(monkeypatch):
+    m = build_matrix("Hstar", 9, 3)
+    blocks = [c1 - c0 for c0, c1 in diagonal_blocks(m.plain)]
+    assert blocks == [10, 6, 4] and (19, 16) in m.cells  # the in-block lam cell is in the last block
+    real, sizes = ratmatrix._bareiss_int, []
 
-    def counted(rows):
-        sizes.append(len(rows))
-        return real(rows)
+    def counted(block):
+        sizes.append(len(block))
+        return real(block)
 
-    monkeypatch.setattr(motivic, "det_bareiss", counted)
+    monkeypatch.setattr(ratmatrix, "_bareiss_int", counted)
     m.det()
-    assert sizes == [len(m.rows)] * 2  # lam = 1/2 and lam = 1
+    assert sorted(sizes) == [4, 4, 6, 10]  # every block at lam = 1/2, the last again at lam = 1
+
+
+def test_hstar_det_with_the_lam_block_in_the_middle():
+    # three diagonal blocks; lam enters the middle one at (3, 2), and below
+    # the blocks at (5, 0), where it cannot change the determinant
+    half = Fraction(1, 2)
+    plain = [[2, 1, 0, 0, 0, 0],
+             [1, 3, 0, 0, 0, 0],
+             [4, 0, 1, 2, 0, 0],
+             [0, 1, half, 5, 0, 0],
+             [1, 0, 2, 0, 3, 1],
+             [half, 2, 0, 1, 1, 2]]
+    cells = [(3, 2), (5, 0)]
+    assert list(diagonal_blocks(plain)) == [(0, 2), (2, 4), (4, 6)]
+    det = _star_det(plain, cells)
+    assert det.max_degree("lam") == 1
+    for lam in (Fraction(0), half, Fraction(1), Fraction(2)):
+        rows = [[Fraction(x) for x in row] for row in plain]
+        for i, j in cells:
+            rows[i][j] += lam - half
+        assert det.substitute({"lam": SymPoly.const(lam)}).const_value() == cofactor_det(rows), lam
 
 
 def test_hstar_det_equals_per_lambda_substitution():
@@ -215,6 +258,7 @@ def test_invertibility_and_structure_sweep():
                 rep = det_mod2_structure(m)
                 assert rep.ok, (kind, N, ell, rep.notes)
                 assert rep.det != 0
+                assert rep.det == gauss_det(m.entries), (kind, N, ell)
                 if kind == "H":
                     # determinant lies in 1/2 + Z
                     assert (2 * rep.det).denominator == 1 and (2 * rep.det).numerator % 2 == 1
@@ -299,6 +343,10 @@ def test_h_structure_notes_one_line_per_nonzero_block_above_the_diagonal():
     entries[0][-1] = Fraction(1)  # one entry of block (0, 3)
     bad = det_mod2_structure(FiltMatrix(m.kind, m.N, m.ell, m.rows, m.cols, entries))
     assert not bad.ok
+    # no class boundary is a cut now: the determinant and the final class's
+    # are eliminated directly, and stay exact
+    assert list(diagonal_blocks(entries)) == [(0, len(entries))]
+    assert bad.det == gauss_det(entries) and "final block determinant in 1/2 + Z" in bad.notes
     assert [n for n in bad.notes if "above the block diagonal" in n] == [
         "block (0, 1) above the block diagonal is nonzero",
         "block (0, 3) above the block diagonal is nonzero",
