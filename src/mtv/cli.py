@@ -50,7 +50,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _env_from_args(args) -> NumEnv:
-    return NumEnv(prec=128 if args.prec is None else args.prec)
+    return NumEnv() if args.prec is None else NumEnv(prec=args.prec)
 
 
 def _print_lincomb(lc: dict, fmt: str):
@@ -85,12 +85,10 @@ def cmd_eval(args) -> int:
         return 0
     idx = parse_argument(text)
     if isinstance(idx, SignedIndex):
-        print("only t-indices have closed forms here; use `mtv num` for values", file=sys.stderr)
-        return 2
+        raise ValueError("only t-indices have closed forms here; use `mtv num` for values")
     value = _closed_form_t(idx)
     if value is None:
-        print(f"no closed form for {text}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no closed form for {text}")
     print(json.dumps(value.to_json()) if args.format == "json" else value.text())
     return 0
 
@@ -119,13 +117,7 @@ def _zeta_index(text: str) -> SignedIndex:
 def cmd_reg(args) -> int:
     s = _zeta_index(args.index)
     param = SymPoly.zero() if args.param == "0" else SymPoly.gen(args.param)
-    if args.scheme == "stuffle":
-        if s.lead_zeros:
-            print("stuffle regularization needs no leading zeros", file=sys.stderr)
-            return 2
-        out = stuffle_reg(s, param)
-    else:
-        out = shuffle_reg(s, param)
+    out = stuffle_reg(s, param) if args.scheme == "stuffle" else shuffle_reg(s, param)
     _print_lincomb(out, args.format)
     return 0
 
@@ -167,13 +159,11 @@ def cmd_shuffle(args) -> int:
 def cmd_dr(args) -> int:
     idx = parse_argument(args.index)
     if isinstance(idx, SignedIndex):
-        print("the derivation acts on t-indices", file=sys.stderr)
-        return 2
+        raise ValueError("the derivation acts on t-indices")
     try:
         terms = reduce_deriv(deriv_D(args.r, tuple(idx)))
     except IrreducibleLeftFactor as exc:
-        print(f"error: no closed form reduces the left factor ({exc})", file=sys.stderr)
-        return 2
+        raise ValueError(f"no closed form reduces the left factor ({exc})") from None
     rows = []
     for (gen, right), coeff in sorted(terms.items(), key=lambda kv: (kv[0][1], str(kv[0][0]))):
         gen_text = "log2" if gen == ("log",) else f"z{gen[1]}"
@@ -212,8 +202,8 @@ def cmd_det(args) -> int:
     if args.structure and args.kind not in ("S", "H"):
         raise ValueError(f"structure report is defined for kinds S and H, got --kind {args.kind}")
     m = build_matrix(args.kind, args.N, args.level)
-    rep = det_mod2_structure(m) if args.structure else None  # the report carries the determinant
-    det = m.det() if rep is None else rep.det
+    rep = det_mod2_structure(m) if args.structure else None
+    det = m.det()
     if args.lam is not None:  # kind Hstar: a SymPoly affine in lam
         det = det.substitute({"lam": SymPoly.const(args.lam)}).const_value()
     print(det)
@@ -280,8 +270,7 @@ def cmd_coeff(args) -> int:
     }
     fn = table.get((args.family, args.pattern))
     if fn is None:
-        print(f"no coefficient family {args.family} {args.pattern}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no coefficient family {args.family} {args.pattern}")
     if args.b is not None and "b" not in args.pattern:
         raise ValueError(f"the pattern {args.pattern} has no b, so --b is refused")
     b = args.b or 0
@@ -292,7 +281,7 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # without --prec each numeric suite runs at its own tuned default
+    # without --prec run_suite builds one default environment for the run
     env = None if args.prec is None else _env_from_args(args)
     results = verify_mod.run_suite(args.suite, env=env)
     failures = verify_mod.print_results(results, fmt=args.format)

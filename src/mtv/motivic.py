@@ -11,19 +11,22 @@ the structural lemmas behind the construction into runtime checks.
 Matrix conventions: rows are indexed by the weight-N level-l words B,
 columns by the lower-level words B'; entry (w, w') is the coefficient
 of w' in the graded image of w after the projection log2 -> 1/2,
-zeta(2r+1) -> 2^(2r-1).  The parametric matrix Hstar(lam) is H plus
-lam - 1/2 at one cell per row ending in 1 (star_matrix).  Determinants
-are read from one block factorisation (ratmatrix.block_dets): Hstar's
-affine determinant from H's blocks at lam = 1/2 and, at lam = 1, the
-one block that holds a cell, and the structure report's final class
-from the blocks inside it.
+zeta(2r+1) -> 2^(2r-1).  The parametric matrix Hstar(lam) is its H
+matrix plus lam - 1/2 at one cell per row ending in 1 (star_matrix).
+A matrix is factorised once: FiltMatrix.blocks holds its diagonal
+blocks' determinants (ratmatrix.block_dets), and Hstar's are its H
+matrix's.  det() of S and H is their product; Hstar's affine determinant
+reads them at lam = 1/2 and eliminates again, at lam = 1, only the one
+block that holds a cell; the structure report reads the determinant and
+its final class from the same blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, coeff_d_232, zl_2212
@@ -279,15 +282,24 @@ class FiltMatrix:
     rows: list
     cols: list
     entries: list  # list of lists of Fractions; for Hstar, SymPolys lam - 1/2 + H's entry at the cells
-    plain: list | None = None  # Hstar: the kind-H entries, its value at lam = 1/2
+    base: FiltMatrix | None = None  # Hstar: its kind-H matrix, the value at lam = 1/2
     cells: tuple = ()  # Hstar: the (row, column) offsets of the lam cells
 
     def entry(self, w, wp):
         return self.entries[self.rows.index(w)][self.cols.index(wp)]
 
+    @cached_property
+    def blocks(self) -> list:
+        """[(start, end, det)] of the diagonal blocks, eliminated once per
+        matrix (block_dets); Hstar's are those of its H matrix.  Cached,
+        so the entries are not to change once it is read."""
+        return self.base.blocks if self.base is not None else block_dets(self.entries)
+
     def det(self):
         """A Fraction; for Hstar, a SymPoly affine in lam."""
-        return _star_det(self.plain, self.cells) if self.kind == "Hstar" else det_bareiss(self.entries)
+        if self.kind == "Hstar":
+            return _star_det(self.base, self.cells)
+        return math.prod((d for _, _, d in self.blocks), start=Fraction(1))
 
     def to_json(self) -> dict:
         def fmt(x):
@@ -350,19 +362,20 @@ def star_matrix(h: FiltMatrix) -> FiltMatrix:
         entries[i] = entries[i][:]
         entries[i][j] = SymPoly.gen("lam") - Fraction(1, 2) + entries[i][j]
         cells.append((i, j))
-    return FiltMatrix("Hstar", h.N, h.ell, h.rows, h.cols, entries, h.entries, tuple(cells))
+    return FiltMatrix("Hstar", h.N, h.ell, h.rows, h.cols, entries, h, tuple(cells))
 
 
-def _star_det(plain: list, cells) -> SymPoly:
-    """det(plain + (lam - 1/2) at the cells) as d0 + d1 lam.
+def _star_det(base: FiltMatrix, cells) -> SymPoly:
+    """det(base + (lam - 1/2) at the cells) as d0 + d1 lam.
 
     The diagonal blocks of the entries nonzero at lam = 1/2 or 1 (so at
     some lam) are blocks at every lam.  If the cells inside them lie in
     one row, the determinant is affine in lam, and its values at 1/2
-    (plain's own) and 1 give it; if in two or more, InvariantError.
-    Plain's own blocks refine those, so each is eliminated once at 1/2,
-    and only the block holding the in-block row again at 1.
+    (base's own) and 1 give it; if in two or more, InvariantError.
+    Base's own blocks refine those, so its factorisation gives the value
+    at 1/2, and only the block holding the in-block row is eliminated at 1.
     """
+    plain = base.entries
     at_one, pattern = list(plain), list(plain)
     for i, j in cells:
         at_one[i] = at_one[i][:]
@@ -373,9 +386,8 @@ def _star_det(plain: list, cells) -> SymPoly:
     if len(inside) > 1:
         raise InvariantError(f"lam enters rows {inside} inside their diagonal blocks: not affine")
     b0, b1 = blocks[inside[0]] if inside else (0, 0)  # no lam block: an empty one, of det 1
-    d_half, d_one = Fraction(1), det_bareiss([row[b0:b1] for row in at_one[b0:b1]])
-    for c0, _, d in block_dets(plain):
-        d_half *= d
+    d_half, d_one = base.det(), det_bareiss([row[b0:b1] for row in at_one[b0:b1]])
+    for c0, _, d in base.blocks:
         if not b0 <= c0 < b1:
             d_one *= d
     return SymPoly.const(2 * d_half - d_one) + SymPoly.gen("lam", 1, 2 * (d_one - d_half))
@@ -415,12 +427,14 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
     For the one-two matrices: block lower triangular along the
     trailing-ones classes, every non-final diagonal block
     upper-unitriangular mod 2, and the final block's determinant in
-    1/2 + Z.  The determinant is the product of the diagonal blocks'
-    (block_dets), and the final block's that of the blocks inside it,
-    or its own elimination where its boundary is no cut.  At lam = 1/2
-    the parametric version is the plain one, so the report is only
-    defined for kinds S and H.
+    1/2 + Z.  The determinant is m.det(), and the final block's the
+    product of the blocks of m.blocks inside it, or its own elimination
+    where its boundary is no cut.  At lam = 1/2 the parametric version
+    is the plain one, so the report is only defined for kinds S and H.
     """
+    if m.kind not in ("S", "H"):
+        raise ValueError("structure report is defined for kinds S and H")
+    det = m.det()
     notes, failures = [], []
 
     def fail(note):
@@ -428,7 +442,6 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
         failures.append(note)
 
     if m.kind == "S":
-        det = m.det()
         if m.ell > 1:
             if not _upper_unitriangular_mod2(m.entries):
                 fail("expected upper unitriangular mod 2")
@@ -450,7 +463,7 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
                 fail("leading minor not upper unitriangular mod 2")
             else:
                 notes.append("even last row over an odd leading minor")
-    elif m.kind == "H":
+    else:
         classes_B, classes_Bp = trailing_ones_partition(m.rows, m.cols, m.N, m.ell)
         sizes_B = [len(c) for c in classes_B]
         if sizes_B != [len(c) for c in classes_Bp]:
@@ -468,19 +481,14 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
             if not _upper_unitriangular_mod2([row[r0:r1] for row in m.entries[r0:r1]]):
                 fail(f"diagonal block {bi} not upper unitriangular mod 2")
         r0, r1 = blocks[-1]
-        dets = {c0: d for c0, _, d in block_dets(m.entries)}  # block start -> its determinant
-        det = fdet = Fraction(1)
-        for c0, d in dets.items():
-            det *= d
-            fdet *= d if c0 >= r0 else 1
-        if r0 not in dets:  # a class boundary inside a block has failed above; stay exact
+        if any(c0 == r0 for c0, _, _ in m.blocks):
+            fdet = math.prod((d for c0, _, d in m.blocks if c0 >= r0), start=Fraction(1))
+        else:  # a class boundary inside a block has failed above; stay exact
             fdet = det_bareiss([row[r0:r1] for row in m.entries[r0:r1]])
         if (2 * fdet).denominator != 1 or parity(2 * fdet) != 1:
             fail("final block determinant not in 1/2 + Z")
         else:
             notes.append("final block determinant in 1/2 + Z")
-    else:
-        raise ValueError("structure report is defined for kinds S and H")
     if det == 0:
         fail("determinant vanishes")
     return Mod2Report(not failures, det, notes)

@@ -165,8 +165,7 @@ def invertibility_checks() -> list:
     ]
 
 
-def closedform_checks(env=None) -> list:
-    env = env or NumEnv(prec=53)
+def closedform_checks(env) -> list:
     out = []
     ok = all((eval_t2212_star(0, n) - eval_t12n(n)).is_zero for n in range(1, 9))
     out.append(_check("one-leading-two-tail family agrees with the boundary formula",
@@ -223,8 +222,7 @@ def identity_pairs(cases, env) -> list:
     return out
 
 
-def genseries_checks(env=None) -> list:
-    env = env or NumEnv(prec=53)
+def genseries_checks(env) -> list:
     out = []
     log2 = float(env.const("log2"))
     points = [
@@ -256,8 +254,7 @@ def _layer_values(diff: dict, env) -> list:
     return out
 
 
-def coherence_checks(max_weight=6, env=None) -> list:
-    env = env or NumEnv(prec=64)
+def coherence_checks(env, max_weight=6) -> list:
     out = []
     T = SymPoly.gen("T")
 
@@ -351,8 +348,7 @@ def _expT_coeff(E, m, T):
     return acc
 
 
-def derivation_checks(env=None) -> list:
-    env = env or NumEnv(prec=64)
+def derivation_checks(env) -> list:
     out = []
 
     lhs = {mot_mono(("t", (1, 3, 2))): Fraction(1)}
@@ -428,11 +424,13 @@ SUITES = {**EXACT_SUITES, **NUMERIC_SUITES}
 
 def run_suite(name: str, env=None) -> list:
     """The checks of one suite, or of every suite for "all".  The exact
-    suites take no environment, so one given for them is refused."""
+    suites take no environment, so one given for them is refused; without
+    one, every numeric suite of the run shares one default NumEnv."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     if env is not None and name in EXACT_SUITES:
         raise ValueError(f"the {name} suite is exact and takes no precision")
+    env = env or NumEnv()
     out = []
     for suite in SUITES if name == "all" else [name]:
         out.extend(SUITES[suite]() if suite in EXACT_SUITES else SUITES[suite](env=env))

@@ -9,7 +9,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtv import verify
 from mtv.cli import _parse_word, build_parser, main
+from mtv.numoracle import NumEnv
 from mtv.verify import coherence_checks
 from mtv.wordalg import shuffle as shuffle_product
 
@@ -182,6 +184,18 @@ def test_det_structure_eliminates_each_block_once(capsys, monkeypatch):
     # the report's determinant is the one printed, and its final class is read
     # from the blocks inside it: no block is eliminated twice
     assert sizes == blocks
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "z(2)"],  # only t indices have closed forms
+    ["eval", "t(1)"],  # a t index with no closed form
+    ["dr", "--r", "1", "z(2)"],  # the derivation acts on t indices
+    ["coeff", "c", "2a12b", "--a", "1"],  # no such coefficient family
+    ["reg", "--scheme", "stuffle", "z_1(2)"],  # stuffle_reg refuses leading zeros
+])
+def test_usage_errors_take_the_one_error_path(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: "), err
 
 
 def test_eval_errors_quote_the_argument_as_typed(capsys):
@@ -382,8 +396,25 @@ def test_coherence_at_low_precision_fails_with_bounds(capsys):
     assert lines["stuffle-compat"].startswith("PASS")
 
 
+def test_verify_runs_every_numeric_suite_in_one_default_env(monkeypatch):
+    made, init = [], NumEnv.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NumEnv, "__init__", counted)
+    assert all(r.status == "PASS" for r in verify.run_suite("all"))
+    assert len(made) == 1 and made[0].prec == NumEnv().prec == 128
+
+
+def test_verify_without_prec_prints_what_prec_128_prints(capsys):
+    code, default, _ = run_cli(capsys, "verify", "--suite", "closedform")
+    assert code == 0 and run_cli(capsys, "verify", "--suite", "closedform", "--prec", "128")[1] == default
+
+
 def test_coherence_with_nothing_to_settle_passes():
-    results = {r.ref: r for r in coherence_checks(max_weight=0)}
+    results = {r.ref: r for r in coherence_checks(NumEnv(), max_weight=0)}
     assert all(r.status == "PASS" for r in results.values())
     for ref in ("st-vs-sh", "st-via-sh0", "t-star-vs-sh", "distribution"):
         assert results[ref].residual == results[ref].bound == 0.0

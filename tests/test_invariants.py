@@ -168,6 +168,6 @@ def test_broken_invariants_raise_runtime_error(monkeypatch):
     # lam cells in three diagonal blocks: the determinant lam^3 - 3 lam^2 + 2 lam
     # is zero at lam = 0, 1 and 2, so no evaluation there could tell it from 0
     half = Fraction(1, 2)
-    plain = [[half, 0, 0], [0, -half, 0], [0, 0, -3 * half]]
+    base = FiltMatrix("H", 0, 0, [], [], [[half, 0, 0], [0, -half, 0], [0, 0, -3 * half]])
     with pytest.raises(InvariantError, match=r"lam enters rows \[0, 1, 2\]"):
-        FiltMatrix("Hstar", 0, 0, [], [], [], plain, ((0, 0), (1, 1), (2, 2))).det()
+        FiltMatrix("Hstar", 0, 0, [], [], [], base, ((0, 0), (1, 1), (2, 2))).det()

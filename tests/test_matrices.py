@@ -124,8 +124,8 @@ def test_det_bareiss_with_a_singular_middle_block_is_zero():
 
 def _star_det(plain, cells):
     """The Hstar determinant of a hand-built matrix: plain + (lam - 1/2) at the cells."""
-    plain = [[Fraction(x) for x in row] for row in plain]
-    return FiltMatrix("Hstar", 0, 0, [], [], [], plain, tuple(cells)).det()
+    base = FiltMatrix("H", 0, 0, [], [], [[Fraction(x) for x in row] for row in plain])
+    return FiltMatrix("Hstar", 0, 0, [], [], [], base, tuple(cells)).det()
 
 
 def test_hstar_det_affine_with_a_hand_placed_cell():
@@ -155,10 +155,8 @@ def test_hstar_det_refuses_two_cells_inside_the_blocks():
     assert _star_det([[Fraction(3, 2), half], [0, 3]], [(0, 0), (0, 1)]) == 3 * lam + 3
 
 
-def test_hstar_det_eliminates_each_block_once_and_the_lam_block_twice(monkeypatch):
-    m = build_matrix("Hstar", 9, 3)
-    blocks = [c1 - c0 for c0, c1 in diagonal_blocks(m.plain)]
-    assert blocks == [10, 6, 4] and (19, 16) in m.cells  # the in-block lam cell is in the last block
+def _count_eliminations(monkeypatch) -> list:
+    """The sizes of the blocks ratmatrix eliminates from now on, in order."""
     real, sizes = ratmatrix._bareiss_int, []
 
     def counted(block):
@@ -166,8 +164,43 @@ def test_hstar_det_eliminates_each_block_once_and_the_lam_block_twice(monkeypatc
         return real(block)
 
     monkeypatch.setattr(ratmatrix, "_bareiss_int", counted)
+    return sizes
+
+
+def test_hstar_det_eliminates_each_block_once_and_the_lam_block_twice(monkeypatch):
+    m = build_matrix("Hstar", 9, 3)
+    blocks = [c1 - c0 for c0, c1 in diagonal_blocks(m.base.entries)]
+    assert blocks == [10, 6, 4] and (19, 16) in m.cells  # the in-block lam cell is in the last block
+    sizes = _count_eliminations(monkeypatch)
     m.det()
     assert sorted(sizes) == [4, 4, 6, 10]  # every block at lam = 1/2, the last again at lam = 1
+
+
+def test_hstar_det_after_the_h_report_eliminates_only_the_lam_block(monkeypatch):
+    h = build_matrix("H", 9, 3)
+    sizes = _count_eliminations(monkeypatch)
+    assert det_mod2_structure(h).ok and sizes == [10, 6, 4]
+    sizes.clear()
+    star = motivic.star_matrix(h)
+    assert star.base is h and star.blocks is h.blocks
+    star.det()
+    assert sizes == [4]  # the lam block at lam = 1; H's blocks are read from h
+
+
+def test_invertibility_sweep_eliminates_each_block_once_and_one_lam_block_per_level(monkeypatch):
+    from collections import Counter
+
+    from mtv.verify import invertibility_checks
+
+    levels = [(N, ell) for N in range(1, 15) for ell in range(2 - N % 2, N + 1, 2)]
+    plain = Counter(c1 - c0 for N, ell in levels for kind in ("S", "H") if kind == "H" or N >= 2
+                    for c0, c1 in diagonal_blocks(build_matrix(kind, N, ell).entries))
+    sizes = _count_eliminations(monkeypatch)
+    assert all(r.status == "PASS" for r in invertibility_checks())
+    extra = Counter(sizes) - plain
+    assert Counter(sizes) - extra == plain  # every S and H block is eliminated
+    assert len(levels) == 56 and sum(extra.values()) == len(levels)  # and again only each level's lam block
+    assert len(sizes) <= 351 and sum(sizes) <= 2734
 
 
 def test_hstar_det_with_the_lam_block_in_the_middle():
@@ -210,7 +243,7 @@ def test_hstar_is_h_plus_one_lam_cell_per_row_ending_in_1():
     for N, ell in ((8, 2), (9, 3), (10, 4)):
         h, hs = build_matrix("H", N, ell), build_matrix("Hstar", N, ell)
         cells = {(i, hs.cols.index(w[:-1])) for i, w in enumerate(hs.rows) if w[-1] == 1}
-        assert set(hs.cells) == cells and hs.plain == h.entries
+        assert set(hs.cells) == cells and hs.base == h
         for i, (rx, ry) in enumerate(zip(hs.entries, h.entries)):
             for j, (x, y) in enumerate(zip(rx, ry)):
                 assert x == (y + lam - Fraction(1, 2) if (i, j) in cells else y)

@@ -278,9 +278,10 @@ def test_distribution_small_sweep():
 
 
 def test_distribution_check_reports_its_bound():
+    from mtv.numoracle import NumEnv
     from mtv.verify import coherence_checks
 
-    dist = next(r for r in coherence_checks(max_weight=4) if r.ref == "distribution")
+    dist = next(r for r in coherence_checks(NumEnv(prec=64), max_weight=4) if r.ref == "distribution")
     assert dist.status == "PASS" and dist.residual is not None
     assert dist.residual <= dist.bound <= 1e-6
 
