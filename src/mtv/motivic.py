@@ -13,6 +13,8 @@ columns by the lower-level words B'; entry (w, w') is the coefficient
 of w' in the graded image of w after the projection log2 -> 1/2,
 zeta(2r+1) -> 2^(2r-1).  The parametric matrix Hstar(lam) is its H
 matrix plus lam - 1/2 at one cell per row ending in 1 (star_matrix).
+Each S and H matrix is built once per process and shared, read-only, by
+every build of its level and by the Hstar matrices derived from it.
 A matrix is factorised once: FiltMatrix.blocks holds its diagonal
 blocks' determinants (ratmatrix.block_dets), and Hstar's are its H
 matrix's.  det() of S and H is their product; Hstar's affine determinant
@@ -274,8 +276,12 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiltMatrix:
+    """A level matrix.  A built matrix is shared, by every build of its
+    (kind, N, ell) and by the Hstar matrices derived from it, so it is
+    read-only: copy its rows before changing any."""
+
     kind: str
     N: int
     ell: int
@@ -291,8 +297,7 @@ class FiltMatrix:
     @cached_property
     def blocks(self) -> list:
         """[(start, end, det)] of the diagonal blocks, eliminated once per
-        matrix (block_dets); Hstar's are those of its H matrix.  Cached,
-        so the entries are not to change once it is read."""
+        matrix (block_dets); Hstar's are those of its H matrix."""
         return self.base.blocks if self.base is not None else block_dets(self.entries)
 
     def det(self):
@@ -322,25 +327,34 @@ class FiltMatrix:
 
 def build_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
     """The matrix of the graded derivation with respect to (B, B');
-    kind Hstar is star_matrix of the kind-H matrix."""
+    kind Hstar is star_matrix of the kind-H matrix.  S and H matrices
+    are built once per process (_plain_matrix), so a repeated call and
+    every Hstar of the same level share one matrix and its blocks."""
     if kind not in ("S", "H", "Hstar"):
         raise ValueError(f"kind must be 'S', 'H' or 'Hstar', got {kind!r}")
+    if kind == "Hstar":
+        return star_matrix(_plain_matrix("H", N, ell))
+    return _plain_matrix(kind, N, ell)
+
+
+@lru_cache(maxsize=None)
+def _plain_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
+    """The kind-S or kind-H matrix of weight N and level ell, memoised.
+    A build that raises is not cached, so its checks run again."""
     if kind == "S" and N < 2:
         raise ValueError(f"kind S has no words of weight {N}; need N >= 2")
-    word_kind = "S" if kind == "S" else "H"
-    B, Bp = basis_sets(word_kind, N, ell)
+    B, Bp = basis_sets(kind, N, ell)
     if len(B) != len(Bp):
         raise InvariantError(f"bases of unequal size at {kind} N={N} level {ell}: {len(B)} and {len(Bp)}")
     entries = []
     cols = set(Bp)
     for w in B:
-        row_map = graded_partial(word_kind, N, ell, w)
+        row_map = graded_partial(kind, N, ell, w)
         unknown = set(row_map) - cols
         if unknown:
             raise InvariantError(f"row {w} hit non-basis words {sorted(unknown)}")
         entries.append([row_map.get(wp, _ZERO) for wp in Bp])
-    m = FiltMatrix(word_kind, N, ell, list(B), list(Bp), entries)
-    return star_matrix(m) if kind == "Hstar" else m
+    return FiltMatrix(kind, N, ell, list(B), list(Bp), entries)
 
 
 def star_matrix(h: FiltMatrix) -> FiltMatrix:

@@ -26,7 +26,6 @@ from .motivic import (
     mot_mono,
     reduce_deriv,
     singular_lambda,
-    star_matrix,
 )
 from .numoracle import (
     MPFloat,
@@ -147,7 +146,7 @@ def invertibility_checks() -> list:
                 m = build_matrix(kind, N, ell)
                 if m.rows and not (rep := det_mod2_structure(m)).ok:
                     failed[kind].append(f"{kind},{N},{ell}: {rep.notes}")
-            star = star_matrix(m)  # m is now the kind-H matrix of this level
+            star = build_matrix("Hstar", N, ell)
             det = star.det()
             star_ok &= all(det.substitute({"lam": SymPoly.const(lam)}).const_value() != 0
                            for lam in (Fraction(1, 2), Fraction(1)))

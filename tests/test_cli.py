@@ -179,6 +179,7 @@ def test_det_structure_eliminates_each_block_once(capsys, monkeypatch):
     code, plain, _ = run_cli(capsys, "det", "--kind", "H", "--N", "13", "--level", "3")
     assert code == 0 and sizes == blocks
     sizes.clear()
+    motivic._plain_matrix.cache_clear()  # each mtv command is its own process
     code, out, _ = run_cli(capsys, "det", "--kind", "H", "--N", "13", "--level", "3", "--structure")
     assert code == 0 and out.startswith(plain) and out.endswith("structure: ok\n")
     # the report's determinant is the one printed, and its final class is read

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -174,6 +175,8 @@ def test_hstar_det_eliminates_each_block_once_and_the_lam_block_twice(monkeypatc
     sizes = _count_eliminations(monkeypatch)
     m.det()
     assert sorted(sizes) == [4, 4, 6, 10]  # every block at lam = 1/2, the last again at lam = 1
+    sizes.clear()
+    assert det_mod2_structure(build_matrix("H", 9, 3)).ok and sizes == []  # the H report reads the shared blocks
 
 
 def test_hstar_det_after_the_h_report_eliminates_only_the_lam_block(monkeypatch):
@@ -181,10 +184,31 @@ def test_hstar_det_after_the_h_report_eliminates_only_the_lam_block(monkeypatch)
     sizes = _count_eliminations(monkeypatch)
     assert det_mod2_structure(h).ok and sizes == [10, 6, 4]
     sizes.clear()
-    star = motivic.star_matrix(h)
+    star = build_matrix("Hstar", 9, 3)
     assert star.base is h and star.blocks is h.blocks
     star.det()
-    assert sizes == [4]  # the lam block at lam = 1; H's blocks are read from h
+    assert sizes == [4]  # the lam block at lam = 1; H's blocks are read from the shared h
+
+
+@pytest.mark.parametrize("kind", ["S", "H"])
+def test_a_level_is_built_once_and_shared_read_only(kind):
+    m = build_matrix(kind, 9, 3)
+    assert build_matrix(kind, 9, 3) is m
+    assert build_matrix("Hstar", 9, 3).base is build_matrix("H", 9, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.cols = []
+
+
+def test_a_failed_build_is_not_cached(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(motivic, "basis_sets", lambda kind, N, ell: ([()] * 5, [()] * 4))
+        for _ in range(2):  # the check runs, and raises, on every call
+            with pytest.raises(InvariantError, match="unequal size"):
+                build_matrix("H", 8, 2)
+    assert motivic._plain_matrix.cache_info().currsize == 0
+    golden = _golden("golden_matrix_H_8_2.json")
+    m = build_matrix("H", 8, 2).to_json()
+    assert (m["rows"], m["cols"], m["entries"]) == (golden["rows"], golden["cols"], golden["entries"])
 
 
 def test_invertibility_sweep_eliminates_each_block_once_and_one_lam_block_per_level(monkeypatch):
@@ -250,8 +274,7 @@ def test_hstar_is_h_plus_one_lam_cell_per_row_ending_in_1():
 
 
 def test_star_matrix_refuses_a_row_whose_prefix_is_no_column():
-    h = build_matrix("H", 3, 1)
-    h.cols = [(3,), ()]
+    h = dataclasses.replace(build_matrix("H", 3, 1), cols=[(3,), ()])
     with pytest.raises(InvariantError, match=r"row \(2, 1\) ends in 1 but \(2,\) is not a column"):
         motivic.star_matrix(h)
 
