@@ -117,16 +117,15 @@ def eval_t2212_star(a: int, b: int, V=None) -> SymPoly:
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
     V = SymPoly.gen("V") if V is None else SymPoly.coerce(V)
-    out = SymPoly.zero()
+    terms = []
     for r in range(1, a + b + 1):
         bracket = Fraction(math.comb(2 * r, 2 * a)) + Fraction(4 ** r, 4 ** r - 1) * math.comb(2 * r, 2 * b)
-        coeff = -Fraction((-1) ** r, 4 ** r) * bracket
-        out = out + SymPoly.const(coeff) * zbar_reduce(2 * r + 1) * eval_t22(a + b - r)
+        terms.append((-Fraction((-1) ** r, 4 ** r) * bracket, zbar_reduce(2 * r + 1) * eval_t22(a + b - r)))
     if a == 0:
-        out = out + LOG2 * eval_t22(b)
+        terms.append((1, LOG2 * eval_t22(b)))
     if b == 0:
-        out = out + (V - LOG2) * eval_t22(a)
-    return out
+        terms.append((1, (V - LOG2) * eval_t22(a)))
+    return SymPoly.combination(terms)
 
 
 def eval_t2212_sh(a: int, b: int, W=None) -> SymPoly:
@@ -162,13 +161,12 @@ def eval_t2232_tilde(a: int, b: int) -> SymPoly:
     """
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
-    out = SymPoly.zero()
-    for r in range(1, a + b + 2):
+
+    def term(r):
         bracket = Fraction(math.comb(2 * r, 2 * a + 1)) + (1 - Fraction(1, 4 ** r)) * math.comb(2 * r, 2 * b + 1)
-        out = out + SymPoly.const(Fraction((-1) ** (r + 1) * 2) * bracket) * zeta_sym(2 * r + 1) * eval_t22_tilde(
-            a + b + 1 - r
-        )
-    return out
+        return (-1) ** (r + 1) * 2 * bracket, zeta_sym(2 * r + 1) * eval_t22_tilde(a + b + 1 - r)
+
+    return SymPoly.combination(term(r) for r in range(1, a + b + 2))
 
 
 def eval_t2232(a: int, b: int) -> SymPoly:
@@ -182,8 +180,5 @@ def eval_z2232(a: int, b: int) -> SymPoly:
     """
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0")
-    out = SymPoly.zero()
-    for r in range(1, a + b + 2):
-        coeff = Fraction((-1) ** r * 2) * (coeff_A(r, a, b) - coeff_B(r, a, b))
-        out = out + SymPoly.const(coeff) * zeta_sym(2 * r + 1) * eval_z22(a + b + 1 - r)
-    return out
+    return SymPoly.combination(((-1) ** r * 2 * (coeff_A(r, a, b) - coeff_B(r, a, b)),
+                                zeta_sym(2 * r + 1) * eval_z22(a + b + 1 - r)) for r in range(1, a + b + 2))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from functools import lru_cache
 from typing import NamedTuple
 
 IntWord = tuple  # over {0, +1, -1}
@@ -118,8 +119,10 @@ def word_blocks(w: IntWord) -> tuple:
     return ks, etas
 
 
+@lru_cache(maxsize=None)
 def from_int_word(w: IntWord) -> SignedIndex:
-    """Inverse of to_int_word; the empty word is the empty index."""
+    """Inverse of to_int_word; the empty word is the empty index.
+    Memoised, so w must be a tuple."""
     if w and not any(x != 0 for x in w):
         raise ValueError("all-zero word has no index form")
     lz = trailing_run(w[::-1], 0)

@@ -301,10 +301,15 @@ class FiltMatrix:
         return self.base.blocks if self.base is not None else block_dets(self.entries)
 
     def det(self):
-        """A Fraction; for Hstar, a SymPoly affine in lam."""
+        """A Fraction; for Hstar, a SymPoly affine in lam, computed once
+        per matrix."""
         if self.kind == "Hstar":
-            return _star_det(self.base, self.cells)
+            return self._lam_det
         return math.prod((d for _, _, d in self.blocks), start=Fraction(1))
+
+    @cached_property
+    def _lam_det(self) -> SymPoly:
+        return _star_det(self.base, self.cells)
 
     def to_json(self) -> dict:
         def fmt(x):
@@ -327,20 +332,22 @@ class FiltMatrix:
 
 def build_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
     """The matrix of the graded derivation with respect to (B, B');
-    kind Hstar is star_matrix of the kind-H matrix.  S and H matrices
-    are built once per process (_plain_matrix), so a repeated call and
-    every Hstar of the same level share one matrix and its blocks."""
+    kind Hstar is star_matrix of the kind-H matrix.  Every matrix is
+    built once per process (_plain_matrix), so a repeated call shares one
+    matrix, its blocks and its determinant, and the Hstar of a level
+    shares its H matrix."""
     if kind not in ("S", "H", "Hstar"):
         raise ValueError(f"kind must be 'S', 'H' or 'Hstar', got {kind!r}")
-    if kind == "Hstar":
-        return star_matrix(_plain_matrix("H", N, ell))
     return _plain_matrix(kind, N, ell)
 
 
 @lru_cache(maxsize=None)
 def _plain_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
-    """The kind-S or kind-H matrix of weight N and level ell, memoised.
-    A build that raises is not cached, so its checks run again."""
+    """The matrix of kind S, H or Hstar of weight N and level ell,
+    memoised; Hstar is star_matrix of the memoised H matrix.  A build
+    that raises is not cached, so its checks run again."""
+    if kind == "Hstar":
+        return star_matrix(_plain_matrix("H", N, ell))
     if kind == "S" and N < 2:
         raise ValueError(f"kind S has no words of weight {N}; need N >= 2")
     B, Bp = basis_sets(kind, N, ell)

@@ -22,7 +22,13 @@ leaves after canonical reduction.
 All values are immutable and all functions pure; the module-level memo
 tables only ever store deterministic results keyed by immutable inputs,
 so concurrent use can at worst duplicate a computation, never change a
-result.
+result.  ``_st_cache`` holds stuffle_reg and ``_sh_cache`` shuffle_reg,
+each per (index, parameter); ``_word_cache`` holds word_shuffle_reg per
+(word, value) and ``_reg0_cache`` its value-0 part per word; the
+``lru_cache``s hold ``_exp_series``, ``_rho_image`` (the image of each
+power P^k under the comparison map) and ``zeta_ones``.  A memoised dict
+is shared by every caller, so sums are accumulated into fresh dicts
+only, and a value that raises is not stored: its checks run again.
 """
 
 from __future__ import annotations
@@ -161,10 +167,12 @@ def word_shuffle_reg(w: IntWord, wval: SymPoly) -> dict:
         n = trailing_run(w[m:], 1)
     else:
         m = n = 0
-    coeffs: dict = {}  # word -> {power of wval: Fraction}
+    # 1 / (i! j!) = (m! n! / (i! j!)) / (m! n!): integer numerators over one denominator
+    denom = math.factorial(m) * math.factorial(n)
+    coeffs: dict = {}  # word -> {power of wval: int numerator}
     for i in range(m + 1):
         for j in range(n + 1):
-            scale = Fraction(1, math.factorial(i) * math.factorial(j))
+            scale = denom // (math.factorial(i) * math.factorial(j))
             for v, c in _reg0(w[i:len(w) - j]).items():
                 by_power = coeffs.setdefault(v, {})
                 by_power[i + j] = by_power.get(i + j, 0) + c * scale
@@ -175,11 +183,14 @@ def word_shuffle_reg(w: IntWord, wval: SymPoly) -> dict:
     for v, by_power in coeffs.items():
         if v and (v[0] == 0 or v[-1] == 1):
             raise InvariantError(f"shuffle regularization of {w} produced the divergent word {v}")
-        c = SymPoly.combination((q, powers[p]) for p, q in by_power.items())
+        c = SymPoly.combination((Fraction(q, denom), powers[p]) for p, q in by_power.items())
         if c:
             out[v] = c
     _word_cache[key] = out
     return out
+
+
+_sh_cache: dict = {}
 
 
 def shuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
@@ -189,14 +200,20 @@ def shuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
     two length-one divergent words carry the value -param.
     """
     param = SymPoly.coerce(param)
+    key = (s, param)
+    hit = _sh_cache.get(key)
+    if hit is not None:
+        return hit
     word = to_int_word(s)
     if not word:
-        return {EMPTY: SymPoly.one()}
-    out: dict = {}
-    # zeta(s) = (-1)^depth I(word); from_int_word is a bijection, so no key repeats
-    for w, c in word_shuffle_reg(word, -param).items():
-        idx = from_int_word(w)
-        out[idx] = -c if (s.depth + idx.depth) % 2 else c
+        out = {EMPTY: SymPoly.one()}
+    else:
+        out = {}
+        # zeta(s) = (-1)^depth I(word); from_int_word is a bijection, so no key repeats
+        for w, c in word_shuffle_reg(word, -param).items():
+            idx = from_int_word(w)
+            out[idx] = -c if (s.depth + idx.depth) % 2 else c
+    _sh_cache[key] = out
     return out
 
 
@@ -251,6 +268,15 @@ def _exp_series(kind: str, order: int):
     return tuple(E)
 
 
+@lru_cache(maxsize=None)
+def _rho_image(param: str, k: int) -> SymPoly:
+    """rho(P^k) = sum_j k!/(k-j)! E_j P^(k-j), with E the 'plus' series."""
+    E = _exp_series("plus", k)
+    return SymPoly.combination(
+        (math.factorial(k) // math.factorial(k - j), E[j] * SymPoly.gen(param, k - j)) for j in range(k + 1)
+    )
+
+
 def rho_apply(p: SymPoly, param: str = "T") -> SymPoly:
     """The comparison map on parameter polynomials, defined on powers by
 
@@ -258,19 +284,11 @@ def rho_apply(p: SymPoly, param: str = "T") -> SymPoly:
 
     Linear over everything that does not involve the parameter.
     """
-    deg = p.max_degree(param)
-    E = _exp_series("plus", deg)
     out = SymPoly.zero()
-    for k in range(deg + 1):
+    for k in range(p.max_degree(param) + 1):
         ck = p.coeff_of_power(param, k)
-        if ck.is_zero:
-            continue
-        image = SymPoly.zero()
-        for j in range(k + 1):
-            image = image + E[j] * SymPoly.gen(param, k - j) * Fraction(
-                math.factorial(k), math.factorial(k - j)
-            )
-        out = out + ck * image
+        if ck:
+            out = out + ck * _rho_image(param, k)
     return out
 
 
@@ -287,6 +305,7 @@ def sh_from_st(s: SignedIndex, param: str = "T") -> dict:
     return rho_apply_lincomb(stuffle_reg(s, SymPoly.gen(param)), param)
 
 
+@lru_cache(maxsize=None)
 def zeta_ones(i: int, param) -> SymPoly:
     """Coefficient of u^i in exp(P u - sum_{n>=2} (-1)^n/n zeta(n) u^n)."""
     if i < 0:
@@ -375,10 +394,10 @@ def distribution_rewrite(lc: dict) -> dict:
             lc_put(out, s, c)
             continue
         w, d = s.weight, s.depth
-        factor = Fraction(2 ** (w - d), 1 - 2 ** (w - d))
+        term = Fraction(2 ** (w - d), 1 - 2 ** (w - d)) * SymPoly.coerce(c)
         for _, parts in signings(s.parts):
             if parts != s.parts:  # every sign choice but the all-plus one
-                lc_put(out, SignedIndex(parts, 0), factor * SymPoly.coerce(c))
+                lc_put(out, SignedIndex(parts, 0), term)
     return out
 
 

@@ -20,8 +20,10 @@ Canonical form.  ``terms`` maps monomials to coefficients.  A monomial
 is a tuple of (generator, exponent) pairs sorted by ``_gen_key``, with
 every generator known and every exponent positive; every coefficient is
 a nonzero ``Fraction``.  Only the public constructor ``SymPoly(terms)``
-and ``gen`` validate: they accept arbitrary monomials with int or
-Fraction coefficients and bring them into this form.  Every other
+and ``gen`` validate: the constructor accepts arbitrary monomials with
+int or Fraction coefficients and brings them into this form, and ``gen``
+checks its one generator, exponent and coefficient the same way and
+builds its one-term dict directly.  Every other
 result comes from the trusted constructor ``_canonical``, which stores a
 dict that is already canonical without checking it: the ring operations,
 ``const``/``coerce``, ``combination``, ``deriv`` and ``coeff_of_power``.
@@ -77,6 +79,19 @@ def _rational(c) -> Fraction:
     return c if type(c) is Fraction else Fraction(c)
 
 
+@lru_cache(maxsize=None)
+def _known_gen(g: str) -> bool:
+    return bool(_GEN_RE.match(g))
+
+
+def _check_factor(g: str, e: int) -> None:
+    """Refuse an unknown generator or a negative exponent (ValueError)."""
+    if not _known_gen(g):
+        raise ValueError(f"unknown generator {g!r}")
+    if e < 0:
+        raise ValueError(f"negative exponent on {g!r}")
+
+
 def _normalize_terms(terms):
     out = {}
     for mono, c in terms.items():
@@ -85,10 +100,7 @@ def _normalize_terms(terms):
             continue
         mono = tuple(sorted(((g, e) for g, e in mono if e != 0), key=_ge_key))
         for g, e in mono:
-            if not _GEN_RE.match(g):
-                raise ValueError(f"unknown generator {g!r}")
-            if e < 0:
-                raise ValueError(f"negative exponent on {g!r}")
+            _check_factor(g, e)
         out[mono] = out.get(mono, Fraction(0)) + c
     return {m: c for m, c in out.items() if c != 0}
 
@@ -121,7 +133,7 @@ class SymPoly:
     result may be an operand itself (p + 0 is p).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         object.__setattr__(self, "terms", _normalize_terms(terms or {}))
@@ -135,7 +147,12 @@ class SymPoly:
 
     @staticmethod
     def gen(name: str, exp: int = 1, coeff=1) -> "SymPoly":
-        return SymPoly({((name, exp),): coeff})
+        """coeff * name**exp, built directly in canonical form."""
+        c = _rational(coeff)
+        _check_factor(name, exp)
+        if not c:
+            return _canonical({})
+        return _canonical({((name, exp),) if exp else (): c})
 
     @staticmethod
     def zero() -> "SymPoly":
@@ -233,7 +250,15 @@ class SymPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # kept once computed; a constant hashes as its Fraction value, so
+        # the hash agrees with == against int and Fraction
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        t = self.terms
+        self._hash = h = hash(t.get((), 0)) if self.is_const() else hash(frozenset(t.items()))
+        return h
 
     def __bool__(self):
         return bool(self.terms)
@@ -379,6 +404,7 @@ def even_zeta(n: int) -> SymPoly:
     return SymPoly.gen("pi2", m, coeff)
 
 
+@lru_cache(maxsize=None)
 def zeta_sym(n: int) -> SymPoly:
     """zeta(n) for n >= 2 as a SymPoly (pi-power if even, z-generator if odd)."""
     if n < 2:

@@ -199,6 +199,25 @@ def test_a_level_is_built_once_and_shared_read_only(kind):
         m.cols = []
 
 
+def test_hstar_is_built_once_per_level_and_its_determinant_taken_once(monkeypatch):
+    star = build_matrix("Hstar", 9, 1)
+    assert build_matrix("Hstar", 9, 1) is star and star.base is build_matrix("H", 9, 1)
+    sizes = _count_eliminations(monkeypatch)
+    det = star.det()
+    assert sizes and star.det() is det
+    sizes.clear()
+    assert build_matrix("Hstar", 9, 1).det() is det and sizes == []
+
+
+def test_singular_lambda_after_the_sweep_eliminates_nothing(monkeypatch):
+    from mtv.motivic import singular_lambda
+    from mtv.verify import invertibility_checks
+
+    assert all(r.status == "PASS" for r in invertibility_checks())
+    sizes = _count_eliminations(monkeypatch)
+    assert singular_lambda(9) == Fraction(_golden("golden_singular_lambda.json")["9"]) and sizes == []
+
+
 def test_a_failed_build_is_not_cached(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(motivic, "basis_sets", lambda kind, N, ell: ([()] * 5, [()] * 4))

@@ -176,6 +176,38 @@ def test_zeta_ones():
     )
 
 
+def _rho_term_by_term(p, param="T"):
+    """The comparison map as first written: each P^k of p rebuilt from
+    the 'plus' series, term by term, on every call."""
+    deg = p.max_degree(param)
+    E = regularize._exp_series("plus", deg)
+    out = SymPoly.zero()
+    for k in range(deg + 1):
+        image = SymPoly.zero()
+        for j in range(k + 1):
+            image = image + E[j] * SymPoly.gen(param, k - j) * Fraction(math.factorial(k), math.factorial(k - j))
+        out = out + p.coeff_of_power(param, k) * image
+    return out
+
+
+def test_rho_apply_matches_the_term_by_term_definition():
+    for k in range(9):
+        assert rho_apply(T ** k) == _rho_term_by_term(T ** k), k
+    mixed = T ** 4 * Fraction(-3, 5) + PI2 * T ** 2 + LOG2 * T * 7 + SymPoly.gen("z3") - 2
+    for _ in range(2):  # the second pass reads the memoised images
+        assert rho_apply(mixed) == _rho_term_by_term(mixed)
+    assert rho_apply(U ** 3, "U") == _rho_term_by_term(U ** 3, "U") != _rho_term_by_term(T ** 3)
+
+
+def test_zeta_ones_memo_takes_a_number_or_a_polynomial():
+    # the memo keys on the parameter as passed; a constant polynomial and
+    # its value hash alike, so they share one entry and one value
+    assert zeta_ones(3, 2) is zeta_ones(3, SymPoly.const(2))
+    assert zeta_ones(3, Fraction(1, 2)) == zeta_ones(3, SymPoly.const(Fraction(1, 2)))
+    with pytest.raises(ValueError, match="i >= 0"):
+        zeta_ones(-1, T)
+
+
 def test_rho_inverts_zeta_ones():
     for i in range(9):
         assert rho_apply(zeta_ones(i, T)) == SymPoly.gen("T", i, Fraction(1, math.factorial(i)))
@@ -353,6 +385,7 @@ def test_memo_values_survive_regularization_sweep():
     small = list(signed_indices(4))
     snapshot = {(s, p): (dict(stuffle_reg(s, p)), dict(shuffle_reg(s, p))) for s in small for p in (T, ZERO)}
     st_cache = {k: dict(v) for k, v in regularize._st_cache.items()}
+    sh_cache = {k: dict(v) for k, v in regularize._sh_cache.items()}
     word_cache = {k: dict(v) for k, v in regularize._word_cache.items()}
     for s in small:
         lc_sub(stuffle_reg(s, ZERO), shift_param("stuffle", s, T, ZERO))
@@ -365,6 +398,7 @@ def test_memo_values_survive_regularization_sweep():
     for (s, p), (st, sh) in snapshot.items():
         assert stuffle_reg(s, p) == st and shuffle_reg(s, p) == sh, (s, p)
     assert all(regularize._st_cache[k] == v for k, v in st_cache.items())
+    assert sh_cache and all(regularize._sh_cache[k] == v for k, v in sh_cache.items())
     assert all(regularize._word_cache[k] == v for k, v in word_cache.items())
 
 
@@ -405,6 +439,7 @@ def test_distribution_residual_refuses_non_positive_entries():
 def test_broken_multiplicities_raise(monkeypatch):
     # a product that miscounts the input's own multiplicity breaks the peeling recursion
     monkeypatch.setattr(regularize, "_st_cache", {})
+    monkeypatch.setattr(regularize, "_sh_cache", {})
     monkeypatch.setattr(regularize, "_word_cache", {})
     monkeypatch.setattr(regularize, "_reg0_cache", {})
     monkeypatch.setattr(regularize, "_stuffle_parts", lambda u, v: ((u + v, 2),))
@@ -415,6 +450,9 @@ def test_broken_multiplicities_raise(monkeypatch):
     monkeypatch.setattr(regularize, "_shuffle_words", lambda u, v: ((u + v + (1,), 1),))
     with pytest.raises(InvariantError, match=r"divergent word \(1, 0, -1, 1\)"):
         word_shuffle_reg((0, 1, -1), -W)
+    # a value that raised is not memoised: its check runs again through shuffle_reg
+    with pytest.raises(InvariantError, match=r"divergent word \(1, 0, -1, 1\)"):
+        shuffle_reg(from_int_word((0, 1, -1)), W)
     # a run counter that misses the trailing ones leaves a prefix ending in 1
     monkeypatch.setattr(regularize, "trailing_run", lambda w, letter: 0)
     with pytest.raises(InvariantError, match="still ends in 1"):

@@ -171,3 +171,33 @@ def test_floats_never_enter_the_ring():
             with pytest.raises(TypeError, match="int or Fraction"):
                 build(bad)
     assert SymPoly.const(True) == SymPoly.one() and SymPoly.coerce(Fraction(1, 3)) * 3 == 1
+
+
+def test_gen_refuses_what_the_constructor_refuses():
+    # gen builds its dict directly, so it repeats the constructor's checks
+    for name, exp in (("x", 1), ("zeta3", 2), ("x", 0)):
+        with pytest.raises(ValueError, match="unknown generator"):
+            SymPoly.gen(name, exp)
+    with pytest.raises(ValueError, match="negative exponent"):
+        SymPoly.gen("pi2", -1)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        SymPoly.gen("T", 2, 0.5)
+    for c in (0, 3, Fraction(-2, 5)):
+        assert SymPoly.gen("T", 0, c) == SymPoly.const(c) == SymPoly({(): c})
+        assert SymPoly.gen("T", 2, c) == SymPoly({(("T", 2),): c})
+    assert SymPoly.gen("z3", 1, 0).is_zero
+
+
+@given(sympolys())
+@settings(max_examples=60, deadline=None)
+def test_hash_agrees_with_equality(p):
+    q = SymPoly(dict(p.terms))  # an equal polynomial built afresh
+    assert p == q and hash(p) == hash(q)
+    assert hash(p) == hash(p)  # the kept hash
+
+
+def test_a_constant_hashes_as_its_value():
+    for q in (0, 2, Fraction(3, 7)):
+        assert SymPoly.const(q) == q and hash(SymPoly.const(q)) == hash(q)
+    assert len({SymPoly.const(2), 2}) == 1 and len({SymPoly.zero(), Fraction(0)}) == 1
+    assert {SymPoly.const(Fraction(3, 7)): "memo"}[Fraction(3, 7)] == "memo"
