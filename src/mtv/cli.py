@@ -4,7 +4,8 @@ Subcommands: eval, reg, stuffle, shuffle, dr, matrix, det,
 singular-lambda, enumerate, num, coeff, verify, identity.  Results go to stdout,
 diagnostics to stderr; exit code 0 on success or verification pass, 1
 on verification failure, 2 on usage errors, 3 when an internal
-invariant of the computation breaks.
+invariant of the computation breaks, 141 when the reader of stdout
+closed it early (as `mtv enumerate ... | head` does).
 """
 
 from __future__ import annotations
@@ -410,13 +411,23 @@ def main(argv=None) -> int:
                 print(f"error: {name} is not supported: {reason}", file=sys.stderr)
                 return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader has gone: what stdout still buffers goes to the null
+        # device, so the flush at exit cannot fail again; 141 = 128 + SIGPIPE,
+        # the status of a writer that a closed pipe kills
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 141
 
 
 if __name__ == "__main__":

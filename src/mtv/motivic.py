@@ -15,6 +15,10 @@ zeta(2r+1) -> 2^(2r-1).  The parametric matrix Hstar(lam) is its H
 matrix plus lam - 1/2 at one cell per row ending in 1 (star_matrix).
 Each S and H matrix is built once per process and shared, read-only, by
 every build of its level and by the Hstar matrices derived from it.
+A row is built in one pass over the D_r terms of its word: every term's
+right factor is checked for validity and for level < l on every build,
+its validity and level read from a memo per right factor, and the row
+is filled from its nonzero entries only.
 A matrix is factorised once: FiltMatrix.blocks holds its diagonal
 blocks' determinants (ratmatrix.block_dets), and Hstar's are its H
 matrix's.  det() of S and H is their product; Hstar's affine determinant
@@ -80,7 +84,9 @@ def _deriv_D_all(k: tuple) -> dict:
 
     graded_partial asks for r = 1, 3, ... of one word in a row, so a memo
     of the last word serves it.  Within each r the terms are summed in
-    the same order as cut-by-cut expansion for that r alone.
+    the same order as cut-by-cut expansion for that r alone.  A cut whose
+    range of r is empty is skipped before any of its subindices is built;
+    it would add no term.
     """
     d = len(k)
     pre = list(accumulate(k, initial=0))  # sum(k[a:b]) == pre[b] - pre[a]
@@ -92,17 +98,23 @@ def _deriv_D_all(k: tuple) -> dict:
             lc_put(by_r.setdefault(pre[j], {}), (("t", k[:j]), k[j:]), 1)
 
     # the cut (i, j) of weight wij contributes to every odd r < wij - 1
-    # with r >= w_in (zero-headed) or r >= w_out (zero-tailed)
+    # with r >= w_in (zero-headed) or r >= w_out (zero-tailed); on a
+    # {1,2} word that range holds at most one r, so most cuts build nothing
     for i in range(1, d):
+        before = k[:i - 1]
         for j in range(i + 1, d + 1):
             wij = pre[j] - pre[i - 1]
             w_in = pre[j] - pre[i]
             w_out = pre[j - 1] - pre[i - 1]
+            rs = range(min(w_in, w_out) | 1, wij - 1, 2)
+            if not rs:
+                continue
             head = k[i:j]
             tail = tuple(reversed(k[i - 1:j - 1]))  # the zero-tailed subindex, reversed
-            for r in range(min(w_in, w_out) | 1, wij - 1, 2):
+            after = k[j:]
+            for r in rs:
                 out = by_r.setdefault(r, {})
-                right = k[:i - 1] + (wij - r,) + k[j:]
+                right = before + (wij - r,) + after
                 if w_in <= r:
                     lc_put(out, (("zl", r - w_in, head), right), 1)
                     if r == 1:
@@ -237,6 +249,16 @@ def _valid_word(w: tuple, kind: str) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _right_factor(right: tuple, word_kind: str) -> tuple:
+    """(valid, level) of a right factor as a kind-word_kind word; the level
+    is None for an invalid word.  Memoised: graded_partial checks every
+    term's right factor against it on every build, and a word of weight
+    N recurs as the right factor of many words above it."""
+    valid = _valid_word(right, word_kind)
+    return valid, word_level(right, word_kind) if valid else None
+
+
+@lru_cache(maxsize=None)
 def _graded_factor(tag):
     """What one unit of the left tag adds to a matrix entry: its reduced
     coefficient times the projection of its generator, or 0 for a class
@@ -251,9 +273,12 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple):
     Returns {B'-word: coefficient}; coefficients are Fractions, or
     SymPolys affine in lam for kind 'Hstar' (the reference rows of
     star_matrix).  D_r sends a level-l word to right factors of level
-    < l (the lemma that makes the matrices filtered); a right factor of
-    level >= l raises InvariantError, and only those of level l - 1
-    enter the row.
+    < l (the lemma that makes the matrices filtered); every term's right
+    factor is checked on every call, an invalid one or one of level >= l
+    raises InvariantError, and only those of level l - 1 enter the row.
+    The check reads each right factor's validity and level from a
+    process-wide memo (_right_factor), which stores the facts, never a
+    verdict, so a bad factor raises on every call.
     """
     word_kind = "S" if kind == "S" else "H"
     w = tuple(w)
@@ -263,16 +288,16 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple):
     for r in range(1, N + 1, 2):
         terms = deriv_D_star(r, w) if kind == "Hstar" else deriv_D(r, w)
         for (tag, right), coeff in terms.items():
-            if not _valid_word(right, word_kind):
+            valid, level = _right_factor(right, word_kind)
+            if not valid:
                 raise InvariantError(f"D_{r} of {w} has the invalid right factor {right}")
-            level = word_level(right, word_kind)
             if level >= ell:
                 raise InvariantError(f"D_{r} of the level-{ell} word {w} has the right factor {right} of level {level}")
             if level < ell - 1:
                 continue
             factor = _graded_factor(tag)
             if factor:
-                lc_put(out, right, coeff * factor)
+                lc_put(out, right, factor if coeff == 1 else -factor if coeff == -1 else coeff * factor)
     return out
 
 
@@ -353,14 +378,17 @@ def _plain_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
     B, Bp = basis_sets(kind, N, ell)
     if len(B) != len(Bp):
         raise InvariantError(f"bases of unequal size at {kind} N={N} level {ell}: {len(B)} and {len(Bp)}")
+    col = {u: j for j, u in enumerate(Bp)}
     entries = []
-    cols = set(Bp)
     for w in B:
         row_map = graded_partial(kind, N, ell, w)
-        unknown = set(row_map) - cols
-        if unknown:
-            raise InvariantError(f"row {w} hit non-basis words {sorted(unknown)}")
-        entries.append([row_map.get(wp, _ZERO) for wp in Bp])
+        row = [_ZERO] * len(Bp)  # rows are sparse: set only the nonzero entries
+        try:
+            for u, x in row_map.items():
+                row[col[u]] = x
+        except KeyError:
+            raise InvariantError(f"row {w} hit non-basis words {sorted(set(row_map) - col.keys())}") from None
+        entries.append(row)
     return FiltMatrix(kind, N, ell, list(B), list(Bp), entries)
 
 

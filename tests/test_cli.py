@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
 from fractions import Fraction
 
@@ -357,6 +358,29 @@ def test_other_runtime_errors_are_not_invariant_failures(capsys, monkeypatch):
     monkeypatch.setattr(cli, "singular_lambda", recurse)
     with pytest.raises(RecursionError):
         main(["singular-lambda", "--N", "5"])
+
+
+def test_closed_stdout_exits_141_without_a_traceback(capsys, monkeypatch, tmp_path):
+    # `mtv enumerate ... | head -n 1`: the reader closes the pipe early
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as f:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(f.fileno()))
+        assert main(["enumerate", "--kind", "H", "--N", "20"]) == 141
+        # what is still buffered goes to the null device, not to the closed pipe
+        assert os.path.samestat(os.fstat(f.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
 
 
 def test_invertibility_names_its_bounds(capsys):

@@ -7,7 +7,7 @@ import pytest
 from mtv import motivic
 from mtv.cli import main
 from mtv.errors import InvariantError
-from mtv.indexcore import compositions
+from mtv.indexcore import basis_sets, compositions, word_level
 from mtv.motivic import (
     IrreducibleLeftFactor,
     LOG,
@@ -22,7 +22,7 @@ from mtv.motivic import (
     reduce_deriv,
     singular_lambda,
 )
-from mtv.symring import SymPoly
+from mtv.symring import SymPoly, lc_put
 
 
 def test_deriv_even_r_rejected():
@@ -282,3 +282,54 @@ def test_graded_partial_raises_irreducible_on_every_call(monkeypatch):
     for _ in range(2):
         with pytest.raises(IrreducibleLeftFactor, match=r"t block \(1, 1, 1\)"):
             graded_partial("H", 3, 1, (1, 2))
+
+
+def test_graded_partial_raises_on_an_invalid_right_factor_on_every_call(monkeypatch):
+    # the right-factor memo stores the word's validity, not a verdict: a second
+    # build meets the same invalid factor and raises again
+    real = motivic.deriv_D
+    monkeypatch.setattr(motivic, "deriv_D", lambda r, k: {**real(r, k), (("t", (1,)), (4, 1)): 1})
+    for _ in range(2):
+        with pytest.raises(InvariantError, match=r"D_1 of \(2, 1\) has the invalid right factor \(4, 1\)"):
+            graded_partial("H", 3, 1, (2, 1))
+
+
+def _reference_row(kind, N, ell, w, cols):
+    """A dense row built term by term, as graded_partial and the matrix
+    build first did: each D_r term's right factor checked, then coefficient
+    times the graded factor accumulated, then every column looked up."""
+    word_kind = "S" if kind == "S" else "H"
+    out = {}
+    for r in range(1, N + 1, 2):
+        terms = deriv_D_star(r, w) if kind == "Hstar" else deriv_D(r, w)
+        for (tag, right), coeff in terms.items():
+            assert motivic._valid_word(right, word_kind), (w, r, right)
+            level = word_level(right, word_kind)
+            assert level < ell, (w, r, right)
+            if level == ell - 1 and (factor := motivic._graded_factor(tag)):
+                lc_put(out, right, coeff * factor)
+    assert set(out) <= set(cols), (w, sorted(set(out) - set(cols)))
+    return out, [out.get(u, Fraction(0)) for u in cols]
+
+
+@pytest.mark.parametrize("kind", ["S", "H", "Hstar"])
+def test_rows_equal_the_term_by_term_construction(kind):
+    for N in range(2 if kind == "S" else 1, 12):
+        for ell in range(2 - N % 2, N + 1, 2):
+            B, Bp = basis_sets("H" if kind == "Hstar" else kind, N, ell)
+            m = build_matrix(kind, N, ell)
+            assert (m.rows, m.cols) == (B, Bp)
+            for w, row in zip(m.rows, m.entries):
+                ref_map, ref_row = _reference_row(kind, N, ell, w, m.cols)
+                assert graded_partial(kind, N, ell, w) == ref_map, (kind, N, ell, w)
+                assert row == ref_row, (kind, N, ell, w)
+
+
+def test_a_row_off_the_columns_names_its_unknown_words(monkeypatch):
+    B, Bp = motivic.basis_sets("H", 8, 2)
+    dropped = set(Bp[:3])
+    monkeypatch.setattr(motivic, "basis_sets", lambda kind, N, ell: (B, Bp[3:] + [(2, 2, 2, 2)] * 3))
+    hits = [(w, sorted(dropped & set(graded_partial("H", 8, 2, w)))) for w in B]
+    w, unknown = next(hit for hit in hits if hit[1])  # the first row that needs a dropped column
+    with pytest.raises(InvariantError, match=re.escape(f"row {w} hit non-basis words {unknown}")):
+        build_matrix("H", 8, 2)
