@@ -15,21 +15,30 @@ zeta(2r+1) -> 2^(2r-1).  The parametric matrix Hstar(lam) is its H
 matrix plus lam - 1/2 at one cell per row ending in 1 (star_matrix).
 Each S and H matrix is built once per process and shared, read-only, by
 every build of its level and by the Hstar matrices derived from it.
-A row is built in one pass over the D_r terms of its word: every term's
-right factor is checked for validity and for level < l on every build,
-its validity and level read from a memo per right factor, and the row
-is filled from its nonzero entries only.
+A row is built in one walk over its word's cuts (_cut_terms, the one
+statement of the cut rules, which deriv_D sums too): every term's right
+factor is checked for validity and for level < l on every build, before
+any terms cancel, its validity and level read from a memo per right
+factor.  The graded factors are summed as integer numerators over one
+common denominator per row, and each nonzero entry becomes one Fraction.
+A matrix keeps its rows sparse, FiltMatrix.nonzero ({column: entry} per
+row), next to the dense entries that to_json and the CLI print.
 A matrix is factorised once: FiltMatrix.blocks holds its diagonal
 blocks' determinants (ratmatrix.block_dets), and Hstar's are its H
 matrix's.  det() of S and H is their product; Hstar's affine determinant
 reads them at lam = 1/2 and eliminates again, at lam = 1, only the one
 block that holds a cell; the structure report reads the determinant and
-its final class from the same blocks.
+its final class from the same blocks.  Every pass but the dense Bareiss
+elimination reads only the nonzero entries: the cut scan and the block
+scaling, the structure report's parity checks (zero blocks above the
+classes, unitriangular mod 2, the even last row) and the lam pattern and
+lam block of the Hstar determinant.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -46,7 +55,7 @@ from .indexcore import (
     trailing_run,
     word_level,
 )
-from .ratmatrix import block_dets, det_bareiss, diagonal_blocks, parity
+from .ratmatrix import block_dets, det_bareiss, diagonal_blocks, nonzero_rows, parity, sub_rows
 from .symring import SymPoly, lc_put
 
 LOG = ("log",)
@@ -84,18 +93,30 @@ def _deriv_D_all(k: tuple) -> dict:
 
     graded_partial asks for r = 1, 3, ... of one word in a row, so a memo
     of the last word serves it.  Within each r the terms are summed in
-    the same order as cut-by-cut expansion for that r alone.  A cut whose
-    range of r is empty is skipped before any of its subindices is built;
-    it would add no term.
+    the order _cut_terms lists them.
+    """
+    by_r: dict = {}
+    for r, tag, right, sign in _cut_terms(k):
+        lc_put(by_r.setdefault(r, {}), (tag, right), sign)
+    return by_r
+
+
+def _cut_terms(k: tuple):
+    """Every term of every odd D_r on the rescaled t value of index k, as
+    (r, left tag, right index, +1 or -1), before any terms cancel.
+
+    The one statement of the cut rules: deriv_D sums these terms, and the
+    matrix rows (_level_row) read them directly.  A cut whose range of r
+    is empty is skipped before any of its subindices is built; it would
+    add no term.
     """
     d = len(k)
     pre = list(accumulate(k, initial=0))  # sum(k[a:b]) == pre[b] - pre[a]
-    by_r: dict = {}
 
     # deconcatenation of a prefix of odd weight r
     for j in range(1, d + 1):
         if pre[j] % 2:
-            lc_put(by_r.setdefault(pre[j], {}), (("t", k[:j]), k[j:]), 1)
+            yield pre[j], ("t", k[:j]), k[j:], 1
 
     # the cut (i, j) of weight wij contributes to every odd r < wij - 1
     # with r >= w_in (zero-headed) or r >= w_out (zero-tailed); on a
@@ -104,26 +125,24 @@ def _deriv_D_all(k: tuple) -> dict:
         before = k[:i - 1]
         for j in range(i + 1, d + 1):
             wij = pre[j] - pre[i - 1]
-            w_in = pre[j] - pre[i]
-            w_out = pre[j - 1] - pre[i - 1]
-            rs = range(min(w_in, w_out) | 1, wij - 1, 2)
+            w_in = wij - k[i - 1]
+            w_out = wij - k[j - 1]
+            rs = range((w_in if w_in < w_out else w_out) | 1, wij - 1, 2)
             if not rs:
                 continue
             head = k[i:j]
             tail = tuple(reversed(k[i - 1:j - 1]))  # the zero-tailed subindex, reversed
             after = k[j:]
             for r in rs:
-                out = by_r.setdefault(r, {})
                 right = before + (wij - r,) + after
                 if w_in <= r:
-                    lc_put(out, (("zl", r - w_in, head), right), 1)
+                    yield r, ("zl", r - w_in, head), right, 1
                     if r == 1:
-                        lc_put(out, (LOG, right), -1)
+                        yield r, LOG, right, -1
                 if w_out <= r:
-                    lc_put(out, (("zl", r - w_out, tail), right), -1)
+                    yield r, ("zl", r - w_out, tail), right, -1
                     if r == 1:
-                        lc_put(out, (LOG, right), 1)
-    return by_r
+                        yield r, LOG, right, 1
 
 
 def deriv_D1_fast(k: tuple) -> dict:
@@ -251,11 +270,20 @@ def _valid_word(w: tuple, kind: str) -> bool:
 @lru_cache(maxsize=None)
 def _right_factor(right: tuple, word_kind: str) -> tuple:
     """(valid, level) of a right factor as a kind-word_kind word; the level
-    is None for an invalid word.  Memoised: graded_partial checks every
-    term's right factor against it on every build, and a word of weight
-    N recurs as the right factor of many words above it."""
+    is None for an invalid word.  Memoised: every term's right factor is
+    checked on every build, and a word of weight N recurs as the right
+    factor of many words above it."""
     valid = _valid_word(right, word_kind)
     return valid, word_level(right, word_kind) if valid else None
+
+
+def _refuse_right_factor(r: int, w: tuple, ell: int, right: tuple, level) -> None:
+    """Raise InvariantError for the right factor of a D_r term of the
+    level-ell word w that is invalid (level None) or of level >= ell: the
+    lemma that makes the matrices filtered fails."""
+    if level is None:
+        raise InvariantError(f"D_{r} of {w} has the invalid right factor {right}")
+    raise InvariantError(f"D_{r} of the level-{ell} word {w} has the right factor {right} of level {level}")
 
 
 @lru_cache(maxsize=None)
@@ -268,17 +296,15 @@ def _graded_factor(tag):
 
 
 def graded_partial(kind: str, N: int, ell: int, w: tuple):
-    """Row of the graded derivation matrix for the basis word w.
+    """Row of the graded derivation matrix for the basis word w, from the
+    definition: the sum of D_r (D*_r for kind 'Hstar') over odd r.
 
     Returns {B'-word: coefficient}; coefficients are Fractions, or
     SymPolys affine in lam for kind 'Hstar' (the reference rows of
     star_matrix).  D_r sends a level-l word to right factors of level
-    < l (the lemma that makes the matrices filtered); every term's right
-    factor is checked on every call, an invalid one or one of level >= l
-    raises InvariantError, and only those of level l - 1 enter the row.
-    The check reads each right factor's validity and level from a
-    process-wide memo (_right_factor), which stores the facts, never a
-    verdict, so a bad factor raises on every call.
+    < l; every term's right factor is checked on every call, and only
+    those of level l - 1 enter the row.  The matrices are built by
+    _level_row, which the tests compare with this.
     """
     word_kind = "S" if kind == "S" else "H"
     w = tuple(w)
@@ -289,16 +315,42 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple):
         terms = deriv_D_star(r, w) if kind == "Hstar" else deriv_D(r, w)
         for (tag, right), coeff in terms.items():
             valid, level = _right_factor(right, word_kind)
-            if not valid:
-                raise InvariantError(f"D_{r} of {w} has the invalid right factor {right}")
-            if level >= ell:
-                raise InvariantError(f"D_{r} of the level-{ell} word {w} has the right factor {right} of level {level}")
+            if not valid or level >= ell:
+                _refuse_right_factor(r, w, ell, right, level)
             if level < ell - 1:
                 continue
             factor = _graded_factor(tag)
             if factor:
                 lc_put(out, right, factor if coeff == 1 else -factor if coeff == -1 else coeff * factor)
     return out
+
+
+def _level_row(w: tuple, word_kind: str, ell: int) -> dict:
+    """{B'-word: Fraction}, the nonzero entries of the S or H row of the
+    level-ell word w, in one walk over its cuts (_cut_terms).
+
+    Every term's right factor is checked before any terms cancel, so a
+    bad factor raises on every build.  The graded factors are summed as
+    integer numerators over one common denominator, raised to the lcm as
+    factors arrive, and each nonzero entry becomes one Fraction at the end.
+    """
+    nums, den = {}, 1
+    for r, tag, right, sign in _cut_terms(w):
+        valid, level = _right_factor(right, word_kind)
+        if not valid or level >= ell:
+            _refuse_right_factor(r, w, ell, right, level)
+        if level < ell - 1:
+            continue
+        factor = _graded_factor(tag)
+        if factor:
+            d = factor.denominator
+            if den % d:
+                m = d // math.gcd(den, d)
+                den *= m
+                for u in nums:
+                    nums[u] *= m
+            nums[right] = nums.get(right, 0) + sign * factor.numerator * (den // d)
+    return {u: Fraction(x, den) for u, x in nums.items() if x}
 
 
 @dataclass(frozen=True)
@@ -315,6 +367,11 @@ class FiltMatrix:
     entries: list  # list of lists of Fractions; for Hstar, SymPolys lam - 1/2 + H's entry at the cells
     base: FiltMatrix | None = None  # Hstar: its kind-H matrix, the value at lam = 1/2
     cells: tuple = ()  # Hstar: the (row, column) offsets of the lam cells
+    nonzero: list | None = None  # the rows' nonzero entries {column offset: entry}; read off entries if None
+
+    def __post_init__(self):
+        if self.nonzero is None:
+            object.__setattr__(self, "nonzero", nonzero_rows(self.entries))
 
     def entry(self, w, wp):
         return self.entries[self.rows.index(w)][self.cols.index(wp)]
@@ -323,7 +380,7 @@ class FiltMatrix:
     def blocks(self) -> list:
         """[(start, end, det)] of the diagonal blocks, eliminated once per
         matrix (block_dets); Hstar's are those of its H matrix."""
-        return self.base.blocks if self.base is not None else block_dets(self.entries)
+        return self.base.blocks if self.base is not None else block_dets(self.nonzero)
 
     def det(self):
         """A Fraction; for Hstar, a SymPoly affine in lam, computed once
@@ -370,26 +427,31 @@ def build_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
 def _plain_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
     """The matrix of kind S, H or Hstar of weight N and level ell,
     memoised; Hstar is star_matrix of the memoised H matrix.  A build
-    that raises is not cached, so its checks run again."""
+    that raises is not cached, so its checks run again.  An empty basis
+    (kind S at level N) is refused: it has no matrix."""
     if kind == "Hstar":
         return star_matrix(_plain_matrix("H", N, ell))
     if kind == "S" and N < 2:
         raise ValueError(f"kind S has no words of weight {N}; need N >= 2")
     B, Bp = basis_sets(kind, N, ell)
+    if not B:
+        raise ValueError(f"kind {kind} has no words of weight {N} and level {ell}")
     if len(B) != len(Bp):
         raise InvariantError(f"bases of unequal size at {kind} N={N} level {ell}: {len(B)} and {len(Bp)}")
     col = {u: j for j, u in enumerate(Bp)}
-    entries = []
+    nonzero, entries = [], []
     for w in B:
-        row_map = graded_partial(kind, N, ell, w)
-        row = [_ZERO] * len(Bp)  # rows are sparse: set only the nonzero entries
+        row_map = _level_row(w, kind, ell)
         try:
-            for u, x in row_map.items():
-                row[col[u]] = x
+            nz = {col[u]: x for u, x in row_map.items()}
         except KeyError:
             raise InvariantError(f"row {w} hit non-basis words {sorted(set(row_map) - col.keys())}") from None
+        row = [_ZERO] * len(Bp)
+        for j, x in nz.items():
+            row[j] = x
+        nonzero.append(nz)
         entries.append(row)
-    return FiltMatrix(kind, N, ell, list(B), list(Bp), entries)
+    return FiltMatrix(kind, N, ell, list(B), list(Bp), entries, nonzero=nonzero)
 
 
 def star_matrix(h: FiltMatrix) -> FiltMatrix:
@@ -400,7 +462,7 @@ def star_matrix(h: FiltMatrix) -> FiltMatrix:
     ell - 1.  A row whose w[:-1] is not a column raises InvariantError.
     """
     col = {u: j for j, u in enumerate(h.cols)}
-    entries = list(h.entries)
+    entries, nonzero = list(h.entries), list(h.nonzero)
     cells = []
     for i, w in enumerate(h.rows):
         if w[-1] != 1:
@@ -408,10 +470,12 @@ def star_matrix(h: FiltMatrix) -> FiltMatrix:
         j = col.get(w[:-1])
         if j is None:
             raise InvariantError(f"row {w} ends in 1 but {w[:-1]} is not a column")
+        cell = SymPoly.gen("lam") - Fraction(1, 2) + entries[i][j]
         entries[i] = entries[i][:]
-        entries[i][j] = SymPoly.gen("lam") - Fraction(1, 2) + entries[i][j]
+        entries[i][j] = cell
+        nonzero[i] = {**nonzero[i], j: cell}
         cells.append((i, j))
-    return FiltMatrix("Hstar", h.N, h.ell, h.rows, h.cols, entries, h, tuple(cells))
+    return FiltMatrix("Hstar", h.N, h.ell, h.rows, h.cols, entries, h, tuple(cells), nonzero)
 
 
 def _star_det(base: FiltMatrix, cells) -> SymPoly:
@@ -423,19 +487,19 @@ def _star_det(base: FiltMatrix, cells) -> SymPoly:
     (base's own) and 1 give it; if in two or more, InvariantError.
     Base's own blocks refine those, so its factorisation gives the value
     at 1/2, and only the block holding the in-block row is eliminated at 1.
+    Every pass reads base's nonzero rows only.
     """
-    plain = base.entries
-    at_one, pattern = list(plain), list(plain)
+    at_one, pattern = list(base.nonzero), list(base.nonzero)
     for i, j in cells:
-        at_one[i] = at_one[i][:]
-        at_one[i][j] += Fraction(1, 2)
-        pattern[i] = [a or b for a, b in zip(plain[i], at_one[i])]
+        x = at_one[i].get(j, 0) + Fraction(1, 2)
+        at_one[i] = {**at_one[i], j: x} if x else {c: y for c, y in at_one[i].items() if c != j}
+        pattern[i] = {**pattern[i], j: 1}  # a cell is nonzero at lam = 1/2 or at 1
     blocks = {i: b for b in diagonal_blocks(pattern) for i in range(*b)}  # row -> its block
     inside = sorted({i for i, j in cells if j >= blocks[i][0]})
     if len(inside) > 1:
         raise InvariantError(f"lam enters rows {inside} inside their diagonal blocks: not affine")
     b0, b1 = blocks[inside[0]] if inside else (0, 0)  # no lam block: an empty one, of det 1
-    d_half, d_one = base.det(), det_bareiss([row[b0:b1] for row in at_one[b0:b1]])
+    d_half, d_one = base.det(), det_bareiss(sub_rows(at_one, b0, b1))
     for c0, _, d in base.blocks:
         if not b0 <= c0 < b1:
             d_one *= d
@@ -453,13 +517,16 @@ class Mod2Report:
     notes: list
 
 
-def _upper_unitriangular_mod2(rows) -> bool:
-    """Integral entries, odd on the diagonal and even below it."""
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row[:i + 1]):
-            if x.denominator != 1 or x.numerator % 2 != (j == i):
-                return False
-        if any(x.denominator != 1 for x in row[i + 1:]):
+def _upper_unitriangular_mod2(rows, c0: int, c1: int) -> bool:
+    """The square block rows[c0:c1] x columns [c0, c1) of a matrix given
+    by its nonzero rows has integral entries, odd on the diagonal and
+    even below it."""
+    for i in range(c0, c1):
+        row = rows[i]
+        x = row.get(i)
+        if x is None or x.denominator != 1 or x.numerator % 2 != 1:
+            return False
+        if any(c0 <= j < c1 and (y.denominator != 1 or (j < i and y.numerator % 2)) for j, y in row.items()):
             return False
     return True
 
@@ -478,12 +545,14 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
     upper-unitriangular mod 2, and the final block's determinant in
     1/2 + Z.  The determinant is m.det(), and the final block's the
     product of the blocks of m.blocks inside it, or its own elimination
-    where its boundary is no cut.  At lam = 1/2 the parametric version
-    is the plain one, so the report is only defined for kinds S and H.
+    where its boundary is no cut.  Every check reads only the nonzero
+    entries (m.nonzero).  At lam = 1/2 the parametric version is the
+    plain one, so the report is only defined for kinds S and H.
     """
     if m.kind not in ("S", "H"):
         raise ValueError("structure report is defined for kinds S and H")
     det = m.det()
+    nz, n = m.nonzero, len(m.nonzero)
     notes, failures = [], []
 
     def fail(note):
@@ -492,7 +561,7 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
 
     if m.kind == "S":
         if m.ell > 1:
-            if not _upper_unitriangular_mod2(m.entries):
+            if not _upper_unitriangular_mod2(nz, 0, n):
                 fail("expected upper unitriangular mod 2")
             else:
                 notes.append("upper unitriangular mod 2, determinant odd")
@@ -502,13 +571,12 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
             # level 1: the final row consists of even integers, so the
             # determinant is even and the parity checks cannot show it
             # nonzero; that rests on the exact determinant, checked below.
-            last = m.entries[-1]
+            last = nz[-1].values()
             if not all(x.denominator == 1 and x.numerator % 2 == 0 for x in last):
                 fail("last row should consist of even integers")
-            if all(x == 0 for x in last):
+            if not last:
                 fail("last row vanishes")
-            minor = [row[:-1] for row in m.entries[:-1]]
-            if not _upper_unitriangular_mod2(minor):
+            if not _upper_unitriangular_mod2(nz, 0, n - 1):
                 fail("leading minor not upper unitriangular mod 2")
             else:
                 notes.append("even last row over an odd leading minor")
@@ -523,17 +591,17 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
         offsets = list(accumulate(sizes_B, initial=0))
         blocks = list(zip(offsets, offsets[1:]))
         for bi, (r0, r1) in enumerate(blocks):
-            for bj, (c0, c1) in enumerate(blocks[bi + 1:], bi + 1):
-                if any(x != 0 for row in m.entries[r0:r1] for x in row[c0:c1]):
-                    fail(f"block ({bi}, {bj}) above the block diagonal is nonzero")
+            above = {bisect_right(offsets, j) - 1 for row in nz[r0:r1] for j in row if r1 <= j < offsets[-1]}
+            for bj in sorted(above):
+                fail(f"block ({bi}, {bj}) above the block diagonal is nonzero")
         for bi, (r0, r1) in enumerate(blocks[:-1]):
-            if not _upper_unitriangular_mod2([row[r0:r1] for row in m.entries[r0:r1]]):
+            if not _upper_unitriangular_mod2(nz, r0, r1):
                 fail(f"diagonal block {bi} not upper unitriangular mod 2")
         r0, r1 = blocks[-1]
         if any(c0 == r0 for c0, _, _ in m.blocks):
             fdet = math.prod((d for c0, _, d in m.blocks if c0 >= r0), start=Fraction(1))
         else:  # a class boundary inside a block has failed above; stay exact
-            fdet = det_bareiss([row[r0:r1] for row in m.entries[r0:r1]])
+            fdet = det_bareiss(sub_rows(nz, r0, r1))
         if (2 * fdet).denominator != 1 or parity(2 * fdet) != 1:
             fail("final block determinant not in 1/2 + Z")
         else:

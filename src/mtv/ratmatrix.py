@@ -1,8 +1,14 @@
-"""Dense exact-rational matrices with fraction-free determinants.
+"""Exact-rational matrices on sparse rows, with fraction-free determinants.
 
-Entries are ints or Fractions; the parametric Hstar matrices are
-reduced to Fraction matrices in motivic before they get here.  A
-matrix is first cut into its diagonal blocks: one scan finds every c
+A matrix is a list of rows, each row a dict {column: entry} of its
+nonzero entries (ints or Fractions); the parametric Hstar matrices are
+reduced to Fraction matrices in motivic before they get here.  The
+level matrices are about 12 % nonzero, so every pass but the Bareiss
+elimination itself reads only the nonzero entries: the cut scan, the
+block scaling and motivic's parity checks.  A dense caller converts
+once (nonzero_rows).
+
+A matrix is first cut into its diagonal blocks: one scan finds every c
 with all entries of rows[:c] in columns >= c zero, so the matrix is
 block lower triangular and its determinant is exactly the product of
 the blocks' determinants, whatever the input.  The level matrices split
@@ -11,7 +17,8 @@ much smaller blocks.  block_dets is the one elimination loop, and
 callers that need one block's determinant read it there: each block's
 rows are scaled to integers by the lcm of their denominators, read off
 the entries' numerators and denominators with no Fraction arithmetic,
-and the integer block is eliminated once with the Bareiss recurrence.
+and the integer block is eliminated once, dense, with the Bareiss
+recurrence.
 """
 
 from __future__ import annotations
@@ -20,27 +27,39 @@ import math
 from fractions import Fraction
 
 
-def diagonal_blocks(rows):
-    """The (start, end) offsets of the finest diagonal blocks of a square
-    matrix that is block lower triangular.
-
-    One scan keeps the rightmost nonzero column of the rows seen so far;
-    c is a cut exactly when every entry of rows[:c] in columns >= c is
-    zero.  A matrix with no such c < n is one block.
-    """
+def nonzero_rows(rows) -> list:
+    """The sparse rows {column: entry} of a dense square matrix."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError(f"non-square matrix: {n} rows of lengths {sorted({len(r) for r in rows})}")
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def sub_rows(rows, c0: int, c1: int) -> list:
+    """The square block rows[c0:c1] x columns [c0, c1), as sparse rows
+    with columns counted from c0."""
+    return [{j - c0: x for j, x in row.items() if c0 <= j < c1} for row in rows[c0:c1]]
+
+
+def diagonal_blocks(rows):
+    """The (start, end) offsets of the finest diagonal blocks of a square
+    matrix, given as sparse rows, that is block lower triangular.
+
+    One scan keeps the rightmost nonzero column of the rows seen so far;
+    c is a cut exactly when every entry of rows[:c] in columns >= c is
+    zero.  A matrix with no such c < n is one block; a column index of n
+    or more raises ValueError.
+    """
     reach = 0  # one past the rightmost nonzero column of the rows so far
     start = 0
     for i, row in enumerate(rows):
-        for j in range(n - 1, reach - 1, -1):
-            if row[j]:
-                reach = j + 1
-                break
+        if row:
+            reach = max(reach, max(row.keys()) + 1)
         if reach <= i + 1:
             yield start, i + 1
             start = i + 1
+    if start != len(rows):
+        raise ValueError(f"non-square matrix: a column index of {reach - 1} in {len(rows)} rows")
 
 
 def _bareiss_int(m) -> int:
@@ -73,8 +92,8 @@ def _bareiss_int(m) -> int:
 
 
 def block_dets(rows) -> list:
-    """[(start, end, det)] for the diagonal blocks of a square matrix of
-    ints and Fractions (diagonal_blocks), each block eliminated once.
+    """[(start, end, det)] for the diagonal blocks of a square matrix
+    given as sparse rows (diagonal_blocks), each block eliminated once.
 
     The matrix's determinant is the product of the dets, since every
     entry above the blocks is zero.
@@ -82,16 +101,20 @@ def block_dets(rows) -> list:
     out = []
     for c0, c1 in diagonal_blocks(rows):
         block, scale = [], 1  # each row scaled to integers by the lcm of its denominators
-        for row in [r[c0:c1] for r in rows[c0:c1]]:
-            den = math.lcm(*[x.denominator for x in row])
+        for row in rows[c0:c1]:
+            inside = [(j - c0, x) for j, x in row.items() if j >= c0]
+            den = math.lcm(*[x.denominator for _, x in inside])
             scale *= den
-            block.append([x.numerator * (den // x.denominator) for x in row])
+            dense = [0] * (c1 - c0)
+            for j, x in inside:
+                dense[j] = x.numerator * (den // x.denominator)
+            block.append(dense)
         out.append((c0, c1, Fraction(_bareiss_int(block), scale)))
     return out
 
 
 def det_bareiss(rows) -> Fraction:
-    """Exact determinant of a square matrix of ints and Fractions: the
+    """Exact determinant of a square matrix given as sparse rows: the
     product of its diagonal blocks' determinants (block_dets)."""
     return math.prod((d for _, _, d in block_dets(rows)), start=Fraction(1))
 

@@ -142,17 +142,16 @@ def invertibility_checks() -> list:
     mismatched = []
     for N in range(1, max_n + 1):
         for ell in range(2 - N % 2, N + 1, 2):
-            for kind in ("S", "H") if N >= 2 else ("H",):
-                m = build_matrix(kind, N, ell)
-                if m.rows and not (rep := det_mod2_structure(m)).ok:
+            for kind in ("S", "H"):
+                if basis_sets(kind, N, ell)[0] and not (rep := det_mod2_structure(build_matrix(kind, N, ell))).ok:
                     failed[kind].append(f"{kind},{N},{ell}: {rep.notes}")
             star = build_matrix("Hstar", N, ell)
             det = star.det()
             star_ok &= all(det.substitute({"lam": SymPoly.const(lam)}).const_value() != 0
                            for lam in (Fraction(1, 2), Fraction(1)))
             # the reference: every row built through deriv_D_star
-            if any(graded_partial("Hstar", N, ell, w) != {u: x for u, x in zip(star.cols, row) if x}
-                   for w, row in zip(star.rows, star.entries)):
+            if any(graded_partial("Hstar", N, ell, w) != {star.cols[j]: x for j, x in row.items()}
+                   for w, row in zip(star.rows, star.nonzero)):
                 mismatched.append(f"{N},{ell}")
     return [_check(f"kind {kind}: nonzero determinants and parity structure, weight <= {max_n}",
                    f"invertibility-{kind}", not failed[kind], detail="; ".join(failed[kind]))

@@ -168,7 +168,7 @@ def test_det_structure_eliminates_each_block_once(capsys, monkeypatch):
     from mtv import motivic, ratmatrix
 
     m = motivic.build_matrix("H", 13, 3)
-    blocks = [c1 - c0 for c0, c1 in ratmatrix.diagonal_blocks(m.entries)]
+    blocks = [c1 - c0 for c0, c1 in ratmatrix.diagonal_blocks(m.nonzero)]
     assert len(blocks) == 3 and sum(blocks) == len(m.rows)
     real, sizes = ratmatrix._bareiss_int, []
 
@@ -186,6 +186,15 @@ def test_det_structure_eliminates_each_block_once(capsys, monkeypatch):
     # the report's determinant is the one printed, and its final class is read
     # from the blocks inside it: no block is eliminated twice
     assert sizes == blocks
+
+
+@pytest.mark.parametrize("extra", [["matrix"], ["det"], ["det", "--structure"]])
+def test_an_empty_basis_is_refused(capsys, extra):
+    # kind S has no words at level N: no matrix, no determinant, no report
+    command, *flags = extra
+    code, out, err = run_cli(capsys, command, "--kind", "S", "--N", "3", "--level", "3", *flags)
+    assert code == 2 and out == "" and err.startswith("error: "), (code, out, err)
+    assert err == "error: kind S has no words of weight 3 and level 3\n"
 
 
 @pytest.mark.parametrize("argv", [

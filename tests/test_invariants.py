@@ -15,7 +15,7 @@ import pytest
 from mtv import motivic
 from mtv.errors import InvariantError
 from mtv.motivic import FiltMatrix, build_matrix, graded_partial, pitilde
-from mtv.ratmatrix import det_bareiss, parity
+from mtv.ratmatrix import det_bareiss, nonzero_rows, parity
 
 SRC = Path(motivic.__file__).resolve().parent
 BENCH = SRC.parents[1] / "bench"
@@ -138,13 +138,17 @@ def test_only_numoracle_sets_the_working_precision():
 
 def test_bad_input_raises_value_error():
     with pytest.raises(ValueError, match="non-square"):
-        det_bareiss([[1, 2], [3]])
+        nonzero_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="non-square"):
+        det_bareiss([{0: 1, 2: 1}, {1: 1}])
     with pytest.raises(ValueError, match="non-integer"):
         parity(Fraction(1, 2))
     with pytest.raises(ValueError, match="kind"):
         build_matrix("X", 8, 2)
     with pytest.raises(ValueError, match="need N >= 2"):
         build_matrix("S", 1, 1)
+    with pytest.raises(ValueError, match="kind S has no words of weight 3 and level 3"):
+        build_matrix("S", 3, 3)
     with pytest.raises(ValueError, match="not a kind-H word"):
         graded_partial("H", 8, 2, (1, 2, 2, 2))
 

@@ -8,9 +8,9 @@ import pytest
 
 from mtv import motivic, ratmatrix
 from mtv.errors import InvariantError
-from mtv.indexcore import trailing_ones_partition
+from mtv.indexcore import basis_sets, trailing_ones_partition
 from mtv.motivic import FiltMatrix, build_matrix, det_mod2_structure
-from mtv.ratmatrix import det_bareiss, diagonal_blocks
+from mtv.ratmatrix import det_bareiss, diagonal_blocks, nonzero_rows
 from mtv.symring import SymPoly
 
 
@@ -51,14 +51,14 @@ def gauss_det(m):
 
 
 def test_det_bareiss():
-    assert det_bareiss([[Fraction(1)]]) == 1
-    assert det_bareiss([[1, 2], [3, 4]]) == -2
-    assert det_bareiss([[0, 1], [1, 0]]) == -1
-    assert det_bareiss([[Fraction(1, 2), 1], [1, 2]]) == 0
+    assert det_bareiss(nonzero_rows([[Fraction(1)]])) == 1
+    assert det_bareiss(nonzero_rows([[1, 2], [3, 4]])) == -2
+    assert det_bareiss(nonzero_rows([[0, 1], [1, 0]])) == -1
+    assert det_bareiss(nonzero_rows([[Fraction(1, 2), 1], [1, 2]])) == 0
     m = [[Fraction(i * j + (i == j), 3) for j in range(5)] for i in range(5)]
-    assert det_bareiss(m) == cofactor_det(m)
+    assert det_bareiss(nonzero_rows(m)) == cofactor_det(m)
     m = [[Fraction((i * 7 + j * 3) % 5 - 2, 1 + ((i + j) % 3)) for j in range(5)] for i in range(5)]
-    assert det_bareiss(m) == cofactor_det(m)
+    assert det_bareiss(nonzero_rows(m)) == cofactor_det(m)
 
 
 def test_det_bareiss_integer_path_against_cofactors():
@@ -71,10 +71,10 @@ def test_det_bareiss_integer_path_against_cofactors():
         "0 x 0": [],
     }
     for name, m in cases.items():
-        det = det_bareiss(m)
+        det = det_bareiss(nonzero_rows(m))
         assert isinstance(det, Fraction) and det == cofactor_det(m) == gauss_det(m), name
     assert cofactor_det(cases["zero pivot needing a row swap"]) != 0
-    assert det_bareiss(cases["singular"]) == 0
+    assert det_bareiss(nonzero_rows(cases["singular"])) == 0
 
 
 def _block_lower(rng, sizes, dens=(1, 2, 3, 5)):
@@ -94,9 +94,22 @@ def test_det_bareiss_splits_block_lower_triangular_matrices():
         cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) + [n]
         sizes = [b - a for a, b in zip([0] + cuts, cuts)]
         m = _block_lower(rng, sizes)
-        assert det_bareiss(m) == cofactor_det(m), (sizes, m)
+        assert det_bareiss(nonzero_rows(m)) == cofactor_det(m) == gauss_det(m), (sizes, m)
         # every cut of the construction is found (a block may split further)
-        assert set(cuts) <= {c1 for _, c1 in diagonal_blocks(m)}, (sizes, m)
+        assert set(cuts) <= {c1 for _, c1 in diagonal_blocks(nonzero_rows(m))}, (sizes, m)
+        # the nonzero rows give each block's determinant as the dense block's cofactor expansion
+        for c0, c1, d in ratmatrix.block_dets(nonzero_rows(m)):
+            assert d == cofactor_det([row[c0:c1] for row in m[c0:c1]]), (sizes, m, c0, c1)
+
+
+@pytest.mark.parametrize("kind", ["S", "H", "Hstar"])
+def test_nonzero_rows_are_the_nonzero_entries(kind):
+    for N in range(2 if kind == "S" else 1, 12):
+        for ell in range(2 - N % 2, N + 1, 2):
+            if not basis_sets("H" if kind == "Hstar" else kind, N, ell)[0]:
+                continue
+            m = build_matrix(kind, N, ell)
+            assert m.nonzero == [{j: x for j, x in enumerate(row) if x} for row in m.entries], (kind, N, ell)
 
 
 def test_det_bareiss_does_not_cut_below_an_entry_in_the_last_column():
@@ -106,9 +119,9 @@ def test_det_bareiss_does_not_cut_below_an_entry_in_the_last_column():
          [Fraction(1, 2), Fraction(1), Fraction(0), Fraction(0)],
          [Fraction(1), Fraction(0), Fraction(2), Fraction(1)],
          [Fraction(0), Fraction(1), Fraction(1), Fraction(1)]]
-    assert list(diagonal_blocks(m)) == [(0, 4)]
+    assert list(diagonal_blocks(nonzero_rows(m))) == [(0, 4)]
     blocks = cofactor_det([r[:2] for r in m[:2]]) * cofactor_det([r[2:] for r in m[2:]])
-    assert det_bareiss(m) == cofactor_det(m) != blocks
+    assert det_bareiss(nonzero_rows(m)) == cofactor_det(m) != blocks
 
 
 def test_det_bareiss_with_a_singular_middle_block_is_zero():
@@ -120,7 +133,7 @@ def test_det_bareiss_with_a_singular_middle_block_is_zero():
     for i in (0, 1, 5, 6):  # the outer blocks stay invertible
         m[i][i] += 20
     assert cofactor_det([r[:2] for r in m[:2]]) != 0 and cofactor_det([r[5:] for r in m[5:]]) != 0
-    assert det_bareiss(m) == cofactor_det(m) == 0
+    assert det_bareiss(nonzero_rows(m)) == cofactor_det(m) == 0
 
 
 def _star_det(plain, cells):
@@ -135,6 +148,8 @@ def test_hstar_det_affine_with_a_hand_placed_cell():
     assert _star_det([[1, -7], [Fraction(-1, 2), -7]], [(1, 0)]) == 7 * lam - 14
     m = build_matrix("Hstar", 3, 1)
     assert m.cells == ((1, 0),) and m.det() == 7 * lam - 14
+    # a cell on a zero entry above the blocks joins them: det [[2, lam - 1/2], [3, 5]] = 23/2 - 3 lam
+    assert _star_det([[2, 0], [3, 5]], [(0, 1)]) == Fraction(23, 2) - 3 * lam
 
 
 def test_hstar_det_refuses_two_cells_inside_the_blocks():
@@ -170,7 +185,7 @@ def _count_eliminations(monkeypatch) -> list:
 
 def test_hstar_det_eliminates_each_block_once_and_the_lam_block_twice(monkeypatch):
     m = build_matrix("Hstar", 9, 3)
-    blocks = [c1 - c0 for c0, c1 in diagonal_blocks(m.base.entries)]
+    blocks = [c1 - c0 for c0, c1 in diagonal_blocks(m.base.nonzero)]
     assert blocks == [10, 6, 4] and (19, 16) in m.cells  # the in-block lam cell is in the last block
     sizes = _count_eliminations(monkeypatch)
     m.det()
@@ -236,8 +251,8 @@ def test_invertibility_sweep_eliminates_each_block_once_and_one_lam_block_per_le
     from mtv.verify import invertibility_checks
 
     levels = [(N, ell) for N in range(1, 15) for ell in range(2 - N % 2, N + 1, 2)]
-    plain = Counter(c1 - c0 for N, ell in levels for kind in ("S", "H") if kind == "H" or N >= 2
-                    for c0, c1 in diagonal_blocks(build_matrix(kind, N, ell).entries))
+    plain = Counter(c1 - c0 for N, ell in levels for kind in ("S", "H") if basis_sets(kind, N, ell)[0]
+                    for c0, c1 in diagonal_blocks(build_matrix(kind, N, ell).nonzero))
     sizes = _count_eliminations(monkeypatch)
     assert all(r.status == "PASS" for r in invertibility_checks())
     extra = Counter(sizes) - plain
@@ -257,7 +272,7 @@ def test_hstar_det_with_the_lam_block_in_the_middle():
              [1, 0, 2, 0, 3, 1],
              [half, 2, 0, 1, 1, 2]]
     cells = [(3, 2), (5, 0)]
-    assert list(diagonal_blocks(plain)) == [(0, 2), (2, 4), (4, 6)]
+    assert list(diagonal_blocks(nonzero_rows(plain))) == [(0, 2), (2, 4), (4, 6)]
     det = _star_det(plain, cells)
     assert det.max_degree("lam") == 1
     for lam in (Fraction(0), half, Fraction(1), Fraction(2)):
@@ -278,7 +293,7 @@ def test_hstar_det_equals_per_lambda_substitution():
                 value = {"lam": SymPoly.const(lam)}
                 rows = [[x.substitute(value).const_value() if isinstance(x, SymPoly) else x for x in row]
                         for row in m.entries]
-                assert det.substitute(value).const_value() == det_bareiss(rows), (N, ell, lam)
+                assert det.substitute(value).const_value() == det_bareiss(nonzero_rows(rows)), (N, ell, lam)
 
 
 def test_hstar_is_h_plus_one_lam_cell_per_row_ending_in_1():
@@ -325,11 +340,9 @@ def test_invertibility_and_structure_sweep():
             for ell in range(1, N + 1):
                 if (N - ell) % 2:
                     continue
-                if kind == "S" and N < 2:
-                    continue
+                if kind == "S" and (N < 2 or not basis_sets(kind, N, ell)[0]):
+                    continue  # an empty basis has no matrix
                 m = build_matrix(kind, N, ell)
-                if not m.rows:
-                    continue
                 rep = det_mod2_structure(m)
                 assert rep.ok, (kind, N, ell, rep.notes)
                 assert rep.det != 0
@@ -387,8 +400,8 @@ def test_singular_lambda_past_19_by_a_second_determinant_route():
 
         def det_at(lam):
             value = {"lam": SymPoly.const(lam)}
-            return det_bareiss([[x.substitute(value).const_value() if isinstance(x, SymPoly) else x
-                                 for x in row] for row in m.entries])
+            return det_bareiss(nonzero_rows([[x.substitute(value).const_value() if isinstance(x, SymPoly) else x
+                                              for x in row] for row in m.entries]))
 
         assert det_at(lam_s) == 0, N
         assert det_at(Fraction(1, 2)) != 0 and det_at(Fraction(1)) != 0, N
@@ -405,6 +418,29 @@ def test_computed_singular_lambda_rises_below_3():
     assert seq[-1] < 3
 
 
+def _with_entry(m, i, j, x):
+    """A hand-built copy of the level matrix m with entry (i, j) set to x;
+    its nonzero rows are read off the entries."""
+    entries = [row[:] for row in m.entries]
+    entries[i][j] = x
+    return FiltMatrix(m.kind, m.N, m.ell, m.rows, m.cols, entries)
+
+
+def test_structure_reports_refuse_a_broken_parity_pattern():
+    s = build_matrix("S", 9, 3)
+    assert det_mod2_structure(s).ok and not s.entries[1][0] % 2
+    bad = det_mod2_structure(_with_entry(s, 1, 0, Fraction(1)))  # odd below the diagonal
+    assert not bad.ok and "expected upper unitriangular mod 2" in bad.notes
+    s1 = build_matrix("S", 9, 1)
+    assert det_mod2_structure(s1).ok
+    bad = det_mod2_structure(FiltMatrix("S", 9, 1, s1.rows, s1.cols, s1.entries[:-1] + [[Fraction(0)] * len(s1.cols)]))
+    assert not bad.ok and "last row vanishes" in bad.notes
+    h = build_matrix("H", 9, 3)
+    assert det_mod2_structure(h).ok and not h.entries[1][0] % 2
+    bad = det_mod2_structure(_with_entry(h, 1, 0, Fraction(1)))
+    assert not bad.ok and "diagonal block 0 not upper unitriangular mod 2" in bad.notes
+
+
 def test_h_structure_notes_one_line_per_nonzero_block_above_the_diagonal():
     m = build_matrix("H", 8, 4)
     rep = det_mod2_structure(m)
@@ -416,11 +452,12 @@ def test_h_structure_notes_one_line_per_nonzero_block_above_the_diagonal():
     for i in range(2):  # two entries of block (0, 1)
         entries[i][sizes[0]] = Fraction(1)
     entries[0][-1] = Fraction(1)  # one entry of block (0, 3)
-    bad = det_mod2_structure(FiltMatrix(m.kind, m.N, m.ell, m.rows, m.cols, entries))
+    bad_m = FiltMatrix(m.kind, m.N, m.ell, m.rows, m.cols, entries)  # its nonzero rows read off entries
+    bad = det_mod2_structure(bad_m)
     assert not bad.ok
     # no class boundary is a cut now: the determinant and the final class's
     # are eliminated directly, and stay exact
-    assert list(diagonal_blocks(entries)) == [(0, len(entries))]
+    assert list(diagonal_blocks(bad_m.nonzero)) == [(0, len(entries))]
     assert bad.det == gauss_det(entries) and "final block determinant in 1/2 + Z" in bad.notes
     assert [n for n in bad.notes if "above the block diagonal" in n] == [
         "block (0, 1) above the block diagonal is nonzero",

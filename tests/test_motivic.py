@@ -1,5 +1,4 @@
 import re
-from functools import lru_cache
 from fractions import Fraction
 
 import pytest
@@ -105,12 +104,12 @@ def test_graded_rows_weight8_level2():
 def test_right_factor_of_no_lower_level_raises(monkeypatch, capsys, kind, right, level):
     # the level-lowering lemma is checked in every build: a right factor of
     # level >= 2 in D_1 of a level-2 word is an error, not a term to drop
-    real = motivic.deriv_D
+    real = motivic._cut_terms
 
-    def deriv_with_extra_term(r, k):
-        return {**real(r, k), (("t", (1,)), right): 1}
+    def cuts_with_extra_term(k):
+        return [*real(k), (1, ("t", (1,)), right, 1)]
 
-    monkeypatch.setattr(motivic, "deriv_D", deriv_with_extra_term)
+    monkeypatch.setattr(motivic, "_cut_terms", cuts_with_extra_term)
     message = (r"D_1 of the level-2 word \(1, 1, 2, 2, 2\) has the right factor "
                rf"{re.escape(str(right))} of level {level}")
     with pytest.raises(InvariantError, match=message):
@@ -173,8 +172,8 @@ def test_hstar_build_expands_each_word_once_without_deriv_D_star(monkeypatch):
 
     monkeypatch.setattr(motivic, "deriv_D_star", refuse)
     expanded = []
-    real = motivic._deriv_D_all.__wrapped__
-    monkeypatch.setattr(motivic, "_deriv_D_all", lru_cache(maxsize=1)(lambda k: expanded.append(k) or real(k)))
+    real = motivic._cut_terms
+    monkeypatch.setattr(motivic, "_cut_terms", lambda k: expanded.append(k) or real(k))
     for N, ell in ((8, 2), (9, 1), (10, 4)):
         expanded.clear()
         m = build_matrix("Hstar", N, ell)
@@ -278,20 +277,24 @@ def test_graded_partial_raises_irreducible_on_every_call(monkeypatch):
     # a left factor with no closed form is refused each time, never cached as a value
     from mtv import motivic
 
-    monkeypatch.setattr(motivic, "deriv_D", lambda r, k: {(("t", (1, 1, 1)), ()): 1})
+    monkeypatch.setattr(motivic, "_cut_terms", lambda k: [(1, ("t", (1, 1, 1)), (), 1)])
     for _ in range(2):
         with pytest.raises(IrreducibleLeftFactor, match=r"t block \(1, 1, 1\)"):
             graded_partial("H", 3, 1, (1, 2))
+        with pytest.raises(IrreducibleLeftFactor, match=r"t block \(1, 1, 1\)"):
+            build_matrix("H", 3, 1)
 
 
 def test_graded_partial_raises_on_an_invalid_right_factor_on_every_call(monkeypatch):
     # the right-factor memo stores the word's validity, not a verdict: a second
     # build meets the same invalid factor and raises again
-    real = motivic.deriv_D
-    monkeypatch.setattr(motivic, "deriv_D", lambda r, k: {**real(r, k), (("t", (1,)), (4, 1)): 1})
+    real = motivic._cut_terms
+    monkeypatch.setattr(motivic, "_cut_terms", lambda k: [*real(k), (1, ("t", (1,)), (4, 1), 1)])
     for _ in range(2):
         with pytest.raises(InvariantError, match=r"D_1 of \(2, 1\) has the invalid right factor \(4, 1\)"):
             graded_partial("H", 3, 1, (2, 1))
+        with pytest.raises(InvariantError, match=r"D_1 of \(1, 2\) has the invalid right factor \(4, 1\)"):
+            build_matrix("H", 3, 1)
 
 
 def _reference_row(kind, N, ell, w, cols):
@@ -314,9 +317,11 @@ def _reference_row(kind, N, ell, w, cols):
 
 @pytest.mark.parametrize("kind", ["S", "H", "Hstar"])
 def test_rows_equal_the_term_by_term_construction(kind):
-    for N in range(2 if kind == "S" else 1, 12):
+    for N in range(2 if kind == "S" else 1, 13):
         for ell in range(2 - N % 2, N + 1, 2):
             B, Bp = basis_sets("H" if kind == "Hstar" else kind, N, ell)
+            if not B:
+                continue  # kind S at level N: no matrix
             m = build_matrix(kind, N, ell)
             assert (m.rows, m.cols) == (B, Bp)
             for w, row in zip(m.rows, m.entries):
