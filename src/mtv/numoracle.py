@@ -328,8 +328,14 @@ def rational_num(q, env: NumEnv) -> MPFloat:
     """The rational q rounded to nearest at the working precision; the
     charge |q| 2^-(prec+6) covers that rounding 2^9 times over."""
     q = Fraction(q)
+    return _quotient_num(q.numerator, q.denominator, env)
+
+
+def _quotient_num(n: int, d: int, env: NumEnv) -> MPFloat:
+    """rational_num of n/d from its two ints: fdiv rounds the exact
+    quotient, so a common factor of n and d changes nothing."""
     with env.work():
-        v = mpmath.fdiv(q.numerator, q.denominator)
+        v = mpmath.fdiv(n, d)
     return MPFloat(v, abs(float(v)) * 2.0 ** (-env.prec - 6))
 
 
@@ -338,8 +344,8 @@ def eval_num(p: SymPoly, env: NumEnv, bindings=None) -> MPFloat:
     from the bindings (required for every parameter that occurs)."""
     bindings = bindings or {}
     total = MPFloat(mpmath.mpf(0), 0.0)
-    for mono, coeff in p.terms.items():
-        term = rational_num(coeff, env)
+    for mono, c in p.num.items():
+        term = _quotient_num(c, p.den, env)
         for g, e in mono:
             if g in ("pi2", "log2") or g.startswith("z"):
                 v = env.const_mpf(g)

@@ -179,11 +179,12 @@ def word_shuffle_reg(w: IntWord, wval: SymPoly) -> dict:
     powers = [SymPoly.one()]
     for _ in range(m + n):
         powers.append(powers[-1] * wval)
+    inv_denom = Fraction(1, denom)
     out: dict = {}
     for v, by_power in coeffs.items():
         if v and (v[0] == 0 or v[-1] == 1):
             raise InvariantError(f"shuffle regularization of {w} produced the divergent word {v}")
-        c = SymPoly.combination((Fraction(q, denom), powers[p]) for p, q in by_power.items())
+        c = SymPoly.combination((q, powers[p]) for p, q in by_power.items()) * inv_denom
         if c:
             out[v] = c
     _word_cache[key] = out

@@ -12,28 +12,32 @@ they are rewritten into powers of pi2 at construction time, so that
 equal closed forms have identical canonical representations.
 
 Monomials are formally independent; equality is equality of canonical
-form.  Coefficients are ``fractions.Fraction`` throughout, floating
-point never enters this module: every constructor takes only ints and
-Fractions and raises TypeError for a float or any other number.
+form.  Coefficients are exact rationals throughout, floating point never
+enters this module: every constructor takes only ints and Fractions and
+raises TypeError for a float or any other number.
 
-Canonical form.  ``terms`` maps monomials to coefficients.  A monomial
-is a tuple of (generator, exponent) pairs sorted by ``_gen_key``, with
-every generator known and every exponent positive; every coefficient is
-a nonzero ``Fraction``.  Only the public constructor ``SymPoly(terms)``
-and ``gen`` validate: the constructor accepts arbitrary monomials with
-int or Fraction coefficients and brings them into this form, and ``gen``
-checks its one generator, exponent and coefficient the same way and
-builds its one-term dict directly.  Every other
-result comes from the trusted constructor ``_canonical``, which stores a
-dict that is already canonical without checking it: the ring operations,
-``const``/``coerce``, ``combination``, ``deriv`` and ``coeff_of_power``.
-Each keeps the invariant by construction.  Monomial products come sorted
-from ``_mono_mul``; a scalar (an int, a Fraction or a constant
-polynomial) multiplies the coefficients directly; sums are accumulated
-first and their zeros dropped once, so the surviving terms keep the
-order the validating constructor gives.  ``==`` on ``terms`` is
-equality of polynomials only because every instance holds this
-invariant.
+Canonical form.  A polynomial is ``num / den``: ``num`` maps monomials
+to nonzero int numerators over the one int denominator ``den > 0``, and
+gcd(den, *num.values()) == 1 (the zero polynomial is ``{}`` over 1).  A
+monomial is a tuple of (generator, exponent) pairs sorted by
+``_gen_key``, with every generator known and every exponent positive.
+``terms`` reads the same polynomial as ``{monomial: Fraction}``.  Only
+the public constructor ``SymPoly(terms)`` and ``gen`` validate: the
+constructor accepts arbitrary monomials with int or Fraction
+coefficients and brings them into this form, and ``gen`` checks its one
+generator, exponent and coefficient the same way and builds its one
+term directly.  Every other result comes from the trusted constructor
+``_canonical``, which stores a form that is already canonical without
+checking it, or from ``_reduced``, which divides out the one common gcd:
+the ring operations, ``const``/``coerce``, ``combination``, ``deriv``
+and ``coeff_of_power``.  The ring operations work on the int numerators
+and reduce once at the end.  Monomial products come sorted from
+``_mono_mul``; a scalar (an int, a Fraction or a constant polynomial)
+multiplies the numerators and the denominator directly; sums are
+accumulated over a common denominator first and their zeros dropped
+once, so the surviving terms keep the order the validating constructor
+gives.  ``==`` on ``(num, den)`` is equality of polynomials only because
+every instance holds this invariant.
 """
 
 from __future__ import annotations
@@ -72,11 +76,12 @@ def _ge_key(ge):
     return _gen_key(ge[0])
 
 
-def _rational(c) -> Fraction:
-    """c as a Fraction; only ints and Fractions are exact rationals here."""
+def _rational(c):
+    """c itself, once checked to be an int or a Fraction: the only exact
+    rationals here, and both carry .numerator and .denominator."""
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__} {c!r}")
-    return c if type(c) is Fraction else Fraction(c)
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +98,7 @@ def _check_factor(g: str, e: int) -> None:
 
 
 def _normalize_terms(terms):
+    """(num, den) of arbitrary {monomial: int or Fraction} terms."""
     out = {}
     for mono, c in terms.items():
         c = _rational(c)
@@ -102,7 +108,12 @@ def _normalize_terms(terms):
         for g, e in mono:
             _check_factor(g, e)
         out[mono] = out.get(mono, Fraction(0)) + c
-    return {m: c for m, c in out.items() if c != 0}
+    out = {m: c for m, c in out.items() if c != 0}
+    # over the lcm of the reduced denominators the numerators share no
+    # factor with it: each prime power of the lcm divides some coefficient's
+    # denominator exactly, whose numerator it misses
+    den = math.lcm(*(c.denominator for c in out.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in out.items()}, den
 
 
 @lru_cache(maxsize=None)
@@ -118,32 +129,50 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     return tuple(sorted(d.items(), key=_ge_key))
 
 
-def _canonical(terms: dict) -> "SymPoly":
-    """The trusted constructor: terms must already be in canonical form
-    (see the module docstring); it is stored without a check."""
+def _canonical(num: dict, den: int = 1) -> "SymPoly":
+    """The trusted constructor: num over den must already be in canonical
+    form (see the module docstring); it is stored without a check."""
     p = object.__new__(SymPoly)
-    p.terms = terms
+    p.num = num
+    p.den = den
     return p
 
 
+def _reduced(num: dict, den: int) -> "SymPoly":
+    """num over den with its one common gcd divided out; num holds no
+    zeros and den > 0."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            return _canonical({m: c // g for m, c in num.items()}, den // g)
+    return _canonical(num, den)
+
+
 class SymPoly:
-    """Polynomial with Fraction coefficients over the fixed generator set.
+    """Polynomial with rational coefficients over the fixed generator set,
+    stored as int numerators over one common denominator.
 
     Immutable by convention: no operation modifies an operand, and a
     result may be an operand itself (p + 0 is p).
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, terms=None):
-        object.__setattr__(self, "terms", _normalize_terms(terms or {}))
+        self.num, self.den = _normalize_terms(terms or {})
+
+    @property
+    def terms(self) -> dict:
+        """{monomial: nonzero Fraction}, in the stored monomial order."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.num.items()}
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def const(c) -> "SymPoly":
         c = _rational(c)
-        return _canonical({(): c} if c else {})
+        return _canonical({(): c.numerator}, c.denominator) if c else _canonical({})
 
     @staticmethod
     def gen(name: str, exp: int = 1, coeff=1) -> "SymPoly":
@@ -152,7 +181,7 @@ class SymPoly:
         _check_factor(name, exp)
         if not c:
             return _canonical({})
-        return _canonical({((name, exp),) if exp else (): c})
+        return _canonical({((name, exp),) if exp else (): c.numerator}, c.denominator)
 
     @staticmethod
     def zero() -> "SymPoly":
@@ -160,7 +189,7 @@ class SymPoly:
 
     @staticmethod
     def one() -> "SymPoly":
-        return SymPoly.const(1)
+        return _canonical({(): 1})
 
     @staticmethod
     def coerce(x) -> "SymPoly":
@@ -172,22 +201,30 @@ class SymPoly:
 
     def __add__(self, other):
         other = SymPoly.coerce(other)
-        if not other.terms:
+        if not other.num:
             return self
-        if not self.terms:
+        if not self.num:
             return other
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in terms:
-                terms[m] += c
+        da, db = self.den, other.den
+        if da == db:
+            num = dict(self.num)
+            fb = 1
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            num = {m: c * fa for m, c in self.num.items()}
+            da *= fa
+        for m, c in other.num.items():
+            if m in num:
+                num[m] += c * fb
             else:
-                terms[m] = c
-        return _canonical({m: c for m, c in terms.items() if c})
+                num[m] = c * fb
+        return _reduced({m: c for m, c in num.items() if c}, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical({m: -c for m, c in self.terms.items()})
+        return _canonical({m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-SymPoly.coerce(other))
@@ -195,42 +232,55 @@ class SymPoly:
     def __rsub__(self, other):
         return SymPoly.coerce(other) - self
 
-    def _scale(self, q) -> "SymPoly":
-        if not q:
+    def _scale(self, n: int, d: int) -> "SymPoly":
+        """self * n/d for ints n and d > 0 with gcd(n, d) == 1."""
+        if not n:
             return _canonical({})
-        if q == 1:
-            return self
-        if q == -1:
-            return -self
-        return _canonical({m: c * q for m, c in self.terms.items()})
+        if d == 1:
+            if n == 1:
+                return self
+            if n == -1:
+                return -self
+        # n only meets den, d only meets the numerators: both other pairs
+        # are coprime already
+        gn = math.gcd(n, self.den)
+        gd = math.gcd(d, *self.num.values())
+        n //= gn
+        return _canonical({m: c // gd * n for m, c in self.num.items()}, self.den // gn * (d // gd))
 
     @staticmethod
     def combination(pairs) -> "SymPoly":
         """sum q * p over (int or Fraction q, SymPoly p) pairs, accumulated
-        into one polynomial with its zeros dropped once."""
-        terms: dict = {}
+        over one common denominator with its zeros dropped once."""
+        pairs = list(pairs)
+        den = math.lcm(*(q.denominator * p.den for q, p in pairs))
+        num: dict = {}
         for q, p in pairs:
-            for m, c in p.terms.items():
-                terms[m] = terms.get(m, 0) + q * c
-        return _canonical({m: c for m, c in terms.items() if c})
+            f = q.numerator * (den // (q.denominator * p.den))
+            for m, c in p.num.items():
+                if m in num:
+                    num[m] += f * c
+                else:
+                    num[m] = f * c
+        return _reduced({m: c for m, c in num.items() if c}, den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scale(other)
+            return self._scale(other.numerator, other.denominator)
         other = SymPoly.coerce(other)
         if other.is_const():
-            return self._scale(other.terms.get((), 0))
+            return self._scale(other.num.get((), 0), other.den)
         if self.is_const():
-            return other._scale(self.terms.get((), 0))
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            return other._scale(self.num.get((), 0), self.den)
+        num = {}
+        for m1, c1 in self.num.items():
+            for m2, c2 in other.num.items():
                 m = _mono_mul(m1, m2)
-                if m in terms:
-                    terms[m] += c1 * c2
+                if m in num:
+                    num[m] += c1 * c2
                 else:
-                    terms[m] = c1 * c2
-        return _canonical({m: c for m, c in terms.items() if c})
+                    num[m] = c1 * c2
+        return _reduced({m: c for m, c in num.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -247,7 +297,7 @@ class SymPoly:
             other = SymPoly.const(other)
         if not isinstance(other, SymPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         # kept once computed; a constant hashes as its Fraction value, so
@@ -256,30 +306,30 @@ class SymPoly:
             return self._hash
         except AttributeError:
             pass
-        t = self.terms
-        self._hash = h = hash(t.get((), 0)) if self.is_const() else hash(frozenset(t.items()))
+        self._hash = h = hash(self.const_value()) if self.is_const() else hash((frozenset(self.num.items()), self.den))
         return h
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     # -- structure ----------------------------------------------------
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.num or (len(self.num) == 1 and () in self.num)
 
     def const_value(self) -> Fraction:
+        """The value of a constant polynomial, always as a Fraction."""
         if not self.is_const():
             raise ValueError("not a constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.num.get((), 0), self.den)
 
     def weight(self):
         """Common weight of all monomials, or None if inhomogeneous."""
-        ws = {sum(gen_weight(g) * e for g, e in m) for m in self.terms}
+        ws = {sum(gen_weight(g) * e for g, e in m) for m in self.num}
         if not ws:
             return 0
         if len(ws) == 1:
@@ -287,11 +337,11 @@ class SymPoly:
         return None
 
     def generators(self):
-        return {g for m in self.terms for g, _ in m}
+        return {g for m in self.num for g, _ in m}
 
     def max_degree(self, gen: str) -> int:
         deg = 0
-        for m in self.terms:
+        for m in self.num:
             for g, e in m:
                 if g == gen:
                     deg = max(deg, e)
@@ -299,24 +349,26 @@ class SymPoly:
 
     def coeff_of_power(self, gen: str, k: int) -> "SymPoly":
         """Coefficient of gen**k, as a polynomial without gen."""
-        # deleting gen^k maps distinct monomials to distinct monomials
-        terms = {}
-        for m, c in self.terms.items():
+        # deleting gen^k maps distinct monomials to distinct monomials; the
+        # kept numerators may share a factor with den, so reduce again
+        num = {}
+        for m, c in self.num.items():
             if dict(m).get(gen, 0) == k:
-                terms[tuple(ge for ge in m if ge[0] != gen)] = c
-        return _canonical(terms)
+                num[tuple(ge for ge in m if ge[0] != gen)] = c
+        return _reduced(num, self.den)
 
     def deriv(self, gen: str) -> "SymPoly":
         # lowering the exponent of gen by one is injective on the
-        # monomials that contain gen, and keeps them sorted
-        terms = {}
-        for m, c in self.terms.items():
+        # monomials that contain gen, and keeps them sorted; the exponents
+        # and the subset may share a factor with den, so reduce again
+        num = {}
+        for m, c in self.num.items():
             for i, (g, e) in enumerate(m):
                 if g == gen:
                     lowered = ((g, e - 1),) if e > 1 else ()
-                    terms[m[:i] + lowered + m[i + 1:]] = c * e
+                    num[m[:i] + lowered + m[i + 1:]] = c * e
                     break
-        return _canonical(terms)
+        return _reduced(num, self.den)
 
     def substitute(self, bindings: dict) -> "SymPoly":
         """Ring-homomorphic substitution; keys must be parameters or lam."""
@@ -337,7 +389,8 @@ class SymPoly:
     # -- text form ------------------------------------------------------
 
     def text(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
 
         def mono_key(m):
@@ -345,10 +398,10 @@ class SymPoly:
             degree = sum(e for _, e in m)
             return (weight, degree, m)
 
-        monos = sorted(self.terms, key=mono_key)
+        monos = sorted(terms, key=mono_key)
         parts = []
         for m in monos:
-            c = self.terms[m]
+            c = terms[m]
             factors = []
             for g, e in sorted(m, key=lambda ge: (-gen_weight(ge[0]), ge[0])):
                 factors.append(g if e == 1 else f"{g}^{e}")
@@ -373,9 +426,10 @@ class SymPoly:
 
     def to_json(self) -> dict:
         out = {}
-        for m in sorted(self.terms, key=lambda m: (sum(gen_weight(g) * e for g, e in m), m)):
+        terms = self.terms
+        for m in sorted(terms, key=lambda m: (sum(gen_weight(g) * e for g, e in m), m)):
             key = "*".join(g if e == 1 else f"{g}^{e}" for g, e in m) or "1"
-            out[key] = str(self.terms[m])
+            out[key] = str(terms[m])
         return out
 
 

@@ -233,6 +233,14 @@ def test_singular_lambda_after_the_sweep_eliminates_nothing(monkeypatch):
     assert singular_lambda(9) == Fraction(_golden("golden_singular_lambda.json")["9"]) and sizes == []
 
 
+def test_singular_lambda_is_an_exact_fraction():
+    # -a / b of two const_value() results: a bare int there would divide as a float
+    from mtv.motivic import singular_lambda
+
+    lam = singular_lambda(9)
+    assert type(lam) is Fraction and lam == Fraction(64472, 23479)
+
+
 def test_a_failed_build_is_not_cached(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(motivic, "basis_sets", lambda kind, N, ell: ([()] * 5, [()] * 4))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -103,10 +104,18 @@ def test_text_form():
 
 
 def _assert_canonical(r):
-    for m, c in r.terms.items():
-        assert type(c) is Fraction and c != 0
+    # the stored form: nonzero int numerators over one den > 0, gcd 1
+    assert type(r.den) is int and r.den > 0
+    assert all(type(c) is int and c != 0 for c in r.num.values())
+    assert math.gcd(r.den, *r.num.values()) == 1
+    for m in r.num:
         assert all(e > 0 for _, e in m) and list(m) == sorted(m, key=lambda ge: _gen_key(ge[0]))
-    assert SymPoly(r.terms).terms == r.terms
+    # the read form: the same monomials, in the same order, as nonzero Fractions
+    terms = r.terms
+    assert list(terms) == list(r.num)
+    assert all(type(c) is Fraction and c != 0 for c in terms.values())
+    fresh = SymPoly(terms)
+    assert list(fresh.num.items()) == list(r.num.items()) and fresh.den == r.den
 
 
 def _validated_sum(a, b):
@@ -201,3 +210,62 @@ def test_a_constant_hashes_as_its_value():
         assert SymPoly.const(q) == q and hash(SymPoly.const(q)) == hash(q)
     assert len({SymPoly.const(2), 2}) == 1 and len({SymPoly.zero(), Fraction(0)}) == 1
     assert {SymPoly.const(Fraction(3, 7)): "memo"}[Fraction(3, 7)] == "memo"
+
+
+def test_const_value_is_always_a_fraction():
+    for p, v in ((SymPoly.const(3), 3), (SymPoly.zero(), 0), (SymPoly.one(), 1),
+                 (SymPoly.gen("T", 0, -4), -4), (SymPoly.gen("T") * 0 + 2, 2),
+                 (SymPoly.const(Fraction(6, 3)), 2), (SymPoly.const(Fraction(2, 3)) * 3, 2)):
+        assert type(p.const_value()) is Fraction and p.const_value() == v
+
+
+def test_restriction_and_derivative_reduce_again():
+    T = SymPoly.gen("T")
+    c = (T * Fraction(1, 2) + Fraction(1, 4)).coeff_of_power("T", 1)  # (2T + 1)/4 -> 2/4
+    assert (c.num, c.den) == ({(): 1}, 2)
+    d = (T ** 2 * Fraction(1, 4) + T * Fraction(1, 3)).deriv("T")  # (6T + 4)/12 -> (3T + 2)/6
+    assert (d.num, d.den) == ({(("T", 1),): 3, (): 2}, 6)
+    e = ((T ** 3 + 1) * Fraction(1, 3)).deriv("T")  # 3T^2/3 -> T^2
+    assert (e.num, e.den) == ({(("T", 2),): 1}, 1)
+    for r in (c, d, e):
+        _assert_canonical(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sympolys(), st.sampled_from(GENS), st.integers(0, 3))
+def test_restriction_and_derivative_match_their_coefficientwise_definitions(a, g, k):
+    kept, lowered = {}, {}
+    for m, c in a.terms.items():
+        e = dict(m).get(g, 0)
+        if e == k:
+            kept[tuple(ge for ge in m if ge[0] != g)] = c
+        if e:
+            lowered[tuple((h, f - 1 if h == g else f) for h, f in m)] = c * e
+    for fast, slow in ((a.coeff_of_power(g, k), SymPoly(kept)), (a.deriv(g), SymPoly(lowered))):
+        _assert_canonical(fast)
+        assert (fast.num, fast.den) == (slow.num, slow.den) and list(fast.num) == list(slow.num)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(SCALARS, sympolys()), max_size=4))
+def test_combination_with_mixed_int_and_fraction_scalars(pairs):
+    r = SymPoly.combination(iter(pairs))
+    _assert_canonical(r)
+    folded, accumulated = SymPoly.zero(), {}
+    for q, p in pairs:
+        folded = folded + p * q
+        for m, c in p.terms.items():
+            accumulated[m] = accumulated.get(m, 0) + q * c
+    # zeros are dropped once, after accumulating: the validating constructor's order
+    assert r == folded and list(r.terms.items()) == list(SymPoly(accumulated).terms.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sympolys(), sympolys(), sympolys(), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+def test_equal_polynomials_from_different_routes_hash_equally(a, b, c, q):
+    routes = [(a + b) * c, a * c + b * c, c * b + c * a, SymPoly.combination([(1, a * c), (1, b * c)])]
+    if q:
+        routes.append(((a + b) * q * c) * (1 / q))
+    routes.append(SymPoly(routes[0].terms))
+    for r in routes:
+        assert r == routes[0] and hash(r) == hash(routes[0])
