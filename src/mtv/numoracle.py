@@ -11,10 +11,13 @@ series run in exact integer fixed point, 20 guard bits below the
 precision, where each step is a shift or an integer floor division.  The
 truncation is sized from a geometric tail bound and the rounding counted
 per term, so the accuracy follows the precision.  The convolution
-multiplies and sums those integers exactly.  ``env._sums`` memoises each
-half prefix's value, bound and series, so a pass resumes from the series
-its words share and computes each prefix once; the terms are causal, so
-a memoised value is bit for bit a cold one.
+multiplies and sums those integers exactly.  Each NumEnv keeps a prefix
+trie of the half words (``env._trie``): one node per half prefix with its
+series, carries, value and bound, reached in one step from the prefix one
+form shorter.  A pass walks a half word once through it, resumes from
+the series its words share and computes each prefix once; the terms are
+causal, so a memoised value is bit for bit a cold one.  ``env._sums``
+keeps each word's value, which t_num and altz_num look up first.
 
 MPFloat arithmetic is exact and ignores mpmath's global precision.  Every
 rounding is a leaf value made here and charged to its own bound: the
@@ -89,10 +92,12 @@ def _coerce(x) -> MPFloat:
 
 
 class NumEnv:
-    """Precision, cached constants and memoised series, values and bounds
-    for the oracle.  ``cutoff`` is accepted and ignored: the engine sizes
-    its own truncation from the precision, and the benchmark's workloads
-    still pass the cutoff of the float64 nested sums it replaced."""
+    """Precision, cached constants and the memos of the oracle: ``_sums``
+    maps ("split", word) to the word's value, ``_trie`` is the root of the
+    half prefixes' trie (see _half_pass).  ``cutoff`` is accepted and
+    ignored: the engine sizes its own truncation from the precision, and
+    the benchmark's workloads still pass the cutoff of the float64 nested
+    sums it replaced."""
 
     def __init__(self, prec: int = 128, cutoff=None):
         if not 1 <= prec <= 1000:  # bounds are floats: 2^-(prec+15) must not underflow
@@ -100,6 +105,8 @@ class NumEnv:
         self.prec = prec
         self._consts: dict = {}
         self._sums: dict = {}
+        one = 1 << (prec + _GUARD_BITS)
+        self._trie = _Prefix(None, [one], 0, 0, (one, 0.0))
 
     def work(self):
         """Context manager for the leaf roundings of this module: working
@@ -150,6 +157,32 @@ _GUARD_BITS = 20  # fixed-point bits kept below the precision
 _RATIO_SHIFT = {1: 1, -1: 1, 2: 2}  # eta -> s with |1/(2 eta)| = 2^-s
 
 
+def _form_consts(form) -> tuple:
+    """(zero, parts, h) of a form: the sign of its dx/x part (0 if it has
+    none), its parts eta != 0 as (s, sign, eta < 0) with |1/(2 eta)| =
+    2^-s, and h.  A form advances n iff it has such parts."""
+    zero = sum(sign for eta, sign in form if eta == 0)
+    return zero, tuple((_RATIO_SHIFT[eta], sign, eta < 0) for eta, sign in form if eta), len(form) - 1
+
+
+_FORMS = {form: _form_consts(form) for form in (*_LOWER.values(), *_UPPER.values())}
+
+
+class _Prefix:
+    """A node of a NumEnv's prefix trie: one half prefix, reached from the
+    root (the empty word) one form at a time through ``next``.  It holds
+    the prefix's series phi_0 .. phi_(N-1), the carry of each part eta != 0
+    of its last form at phi's last term, its number of advancing forms and
+    of rounding units per term, and its (value, bound) once summed."""
+
+    __slots__ = ("form", "phi", "carries", "steps", "units", "half", "next")
+
+    def __init__(self, form, phi, steps: int, units: int, half=None):
+        self.form, self.phi, self.steps, self.units, self.half = form, phi, steps, units, half
+        self.carries = [0] * len(_FORMS[form][1]) if form else []
+        self.next = {}
+
+
 def _half_pass(word, env: NumEnv) -> list:
     """[(v, err) of I(0; word[:j]; 1/2) for j = 0..len(word)], the value
     being v 2^-P, P = prec + _GUARD_BITS.  The first form must have no
@@ -164,21 +197,22 @@ def _half_pass(word, env: NumEnv) -> list:
     the second through a carry c(n) = y (c(n-1) + phi_(n-1)), psi_n = -c(n)/n.
     The value of a prefix is the sum of its series over n < n0.
 
-    Memo.  env._sums keeps, for every non-empty prefix, its (value, bound)
-    under ("half", prefix) and its series under ("series", prefix): the
-    terms phi_0 .. phi_(N-1) and the carry of each eta != 0 part at the
-    last term.  A word needs every prefix's series to n_max = _cut(prec,
-    L') terms, L' the word's number of forms with a part eta != 0, and
-    each prefix is computed once: a pass applies a form only where its
-    stored series is shorter than n_max, resuming from the stored terms
-    and carries, and sums and bounds a prefix only if its value is not
-    stored yet.  The operators are causal: psi_n depends only on phi_m,
-    m <= n, through the same shifts and floor divisions, and the carries
-    continue the same recurrence.  So every stored term is bit for bit
-    the term a cold pass computes, whatever length it was computed or
-    extended to and whatever words came before; and every prefix keeps
-    its own n0 = _cut(prec, steps) and rounding count, so its value and
-    bound are those of a cold pass.
+    Memo.  env._trie holds one _Prefix per half prefix met so far: its
+    series phi_0 .. phi_(N-1) with the carry of each eta != 0 part at the
+    last term, and its (value, bound).  A word walks the trie from the
+    root one form at a time, making the nodes it lacks, so a prefix is
+    found in one step from the one before it.  A word needs every
+    prefix's series to n_max = _cut(prec, L') terms, L' the word's number
+    of forms with a part eta != 0, and each prefix is computed once: a
+    pass applies a form only where its node's series is shorter than
+    n_max, resuming from the stored terms and carries, and sums and
+    bounds a prefix, at its own n0 = _cut(prec, steps), only on its first
+    pass.  The operators are causal: psi_n depends only on phi_m, m <= n,
+    through the same shifts and floor divisions, and the carries continue
+    the same recurrence.  So every stored term is bit for bit the term a
+    cold pass computes, whatever length it was computed or extended to and
+    whatever words came before; and every prefix keeps its own n0 and
+    rounding count, so its value and bound are those of a cold pass.
 
     Truncation.  Expand a prefix's value as a sum over paths 0 = n_0 <=
     n_1 <= ... <= n_L, one step per form: a dx/x part keeps n and weighs at
@@ -202,26 +236,27 @@ def _half_pass(word, env: NumEnv) -> list:
     (3 L' + Z) (n0 - 1) units, Z its number of dx/x forms.
     """
     P = env.prec + _GUARD_BITS
-    n_max = _cut(env.prec, sum(any(eta for eta, _ in f) for f in word))
-    src = [1 << P] + [0] * (n_max - 1)  # the empty word's series
-    halves = [(1 << P, 0.0)]
-    steps = units = 0
-    for j, form in enumerate(word, 1):
-        prefix = word[:j]
-        series = env._sums.get(("series", prefix))
-        if series is None:
-            series = env._sums[("series", prefix)] = ([0], [0] * len(form))
-        phi, carries = series
+    root = node = env._trie
+    path = []
+    for form in word:
+        child = node.next.get(form)
+        if child is None:
+            advances = bool(_FORMS[form][1])
+            child = node.next[form] = _Prefix(form, [0], node.steps + advances, node.units + (3 if advances else 1))
+        path.append(child)
+        node = child
+    n_max = _cut(env.prec, node.steps)
+    src = root.phi  # the empty word's series: 1, then zeros
+    src.extend([0] * (n_max - len(src)))
+    halves = [root.half]
+    for node in path:
+        phi = node.phi
         if len(phi) < n_max:
-            _apply(form, src, phi, carries, n_max)
-        advances = any(eta for eta, _ in form)
-        steps += advances
-        units += 3 if advances else 1
-        half = env._sums.get(("half", prefix))
-        if half is None:
-            n0 = _cut(env.prec, steps)
-            half = env._sums[("half", prefix)] = (sum(phi[:n0]), _tail_bound(n0, steps) + units * (n0 - 1) * 2.0 ** -P)
-        halves.append(half)
+            _apply(node.form, src, phi, node.carries, n_max)
+        if node.half is None:
+            n0 = _cut(env.prec, node.steps)
+            node.half = (sum(phi[:n0]), _tail_bound(n0, node.steps) + node.units * (n0 - 1) * 2.0 ** -P)
+        halves.append(node.half)
         src = phi
     return halves
 
@@ -229,22 +264,48 @@ def _half_pass(word, env: NumEnv) -> list:
 def _apply(form, src, phi, carries, n_max: int) -> None:
     """Extend phi, the series after form, from its len(phi) terms to n_max
     from src, the series before form (at least n_max terms long); carries
-    holds the carry of each part of form at phi's last term and is
-    advanced with it."""
-    start, h = len(phi), len(form) - 1
-    acc = [0] * (n_max - start)
-    for i, (eta, s) in enumerate(form):
-        if eta == 0:
-            acc = [a + s * x for a, x in zip(acc, src[start:n_max])]
-            continue
-        shift, c = _RATIO_SHIFT[eta], carries[i]
-        for k, x in enumerate(src[start - 1:n_max - 1]):
-            c = (c + x) >> shift
-            if eta < 0:
-                c = -c
-            acc[k] -= s * c
-        carries[i] = c
-    phi.extend([a // (n << h) for a, n in zip(acc, range(start, n_max))])
+    holds the carry of each part eta != 0 of form at phi's last term and
+    is advanced with it.  One pass over the terms: the carries advance
+    together, acc_n = c_1(n) + sign_1 sign_2 c_2(n), and term n is
+    (zero src_n - sign_1 acc_n) // (n 2^h).  The only two-carry forms are
+    the lower t letters, eta = 1 then eta = -1; the dx/x part of a form
+    with carries, the upper t letters', has sign 1."""
+    zero, parts, h = _FORMS[form]
+    start = len(phi)
+    xs, dens = src[start:n_max], range(start << h, n_max << h, 1 << h)
+    if not parts:  # dx/x alone, h = 0
+        phi.extend([x // n for x, n in zip(xs, dens)] if zero > 0 else [-x // n for x, n in zip(xs, dens)])
+        return
+    s, sign, neg = parts[0]
+    acc, c = [], carries[0]
+    if len(parts) == 2:
+        t, sign2, _ = parts[1]
+        d = carries[1]
+        if sign2 == sign:
+            for x in src[start - 1:n_max - 1]:
+                c = (c + x) >> s
+                d = -((d + x) >> t)
+                acc.append(c + d)
+        else:
+            for x in src[start - 1:n_max - 1]:
+                c = (c + x) >> s
+                d = -((d + x) >> t)
+                acc.append(c - d)
+        carries[1] = d
+    elif neg:
+        for x in src[start - 1:n_max - 1]:
+            c = -((c + x) >> s)
+            acc.append(c)
+    else:
+        for x in src[start - 1:n_max - 1]:
+            c = (c + x) >> s
+            acc.append(c)
+    carries[0] = c
+    if zero:
+        terms = zip(xs, acc, dens)
+        phi.extend([(x + a) // m for x, a, m in terms] if sign < 0 else [(x - a) // m for x, a, m in terms])
+    else:
+        phi.extend([a // m for a, m in zip(acc, dens)] if sign < 0 else [-a // m for a, m in zip(acc, dens)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,14 +336,12 @@ def _binom_float(n, k):
 
 
 def _split(w: tuple, env: NumEnv, what: str) -> MPFloat:
-    """I(0; w; 1) through the split at 1/2, memoised per word.  The
-    fixed-point halves v 2^-P are convolved in exact 2P-bit integers, so
-    the bound is the propagated half bounds alone; P <= 1020 (prec <= 1000)
-    keeps the float factors |v| 2^-P and 2^-P finite and normal."""
-    key = ("split", w)
-    hit = env._sums.get(key)
-    if hit is not None:
-        return hit
+    """I(0; w; 1) through the split at 1/2, stored in env._sums under
+    ("split", w), where its callers look first; what names w in the error
+    of a divergent word, which stores nothing.  The fixed-point halves v
+    2^-P are convolved in exact 2P-bit integers, so the bound is the
+    propagated half bounds alone; P <= 1020 (prec <= 1000) keeps the float
+    factors |v| 2^-P and 2^-P finite and normal."""
     lower = tuple(_LOWER[x] for x in w)
     upper = tuple(_UPPER[x] for x in reversed(w))
     if any(eta == 0 for eta, _ in lower[0] + upper[0]):  # dx/x at an end point
@@ -292,20 +351,27 @@ def _split(w: tuple, env: NumEnv, what: str) -> MPFloat:
     for (v1, e1), (v2, e2) in zip(_half_pass(lower, env), reversed(_half_pass(upper, env))):
         total += v1 * v2
         err += abs(v1) * unit * e2 + abs(v2) * unit * e1 + e1 * e2
-    hit = env._sums[key] = MPFloat(mpmath.ldexp(total, -2 * (env.prec + _GUARD_BITS)), err)
+    hit = env._sums[("split", w)] = MPFloat(mpmath.ldexp(total, -2 * (env.prec + _GUARD_BITS)), err)
     return hit
+
+
+@functools.lru_cache(maxsize=None)
+def _t_word(k: tuple) -> tuple:
+    """The word a 0^(k_1 - 1) b 0^(k_2 - 1) ... b 0^(k_d - 1) of the t index k."""
+    if any(x < 1 for x in k):
+        raise ValueError(f"t-index entries must be positive, got {k}")
+    return tuple(x for i, ki in enumerate(k) for x in ("b" if i else "a",) + (0,) * (ki - 1))
 
 
 def t_num(k: tuple, env: NumEnv) -> MPFloat:
     """t(k) = I(0; a 0^(k_1 - 1) b 0^(k_2 - 1) ... b 0^(k_d - 1); 1), the
     sum over odd 0 < n_1 < ... < n_d of prod n_i^-k_i; needs k_d >= 2."""
     k = tuple(k)
-    if any(x < 1 for x in k):
-        raise ValueError(f"t-index entries must be positive, got {k}")
     if not k:
         return MPFloat(mpmath.mpf(1), 0.0)
-    word = tuple(x for i, ki in enumerate(k) for x in ("b" if i else "a",) + (0,) * (ki - 1))
-    return _split(word, env, f"t index t({','.join(map(str, k))})")
+    word = _t_word(k)
+    hit = env._sums.get(("split", word))
+    return hit if hit is not None else _split(word, env, f"t index t({','.join(map(str, k))})")
 
 
 def altz_num(s: SignedIndex, env: NumEnv) -> MPFloat:
@@ -313,7 +379,10 @@ def altz_num(s: SignedIndex, env: NumEnv) -> MPFloat:
     (-1)^depth I(0; to_int_word(s); 1)."""
     if not s.parts:
         return MPFloat(mpmath.mpf(1), 0.0)
-    v = _split(to_int_word(s), env, f"signed index {format_signed(s)}")
+    word = to_int_word(s)
+    v = env._sums.get(("split", word))
+    if v is None:
+        v = _split(word, env, f"signed index {format_signed(s)}")
     return -v if s.depth % 2 else v
 
 

@@ -13,6 +13,7 @@ MEMOS = (
     motivic._graded_factor,
     motivic._plain_matrix,  # S, H and Hstar matrices
     numoracle._cut,
+    numoracle._t_word,
     regularize._st_cache,
     regularize._sh_cache,
     regularize._word_cache,

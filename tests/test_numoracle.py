@@ -203,6 +203,17 @@ def _t_word(k):
     return tuple(x for i, ki in enumerate(k) for x in ("b" if i else "a",) + (0,) * (ki - 1))
 
 
+def _trie_nodes(env):
+    """{half prefix: its _Prefix node} of every non-empty prefix in env's trie."""
+    out, todo = {}, [((), env._trie)]
+    while todo:
+        prefix, node = todo.pop()
+        for form, child in node.next.items():
+            out[prefix + (form,)] = child
+            todo.append((prefix + (form,), child))
+    return out
+
+
 def _halves_of(k):
     """The lower and upper half words of the t index k."""
     w = _t_word(k)
@@ -343,11 +354,11 @@ def test_holder_memo_warm_equals_cold():
     for s in [zi(1, 2), zi(2, -1), zi(1, 1, 2), zi(-1, -2)]:
         altz_num_holder(s, warm)
     target = zi(1, 1, -1, 2)
-    halves = len([k for k in warm._sums if k[0] == "half"])
+    halves = len(_trie_nodes(warm))
     a = altz_num_holder(target, warm)
     b = altz_num_holder(target, NumEnv(prec=80))
     assert a.val == b.val and a.err == b.err
-    assert len([k for k in warm._sums if k[0] == "half"]) - halves < 2 * (len(to_int_word(target)) + 1)
+    assert len(_trie_nodes(warm)) - halves < 2 * (len(to_int_word(target)) + 1)
 
 
 def test_each_prefix_is_computed_once(monkeypatch):
@@ -365,7 +376,7 @@ def test_each_prefix_is_computed_once(monkeypatch):
     env = NumEnv(prec=64)
 
     def lengths():
-        return {k[1]: (id(v[0]), len(v[0])) for k, v in env._sums.items() if k[0] == "series"}
+        return {p: (id(node.phi), len(node.phi)) for p, node in _trie_nodes(env).items()}
 
     t_num((2, 2, 1, 2), env)
     before = lengths()
@@ -390,8 +401,8 @@ def test_each_prefix_is_computed_once(monkeypatch):
 
 
 def test_engine_memo_keeps_one_series_per_prefix():
-    # The memo keeps one (value, bound) and one series per half prefix: 22
-    # of each for the 11 letters of t(2,2,2,2,1,2).  Each series has the
+    # The trie keeps one node per half prefix, with its (value, bound) and
+    # its series: 22 for the 11 letters of t(2,2,2,2,1,2).  Each series has the
     # n_max = _cut(prec, L') terms of its half word; the traced peak stays
     # within those 22 series of integers of P bits, each with its list
     # slot.  Evaluating the word again allocates no series.
@@ -410,10 +421,11 @@ def test_engine_memo_keeps_one_series_per_prefix():
     finally:
         tracemalloc.stop()
     assert 0 < value.err < 2.0 ** -130 and (again.val, again.err) == (value.val, value.err)
-    halves = {k: v for k, v in env._sums.items() if k[0] == "half"}
+    nodes = _trie_nodes(env)
+    halves = {p: node.half for p, node in nodes.items()}
     assert len(halves) == 2 * 11
     assert all(isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], int) for v in halves.values())
-    series = {k[1]: v for k, v in env._sums.items() if k[0] == "series"}
+    series = {p: (node.phi, node.carries) for p, node in nodes.items()}
     assert len(series) == 2 * 11
     per_term = sys.getsizeof(1 << (prec + numoracle._GUARD_BITS)) + 8
     bound = 0
@@ -423,6 +435,70 @@ def test_engine_memo_keeps_one_series_per_prefix():
         bound += 11 * n_max * per_term
     assert peak <= bound, (peak, bound)
     assert grown < min(len(phi) for phi, _ in series.values()) * per_term, grown
+
+
+def _apply_per_part(form, src, phi, carries, n_max):
+    """The per-part loop that the fused _apply replaced, kept as its
+    reference: one pass over the terms per part of the form, carries holding
+    one slot per part (eta = 0 included)."""
+    start, h = len(phi), len(form) - 1
+    acc = [0] * (n_max - start)
+    for i, (eta, s) in enumerate(form):
+        if eta == 0:
+            acc = [a + s * x for a, x in zip(acc, src[start:n_max])]
+            continue
+        shift, c = numoracle._RATIO_SHIFT[eta], carries[i]
+        for k, x in enumerate(src[start - 1:n_max - 1]):
+            c = (c + x) >> shift
+            if eta < 0:
+                c = -c
+            acc[k] -= s * c
+        carries[i] = c
+    phi.extend([a // (n << h) for a, n in zip(acc, range(start, n_max))])
+
+
+@pytest.mark.parametrize("P", [32, 84, 148])
+def test_fused_apply_matches_the_per_part_loop(P):
+    # The fused _apply against the per-part loop, term for term and carry
+    # for carry: every form of _LOWER and _UPPER on random signed P-bit
+    # series, from a cold start and resumed from a partial phi, so each
+    # term sees the shifts and floors that _half_pass's rounding count
+    # charges.
+    rng = random.Random(P)
+    assert len(FORMS) == 10
+    for form in FORMS:
+        for _ in range(12):
+            n_max = rng.randrange(2, 160)
+            src = [rng.getrandbits(P) - (1 << (P - 1)) for _ in range(n_max)]
+            ref, ref_carries = [0], [0] * len(form)
+            phi, carries = [0], [0] * sum(1 for eta, _ in form if eta)
+            for stop in sorted({rng.randrange(1, n_max), rng.randrange(1, n_max), n_max}):
+                _apply_per_part(form, src, ref, ref_carries, stop)
+                numoracle._apply(form, src, phi, carries, stop)
+                assert phi == ref, (form, stop)
+                assert carries == [c for (eta, _), c in zip(form, ref_carries) if eta], (form, stop)
+
+
+def test_memo_first_lookup_keeps_validation():
+    # t_num and altz_num look up the split memo before they build a word's
+    # error label, and a divergent word is never stored: it is refused with
+    # its index named, on a cold env and on one warmed by words that share
+    # its half prefixes.
+    env = NumEnv(prec=64)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^divergent t index t\(2,1\)$"):
+            t_num((2, 1), env)
+        with pytest.raises(ValueError, match=r"^divergent signed index z\(1\)$"):
+            altz_num(zi(1), env)
+        with pytest.raises(ValueError, match="positive"):
+            t_num((2, 0, 2), env)
+        assert ("split", _t_word((2, 1))) not in env._sums
+        assert ("split", to_int_word(zi(1))) not in env._sums
+        for k in [(2, 1, 2), (1, 2), (2, 2, 1, 2)]:
+            t_num(k, env)
+        for s in [zi(1, 2), zi(-1), zi(2, 1, 2)]:
+            altz_num(s, env)
+    assert len(env._sums) == 6 and all(key[0] == "split" for key in env._sums)
 
 
 def test_eval_num():
