@@ -374,12 +374,18 @@ def t_num(k: tuple, env: NumEnv) -> MPFloat:
     return hit if hit is not None else _split(word, env, f"t index t({','.join(map(str, k))})")
 
 
+@functools.lru_cache(maxsize=None)
+def _altz_word(s: SignedIndex) -> tuple:
+    """The integral word of the signed index s."""
+    return to_int_word(s)
+
+
 def altz_num(s: SignedIndex, env: NumEnv) -> MPFloat:
     """Alternating zeta value of a convergent signed index:
     (-1)^depth I(0; to_int_word(s); 1)."""
     if not s.parts:
         return MPFloat(mpmath.mpf(1), 0.0)
-    word = to_int_word(s)
+    word = _altz_word(s)
     v = env._sums.get(("split", word))
     if v is None:
         v = _split(word, env, f"signed index {format_signed(s)}")

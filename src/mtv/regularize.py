@@ -22,7 +22,9 @@ leaves after canonical reduction.
 All values are immutable and all functions pure; the module-level memo
 tables only ever store deterministic results keyed by immutable inputs,
 so concurrent use can at worst duplicate a computation, never change a
-result.  ``_st_cache`` holds stuffle_reg and ``_sh_cache`` shuffle_reg,
+result.  ``_st_table_cache`` holds the parameter-free stuffle table of
+each divergent index, which stuffle_reg and sh_from_st read at their
+parameter; ``_st_cache`` holds stuffle_reg and ``_sh_cache`` shuffle_reg,
 each per (index, parameter); ``_word_cache`` holds word_shuffle_reg per
 (word, value) and ``_reg0_cache`` its value-0 part per word; the
 ``lru_cache``s hold ``_exp_series``, ``_rho_image`` (the image of each
@@ -40,15 +42,116 @@ from functools import lru_cache
 from .closedform import zbar_reduce
 from .errors import InvariantError
 from .indexcore import IntWord, SignedIndex, from_int_word, signings, to_int_word, trailing_run
-from .symring import LOG2, SymPoly, lc_iadd, lc_put, lc_scale, lc_sub, zeta_sym
+from .symring import LOG2, SymPoly, _mono_mul, _reduced, lc_iadd, lc_put, lc_scale, zeta_sym
 from .wordalg import _shuffle_words, _stuffle_parts, t_to_zeta
 
 EMPTY = SignedIndex((), 0)
 
 
 # ---------------------------------------------------------------------------
+# integer numerators per power of one value
+# ---------------------------------------------------------------------------
+#
+# Both schemes first compute a regularization as {key: {power p: int}}
+# over one int denominator, the coefficient of value^p (Ihara-Kaneko-
+# Zagier: every regularization is a polynomial in its parameter with
+# rational coefficients that do not depend on it), and only then read it
+# at the value asked for.
+
+def _add_into(acc: dict, key, by_power: dict, f: int) -> None:
+    """acc[key] += f * by_power, for a nonzero int f, on {power: int}
+    numerators: the zeros the sum leaves are dropped, and the key once
+    nothing is left, so keys and powers keep the order that lc_put gives
+    on the polynomials."""
+    old = acc.get(key)
+    if old is None:
+        new = {p: q * f for p, q in by_power.items() if q}
+    else:
+        for p, q in by_power.items():
+            old[p] = old.get(p, 0) + q * f
+        new = {p: q for p, q in old.items() if q}
+    if new:
+        acc[key] = new
+    elif old is not None:
+        del acc[key]
+
+
+def _power_reader(value: SymPoly):
+    """The function (by_power, den) -> sum_p by_power[p] value^p / den.
+
+    At 0 it reads power 0; at value +-g for a generator g it writes the
+    numerators straight into canonical form, the distinct monomials g^p
+    (shared through ``_mono_mul``) in the order of by_power; at any other
+    value it combines the powers of the value once.
+    """
+    if not value:
+        def read(by_power: dict, den: int) -> SymPoly:
+            q = by_power.get(0)
+            return _reduced({(): q}, den) if q else SymPoly.zero()
+        return read
+    if value.den == 1 and len(value.num) == 1:
+        ((mono, sign),) = value.num.items()
+        if len(mono) == 1 and mono[0][1] == 1 and sign in (1, -1):
+            monos = [(), mono]
+
+            def read(by_power: dict, den: int) -> SymPoly:
+                num = {}
+                for p, q in by_power.items():
+                    if q:
+                        while len(monos) <= p:
+                            monos.append(_mono_mul(monos[-1], mono))
+                        num[monos[p]] = -q if sign < 0 and p % 2 else q
+                return _reduced(num, den) if num else SymPoly.zero()
+            return read
+    powers = [SymPoly.one()]
+
+    def read(by_power: dict, den: int) -> SymPoly:
+        while len(powers) <= max(by_power):
+            powers.append(powers[-1] * value)
+        return SymPoly.combination((Fraction(q, den), powers[p]) for p, q in by_power.items())
+    return read
+
+
+# ---------------------------------------------------------------------------
 # stuffle regularization
 # ---------------------------------------------------------------------------
+
+_st_table_cache: dict = {}
+
+
+def _stuffle_table(parts: tuple) -> tuple:
+    """(table, den): the stuffle regularization of parts as {convergent
+    SignedIndex: {power of the parameter: nonzero int}} over den, computed
+    once for every parameter; memoised per divergent index.
+
+    The recursion peels one trailing unsigned 1 at a time: among the terms
+    of u * (1), the input index itself appears with multiplicity equal to
+    its trailing-1 run alpha, and every other term v has a strictly
+    shorter run, so reg(parts) = (reg(u) P - sum_v m_v reg(v)) / alpha.
+    """
+    if not parts or parts[-1] != 1:
+        return {SignedIndex(parts, 0): {0: 1}}, 1
+    hit = _st_table_cache.get(parts)
+    if hit is not None:
+        return hit
+    alpha = trailing_run(parts, 1)
+    u = parts[:-1]
+    terms = _stuffle_parts(u, (1,))
+    for v, m in terms:
+        if v == parts and m != alpha:
+            raise InvariantError(f"{parts} occurs {m} times in its own stuffle with (1), not {alpha}")
+    table_u, den_u = _stuffle_table(u)
+    rest = [(_stuffle_table(v), -m) for v, m in terms if v != parts]
+    den = math.lcm(den_u, *(d for (_, d), _ in rest))
+    f = den // den_u
+    table = {key: {p + 1: q * f for p, q in by_power.items()} for key, by_power in table_u.items()}
+    for (table_v, den_v), m in rest:
+        f = m * (den // den_v)
+        for key, by_power in table_v.items():
+            _add_into(table, key, by_power, f)
+    hit = _st_table_cache[parts] = (table, den * alpha)
+    return hit
+
 
 _st_cache: dict = {}
 
@@ -56,11 +159,8 @@ _st_cache: dict = {}
 def stuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
     """Express s as {convergent SignedIndex: SymPoly in param}.
 
-    Already-convergent input passes through with coefficient 1.  The
-    recursion peels one trailing unsigned 1 at a time: among the terms
-    of u * (1), the input index itself appears with multiplicity equal
-    to its trailing-1 run, and every other term has a strictly shorter
-    run.
+    It reads the parameter-free table of s (``_stuffle_table``) at param;
+    already-convergent input passes through with coefficient 1.
     """
     if s.lead_zeros != 0:
         raise ValueError(f"stuffle regularization needs lead_zeros = 0, got {s.lead_zeros}")
@@ -69,20 +169,13 @@ def stuffle_reg(s: SignedIndex, param: SymPoly) -> dict:
     hit = _st_cache.get(key)
     if hit is not None:
         return hit
-    if s.is_convergent():
-        out = {s: SymPoly.one()}
-    else:
-        parts = s.parts
-        alpha = trailing_run(parts, 1)
-        u = parts[:-1]
-        out: dict = lc_scale(stuffle_reg(SignedIndex(u, 0), param), param)
-        for v, m in _stuffle_parts(u, (1,)):
-            if v == parts:
-                if m != alpha:
-                    raise InvariantError(f"{parts} occurs {m} times in its own stuffle with (1), not {alpha}")
-                continue
-            lc_iadd(out, lc_scale(stuffle_reg(SignedIndex(v, 0), param), -m))
-        out = lc_scale(out, Fraction(1, alpha))
+    table, den = _stuffle_table(s.parts)
+    read = _power_reader(param)
+    out = {}
+    for idx, by_power in table.items():
+        c = read(by_power, den)
+        if c:
+            out[idx] = c
     _st_cache[key] = out
     return out
 
@@ -121,6 +214,30 @@ def _reg0(w: IntWord) -> dict:
             out = {(w[m],) + y: sign * k for y, k in _shuffle_words(w[:m], w[m + 1:])}
     _reg0_cache[w] = out
     return out
+
+
+def _taylor_numerators(w: IntWord, symbolic: bool) -> tuple:
+    """(coeffs, m! n!): reg_value(w) of ``word_shuffle_reg`` as {convergent
+    word: {power of the value: int}} over m! n!, for w = 0^m u 1^n; with
+    symbolic False (value 0) only reg_0(w), over 1."""
+    if symbolic:
+        m = trailing_run(w[::-1], 0)
+        n = trailing_run(w[m:], 1)
+    else:
+        m = n = 0
+    # 1 / (i! j!) = (m! n! / (i! j!)) / (m! n!): integer numerators over one denominator
+    denom = math.factorial(m) * math.factorial(n)
+    coeffs: dict = {}
+    for i in range(m + 1):
+        for j in range(n + 1):
+            scale = denom // (math.factorial(i) * math.factorial(j))
+            for v, c in _reg0(w[i:len(w) - j]).items():
+                by_power = coeffs.setdefault(v, {})
+                by_power[i + j] = by_power.get(i + j, 0) + c * scale
+    for v in coeffs:
+        if v and (v[0] == 0 or v[-1] == 1):
+            raise InvariantError(f"shuffle regularization of {w} produced the divergent word {v}")
+    return coeffs, denom
 
 
 _word_cache: dict = {}
@@ -162,29 +279,11 @@ def word_shuffle_reg(w: IntWord, wval: SymPoly) -> dict:
     hit = _word_cache.get(key)
     if hit is not None:
         return hit
-    if wval:
-        m = trailing_run(w[::-1], 0)
-        n = trailing_run(w[m:], 1)
-    else:
-        m = n = 0
-    # 1 / (i! j!) = (m! n! / (i! j!)) / (m! n!): integer numerators over one denominator
-    denom = math.factorial(m) * math.factorial(n)
-    coeffs: dict = {}  # word -> {power of wval: int numerator}
-    for i in range(m + 1):
-        for j in range(n + 1):
-            scale = denom // (math.factorial(i) * math.factorial(j))
-            for v, c in _reg0(w[i:len(w) - j]).items():
-                by_power = coeffs.setdefault(v, {})
-                by_power[i + j] = by_power.get(i + j, 0) + c * scale
-    powers = [SymPoly.one()]
-    for _ in range(m + n):
-        powers.append(powers[-1] * wval)
-    inv_denom = Fraction(1, denom)
+    coeffs, denom = _taylor_numerators(w, bool(wval))
+    read = _power_reader(wval)
     out: dict = {}
     for v, by_power in coeffs.items():
-        if v and (v[0] == 0 or v[-1] == 1):
-            raise InvariantError(f"shuffle regularization of {w} produced the divergent word {v}")
-        c = SymPoly.combination((q, powers[p]) for p, q in by_power.items()) * inv_denom
+        c = read(by_power, denom)
         if c:
             out[v] = c
     _word_cache[key] = out
@@ -293,17 +392,25 @@ def rho_apply(p: SymPoly, param: str = "T") -> SymPoly:
     return out
 
 
-def rho_apply_lincomb(lc: dict, param: str = "T") -> dict:
-    out: dict = {}
-    for key, c in lc.items():
-        lc_put(out, key, rho_apply(SymPoly.coerce(c), param))
-    return out
-
-
 def sh_from_st(s: SignedIndex, param: str = "T") -> dict:
     """Shuffle-regularized value as the comparison map applied to the
-    stuffle-regularized polynomial (same parameter on both sides)."""
-    return rho_apply_lincomb(stuffle_reg(s, SymPoly.gen(param)), param)
+    stuffle-regularized polynomial (same parameter on both sides).
+
+    It maps the parameter-free stuffle table power by power, P^p to
+    rho(P^p), in rising p, as ``rho_apply`` would on
+    ``stuffle_reg(s, P)``, without building that polynomial first.
+    """
+    if s.lead_zeros != 0:
+        raise ValueError(f"stuffle regularization needs lead_zeros = 0, got {s.lead_zeros}")
+    table, den = _stuffle_table(s.parts)
+    out: dict = {}
+    for key, by_power in table.items():
+        c = SymPoly.zero()
+        for p, q in sorted(by_power.items()):
+            c = c + _rho_image(param, p) * Fraction(q, den)
+        if c:
+            out[key] = c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -433,20 +540,31 @@ def distribution_residual(k: tuple, alpha: int, ell: int, param=None) -> dict:
 
     d = len(k)
     w = sum(k)
+    # both sides as {word: {power of wval: int}} over one denominator
+    lhs_words = [_taylor_numerators(to_int_word(SignedIndex(parts, ell)), bool(wval))
+                 for _, parts in signings(k + (1,) * alpha)]
+    rhs_words = [_taylor_numerators(to_int_word(SignedIndex(k + (1,) * (alpha - i), ell)), bool(wval))
+                 for i in range(alpha + 1)]
+    den = math.lcm(*(dx for _, dx in lhs_words + rhs_words))
     lhs: dict = {}
-    for _, parts in signings(k + (1,) * alpha):
-        lc_iadd(lhs, word_shuffle_reg(to_int_word(SignedIndex(parts, ell)), wval))
-    lhs = lc_scale(lhs, Fraction(2) ** (w + ell - d))
-
+    for coeffs, dx in lhs_words:
+        f = 2 ** (w + ell - d) * (den // dx)
+        for v, by_power in coeffs.items():
+            _add_into(lhs, v, by_power, f)
     rhs: dict = {}
-    for i in range(alpha + 1):
+    for i, (coeffs, dx) in enumerate(rhs_words):
         bars = (-1,) * i
-        for v, c in word_shuffle_reg(to_int_word(SignedIndex(k + (1,) * (alpha - i), ell)), wval).items():
+        for v, by_power in coeffs.items():
             for x, m in _shuffle_words(v, bars):
-                lc_put(rhs, x, c * m)
+                _add_into(rhs, x, by_power, m * (den // dx))
+    for x, by_power in rhs.items():
+        _add_into(lhs, x, by_power, -1)
 
+    read = _power_reader(wval)
     diff: dict = {}
-    for v, c in lc_sub(lhs, rhs).items():
-        s = from_int_word(v)
-        diff[s] = -c if (d + alpha + s.depth) % 2 else c
+    for v, by_power in lhs.items():
+        c = read(by_power, den)
+        if c:
+            s = from_int_word(v)
+            diff[s] = -c if (d + alpha + s.depth) % 2 else c
     return canonicalize(diff)

@@ -193,7 +193,7 @@ class SymPoly:
 
     @staticmethod
     def coerce(x) -> "SymPoly":
-        if isinstance(x, SymPoly):
+        if type(x) is SymPoly:
             return x
         return SymPoly.const(x)
 
@@ -265,9 +265,12 @@ class SymPoly:
         return _reduced({m: c for m, c in num.items() if c}, den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other.numerator, other.denominator)
-        other = SymPoly.coerce(other)
+        # a SymPoly operand skips the isinstance test against Fraction,
+        # whose ABCMeta check is slow
+        if type(other) is not SymPoly:
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other.numerator, other.denominator)
+            other = SymPoly.coerce(other)
         if other.is_const():
             return self._scale(other.num.get((), 0), other.den)
         if self.is_const():
@@ -293,10 +296,10 @@ class SymPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not SymPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = SymPoly.const(other)
-        if not isinstance(other, SymPoly):
-            return NotImplemented
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):

@@ -14,6 +14,8 @@ MEMOS = (
     motivic._plain_matrix,  # S, H and Hstar matrices
     numoracle._cut,
     numoracle._t_word,
+    numoracle._altz_word,
+    regularize._st_table_cache,
     regularize._st_cache,
     regularize._sh_cache,
     regularize._word_cache,

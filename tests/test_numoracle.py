@@ -772,3 +772,20 @@ def test_t_identities_within_the_bound(prec):
             v = t_num(k, env)
             assert abs(v.val - true) <= v.err + 2.0 ** -(prec + 30), k
             assert v.err <= 2.0 ** -(prec + 4), k
+
+
+def test_altz_num_builds_each_word_once(monkeypatch):
+    # the word of a signed index is memoised per index, so warm calls only
+    # look up the split memo; a divergent index is refused alike each time
+    built = []
+    monkeypatch.setattr(numoracle, "to_int_word", lambda s: built.append(s) or to_int_word(s))
+    env = NumEnv(prec=53)
+    for _ in range(3):
+        for s in [zi(2), zi(1, -2), zi(-1)]:
+            altz_num(s, env)
+        with pytest.raises(ValueError, match=r"^divergent signed index z\(2,1\)$"):
+            altz_num(zi(2, 1), env)
+    with pytest.raises(ValueError, match=r"^divergent signed index z\(2,1\)$"):
+        altz_num(zi(2, 1), NumEnv(prec=53))  # a cold env, the word already memoised
+    assert built == [zi(2), zi(1, -2), zi(-1), zi(2, 1)]
+    assert ("split", to_int_word(zi(2, 1))) not in env._sums

@@ -6,7 +6,7 @@ import pytest
 
 from mtv import regularize
 from mtv.errors import InvariantError
-from mtv.indexcore import SignedIndex, from_int_word, signed_indices, to_int_word, zi
+from mtv.indexcore import SignedIndex, from_int_word, signed_indices, signings, to_int_word, trailing_run, zi
 from mtv.regularize import (
     EMPTY,
     canonicalize,
@@ -23,9 +23,12 @@ from mtv.regularize import (
     word_shuffle_reg,
     zeta_ones,
 )
-from mtv.symring import LOG2, PARAMS, PI2, SymPoly, lc_add, lc_is_zero, lc_scale, lc_sub
+from mtv.symring import LOG2, PARAMS, PI2, SymPoly, lc_add, lc_iadd, lc_is_zero, lc_put, lc_scale, lc_sub
 from mtv.verify import _certified_check, _layer_values
-from mtv.wordalg import shuffle, shuffle_lincomb, stuffle, stuffle_lincomb
+from mtv.wordalg import _stuffle_parts, shuffle, shuffle_lincomb, stuffle, stuffle_lincomb
+
+from conftest import _clear_memos
+from test_symring import _assert_canonical
 
 T = SymPoly.gen("T")
 U = SymPoly.gen("U")
@@ -387,6 +390,8 @@ def test_memo_values_survive_regularization_sweep():
     st_cache = {k: dict(v) for k, v in regularize._st_cache.items()}
     sh_cache = {k: dict(v) for k, v in regularize._sh_cache.items()}
     word_cache = {k: dict(v) for k, v in regularize._word_cache.items()}
+    st_tables = {k: ({key: dict(c) for key, c in table.items()}, den)
+                 for k, (table, den) in regularize._st_table_cache.items()}
     for s in small:
         lc_sub(stuffle_reg(s, ZERO), shift_param("stuffle", s, T, ZERO))
         lc_sub(stuffle_reg(s, T), st_via_sh0(s, T))
@@ -400,6 +405,7 @@ def test_memo_values_survive_regularization_sweep():
     assert all(regularize._st_cache[k] == v for k, v in st_cache.items())
     assert sh_cache and all(regularize._sh_cache[k] == v for k, v in sh_cache.items())
     assert all(regularize._word_cache[k] == v for k, v in word_cache.items())
+    assert st_tables and all(regularize._st_table_cache[k] == v for k, v in st_tables.items())
 
 
 def test_regularization_output_weight_homogeneous():
@@ -457,3 +463,134 @@ def test_broken_multiplicities_raise(monkeypatch):
     monkeypatch.setattr(regularize, "trailing_run", lambda w, letter: 0)
     with pytest.raises(InvariantError, match="still ends in 1"):
         st_via_sh0(zi(2, 1), T)
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator forms against the symbolic ones they replaced
+# ---------------------------------------------------------------------------
+
+def _stuffle_reg_reference(s, param, memo):
+    """The peeling recursion run on SymPoly coefficients at param, as
+    stuffle_reg computed it before the parameter-free table; memo is the
+    caller's {parts: result} for this one param."""
+    if s.parts in memo:
+        return memo[s.parts]
+    if s.is_convergent():
+        out = {s: SymPoly.one()}
+    else:
+        parts = s.parts
+        alpha = trailing_run(parts, 1)
+        u = parts[:-1]
+        out = lc_scale(_stuffle_reg_reference(SignedIndex(u, 0), param, memo), param)
+        for v, m in _stuffle_parts(u, (1,)):
+            if v == parts:
+                assert m == alpha
+                continue
+            lc_iadd(out, lc_scale(_stuffle_reg_reference(SignedIndex(v, 0), param, memo), -m))
+        out = lc_scale(out, Fraction(1, alpha))
+    memo[s.parts] = out
+    return out
+
+
+def _word_shuffle_reg_reference(w, wval):
+    """The Taylor form of word_shuffle_reg summed as SymPolys: one
+    combination over the powers of wval per word."""
+    m = trailing_run(w[::-1], 0) if wval else 0
+    n = trailing_run(w[m:], 1) if wval else 0
+    out: dict = {}
+    for i in range(m + 1):
+        for j in range(n + 1):
+            scale = Fraction(1, math.factorial(i) * math.factorial(j))
+            for v, c in regularize._reg0(w[i:len(w) - j]).items():
+                lc_put(out, v, SymPoly.combination([(c * scale, wval ** (i + j))]))
+    return out
+
+
+def _distribution_residual_reference(k, alpha, ell, param=None):
+    """distribution_residual assembled through lc_iadd, lc_scale and lc_sub
+    on SymPoly coefficients."""
+    param = ZERO if ell else (W if param is None else param)
+    wval = -param
+    d, w = len(k), sum(k)
+    lhs: dict = {}
+    for _, parts in signings(k + (1,) * alpha):
+        lc_iadd(lhs, _word_shuffle_reg_reference(to_int_word(SignedIndex(parts, ell)), wval))
+    lhs = lc_scale(lhs, Fraction(2) ** (w + ell - d))
+    rhs: dict = {}
+    for i in range(alpha + 1):
+        for v, c in _word_shuffle_reg_reference(to_int_word(SignedIndex(k + (1,) * (alpha - i), ell)), wval).items():
+            for x, m in shuffle(v, (-1,) * i).items():
+                lc_put(rhs, x, c * m)
+    diff: dict = {}
+    for v, c in lc_sub(lhs, rhs).items():
+        s = from_int_word(v)
+        diff[s] = -c if (d + alpha + s.depth) % 2 else c
+    return canonicalize(diff)
+
+
+def _assert_canonical_lincomb(lc):
+    for c in lc.values():
+        _assert_canonical(c)
+
+
+def test_stuffle_reg_matches_the_symbolic_recursion():
+    lam_log2 = SymPoly.gen("lam") * LOG2
+    for P in (T, ZERO, V, 2 * V - LOG2, lam_log2):
+        memo: dict = {}
+        for s in signed_indices(5):
+            got = stuffle_reg(s, P)
+            assert got == _stuffle_reg_reference(s, P, memo), (s, P)
+            _assert_canonical_lincomb(got)
+            if P == T:
+                # sh_from_st maps the same table through the comparison map
+                want = {key: r for key, c in got.items() if (r := rho_apply(c))}
+                assert sh_from_st(s, "T") == want, s
+                _assert_canonical_lincomb(sh_from_st(s, "T"))
+
+
+def test_word_shuffle_reg_matches_the_symbolic_taylor_form():
+    for wval in (-T, T, ZERO, 2 * W + 1):
+        for length in range(6):
+            for w in itertools.product((0, 1, -1), repeat=length):
+                got = word_shuffle_reg(w, wval)
+                assert got == _word_shuffle_reg_reference(w, wval), (w, wval)
+                _assert_canonical_lincomb(got)
+
+
+def test_distribution_residual_matches_the_symbolic_assembly():
+    grid = [(k, alpha, ell, None) for k in [(2,), (3,), (4,), (1, 2), (2, 2), (1, 3), (1, 1, 2)]
+            for alpha in range(3) for ell in (0, 1)]
+    grid += [(k, alpha, 0, P) for k in [(2,), (1, 2)] for alpha in range(3) for P in (V, 2 * V + 1, ZERO)]
+    for k, alpha, ell, P in grid:
+        got = distribution_residual(k, alpha, ell, P)
+        assert got == _distribution_residual_reference(k, alpha, ell, P), (k, alpha, ell, P)
+        _assert_canonical_lincomb(got)
+    # the residual sums its words itself: no symbolic-W word enters the word memo
+    assert not any(wval for _, wval in regularize._word_cache)
+
+
+def test_stuffle_reg_at_zero_after_T_equals_a_cold_one():
+    indices = list(signed_indices(5))
+    warm = {}
+    for s in indices:
+        stuffle_reg(s, T)
+        warm[s] = stuffle_reg(s, ZERO)
+    _clear_memos()
+    for s in indices:
+        assert stuffle_reg(s, ZERO) == warm[s], s
+
+
+def test_a_raising_index_stores_nothing(monkeypatch):
+    # the self multiplicity of (2, 1, 1) in (2, 1) * (1) doubled: the index
+    # raises, and so does every index whose recursion reaches it
+    real = regularize._stuffle_parts
+
+    def broken(u, v):
+        return tuple((x, 2 * m if u == (2, 1) and x == u + v else m) for x, m in real(u, v))
+
+    monkeypatch.setattr(regularize, "_stuffle_parts", broken)
+    for call in (lambda: stuffle_reg(zi(2, 1, 1), T), lambda: stuffle_reg(zi(2, 1, 1, 1), ZERO),
+                 lambda: sh_from_st(zi(2, 1, 1, 1), "T")):
+        with pytest.raises(InvariantError, match=r"\(2, 1, 1\) occurs 4 times .* not 2"):
+            call()
+        assert regularize._st_table_cache == {} and regularize._st_cache == {}
