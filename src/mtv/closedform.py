@@ -4,11 +4,30 @@ All identities are returned fully reduced: barred depth-one zetas are
 rewritten through their eta-function values, even zetas become powers
 of pi2, so two equal closed forms are structurally identical SymPolys.
 
+The insertion families t*({2}^a, 1, {2}^b), t({2}^a, 3, {2}^b) and
+zeta({2}^a, 3, {2}^b) are sums of z(2r+1) pi2^m, one term per r.  Each
+evaluator computes the coefficient of z(2r+1) pi2^m as an int numerator
+over an int denominator and builds one canonical SymPoly over their lcm,
+with no Fraction and no SymPoly product per term.  The numerators are
+ints because the factor 1 - 4^(-r) of zeta(bar 2r+1) and of Zagier's
+B-table cancels against 4^r: (4^r/(4^r-1)) (1 - 4^(-r)) = 1, and
+4^r (1 - 4^(-r)) = 4^r - 1.  With m the pi2 exponent:
+
+    t*({2}^a,1,{2}^b)   (-1)^r [C(2r,2a) (4^r-1) + 4^r C(2r,2b)]
+                            / (4^(2r+m) (2m)!),                 m = a+b-r
+    ttilde({2}^a,3,{2}^b)  (-1)^(r+1) 2 [4^r C(2r,2a+1) + (4^r-1) C(2r,2b+1)]
+                            / (4^r (2m)!),                      m = a+b+1-r
+    zeta({2}^a,3,{2}^b) (-1)^r 2 [4^r C(2r,2a+2) - (4^r-1) C(2r,2b+1)]
+                            / (4^r (2m+1)!),                    m = a+b+1-r
+
+plus, for t*, the log2 and V boundary terms at a = 0 and at b = 0.
+
 The derivation matrices consume four coefficient families, written here
 with word subscripts: c[2^a 3 2^b] and c[2^a 1] are the single-zeta
 coefficients of depth-one-reducible zeta blocks in the linearized
 quotient, d[2^a 1 2^b] and d[2^a 3 2^b] the corresponding coefficients
-for the rescaled t blocks.
+for the rescaled t blocks.  Every table refuses a negative argument
+with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -17,7 +36,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .symring import LOG2, SymPoly, zeta_sym
+from .symring import LOG2, SymPoly, _reduced, zeta_sym
+
+
+def _need_nonneg(args: dict) -> None:
+    """Refuse a negative argument, naming it (ValueError)."""
+    for name, v in args.items():
+        if v < 0:
+            raise ValueError(f"need {name} >= 0, got {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -26,16 +52,19 @@ from .symring import LOG2, SymPoly, zeta_sym
 
 @lru_cache(maxsize=None)
 def coeff_A(r: int, a: int, b: int) -> Fraction:
+    _need_nonneg({"r": r, "a": a, "b": b})
     return Fraction(math.comb(2 * r, 2 * a + 2))
 
 
 @lru_cache(maxsize=None)
 def coeff_B(r: int, a: int, b: int) -> Fraction:
+    _need_nonneg({"r": r, "a": a, "b": b})
     return (1 - Fraction(1, 4 ** r)) * math.comb(2 * r, 2 * b + 1)
 
 
 def coeff_c_21(a: int) -> Fraction:
     """Coefficient of z(2a+1) in the linearized zeta({2}^a, 1); zero at a = 0."""
+    _need_nonneg({"a": a})
     if a == 0:
         return Fraction(0)
     return Fraction(2 * (-1) ** a)
@@ -43,6 +72,7 @@ def coeff_c_21(a: int) -> Fraction:
 
 def coeff_c_231(a: int, b: int) -> Fraction:
     """Coefficient of z(2a+2b+3) in the linearized zeta({2}^a, 3, {2}^b)."""
+    _need_nonneg({"a": a, "b": b})
     n = a + b + 1
     return 2 * Fraction((-1) ** (a + b)) * (
         -Fraction(math.comb(2 * n, 2 * a + 2)) + (1 - Fraction(1, 4 ** n)) * math.comb(2 * n, 2 * b + 1)
@@ -51,12 +81,14 @@ def coeff_c_231(a: int, b: int) -> Fraction:
 
 def coeff_d_121(a: int, b: int) -> Fraction:
     """Coefficient of z(2a+2b+1) in the linearized rescaled t({2}^a, 1, {2}^b)."""
+    _need_nonneg({"a": a, "b": b})
     n = a + b
     return 4 * Fraction((-1) ** n) * (1 - Fraction(1, 2 ** (2 * n + 1))) * math.comb(2 * n, 2 * a)
 
 
 def coeff_d_232(a: int, b: int) -> Fraction:
     """Coefficient of z(2a+2b+3) in the linearized rescaled t({2}^a, 3, {2}^b)."""
+    _need_nonneg({"a": a, "b": b})
     n = a + b + 1
     return 4 * Fraction((-1) ** (a + b)) * (1 - Fraction(1, 2 ** (2 * n + 1))) * math.comb(2 * n, 2 * a + 1)
 
@@ -65,6 +97,7 @@ def zl_2212(alpha: int, beta: int) -> Fraction:
     """Coefficient of z(2*alpha+2*beta+1) in the linearized
     zeta({2}^alpha, 1, {2}^beta), for beta >= 1 via the duality-shuffled
     table, and the trailing-1 value for beta = 0."""
+    _need_nonneg({"alpha": alpha, "beta": beta})
     if beta == 0:
         return coeff_c_21(alpha)
     r = alpha + beta
@@ -86,26 +119,30 @@ def zbar_reduce(m: int) -> SymPoly:
 
 def eval_t22(a: int) -> SymPoly:
     """t({2}^a) = pi^(2a) / (2^(2a) (2a)!)."""
-    if a < 0:
-        raise ValueError("need a >= 0")
+    _need_nonneg({"a": a})
     return SymPoly.gen("pi2", a, Fraction(1, 4 ** a * math.factorial(2 * a))) if a else SymPoly.one()
-
-
-def eval_t22_tilde(a: int) -> SymPoly:
-    """Rescaled version 2^(2a) t({2}^a) = pi^(2a) / (2a)!."""
-    return SymPoly.const(Fraction(4 ** a)) * eval_t22(a)
-
-
-def eval_z22(m: int) -> SymPoly:
-    """zeta({2}^m) = pi^(2m) / (2m+1)!."""
-    if m < 0:
-        raise ValueError("need m >= 0")
-    return SymPoly.gen("pi2", m, Fraction(1, math.factorial(2 * m + 1))) if m else SymPoly.one()
 
 
 # ---------------------------------------------------------------------------
 # the one-insertion and three-insertion families
 # ---------------------------------------------------------------------------
+
+def _zeta_pi2_poly(cells, extra=()) -> SymPoly:
+    """sum (n/d) pi2^m z(2r+1) over the cells (r, m, n, d), plus the
+    SymPolys in extra, as one canonical SymPoly: every int numerator is
+    put over the lcm of the denominators and the zeros are dropped once,
+    so the monomials keep the order of the cells, then of extra."""
+    den = math.lcm(*(d for *_, d in cells), *(p.den for p in extra))
+    num = {}
+    for r, m, n, d in cells:
+        z = (f"z{2 * r + 1}", 1)
+        num[(("pi2", m), z) if m else (z,)] = n * (den // d)
+    for p in extra:
+        f = den // p.den
+        for mono, c in p.num.items():
+            num[mono] = num.get(mono, 0) + c * f
+    return _reduced({mono: c for mono, c in num.items() if c}, den)
+
 
 def eval_t2212_star(a: int, b: int, V=None) -> SymPoly:
     """Stuffle-regularized t({2}^a, 1, {2}^b) with t*(1) = V:
@@ -113,19 +150,25 @@ def eval_t2212_star(a: int, b: int, V=None) -> SymPoly:
         -sum_{r=1}^{a+b} (-1)^r 2^(-2r) [C(2r,2a) + 4^r/(4^r-1) C(2r,2b)]
             zeta(bar 2r+1) t({2}^(a+b-r))
         + [a=0] log2 t({2}^b) + [b=0] (V - log2) t({2}^a)
+
+    With zeta(bar 2r+1) = -(1 - 4^(-r)) z(2r+1) and
+    (4^r/(4^r-1)) (1 - 4^(-r)) = 1, the coefficient of z(2r+1) pi2^m,
+    m = a+b-r, is the int (-1)^r [C(2r,2a) (4^r-1) + 4^r C(2r,2b)] over
+    4^(2r+m) (2m)!.
     """
-    if a < 0 or b < 0:
-        raise ValueError("need a, b >= 0")
+    _need_nonneg({"a": a, "b": b})
     V = SymPoly.gen("V") if V is None else SymPoly.coerce(V)
-    terms = []
+    cells = []
     for r in range(1, a + b + 1):
-        bracket = Fraction(math.comb(2 * r, 2 * a)) + Fraction(4 ** r, 4 ** r - 1) * math.comb(2 * r, 2 * b)
-        terms.append((-Fraction((-1) ** r, 4 ** r) * bracket, zbar_reduce(2 * r + 1) * eval_t22(a + b - r)))
+        q, m = 4 ** r, a + b - r
+        n = (-1) ** r * (math.comb(2 * r, 2 * a) * (q - 1) + q * math.comb(2 * r, 2 * b))
+        cells.append((r, m, n, q * q * 4 ** m * math.factorial(2 * m)))
+    extra = []
     if a == 0:
-        terms.append((1, LOG2 * eval_t22(b)))
+        extra.append(LOG2 * eval_t22(b))
     if b == 0:
-        terms.append((1, (V - LOG2) * eval_t22(a)))
-    return SymPoly.combination(terms)
+        extra.append((V - LOG2) * eval_t22(a))
+    return _zeta_pi2_poly(cells, extra)
 
 
 def eval_t2212_sh(a: int, b: int, W=None) -> SymPoly:
@@ -157,28 +200,41 @@ def eval_t2232_tilde(a: int, b: int) -> SymPoly:
         sum_{r=1}^{a+b+1} (-1)^(r+1) 2 [C(2r,2a+1) + (1-2^(-2r)) C(2r,2b+1)]
             zeta(2r+1) ttilde({2}^(a+b+1-r))
 
+    with ttilde({2}^m) = pi2^m / (2m)!.  Since 4^r (1 - 4^(-r)) = 4^r - 1,
+    the coefficient of z(2r+1) pi2^m, m = a+b+1-r, is the int
+    (-1)^(r+1) 2 [4^r C(2r,2a+1) + (4^r-1) C(2r,2b+1)] over 4^r (2m)!.
+
     Divide by 2^(2a+2b+3) for the plain t value.
     """
-    if a < 0 or b < 0:
-        raise ValueError("need a, b >= 0")
-
-    def term(r):
-        bracket = Fraction(math.comb(2 * r, 2 * a + 1)) + (1 - Fraction(1, 4 ** r)) * math.comb(2 * r, 2 * b + 1)
-        return (-1) ** (r + 1) * 2 * bracket, zeta_sym(2 * r + 1) * eval_t22_tilde(a + b + 1 - r)
-
-    return SymPoly.combination(term(r) for r in range(1, a + b + 2))
+    _need_nonneg({"a": a, "b": b})
+    cells = []
+    for r in range(1, a + b + 2):
+        q, m = 4 ** r, a + b + 1 - r
+        n = (-1) ** (r + 1) * 2 * (q * math.comb(2 * r, 2 * a + 1) + (q - 1) * math.comb(2 * r, 2 * b + 1))
+        cells.append((r, m, n, q * math.factorial(2 * m)))
+    return _zeta_pi2_poly(cells)
 
 
 def eval_t2232(a: int, b: int) -> SymPoly:
-    return SymPoly.const(Fraction(1, 2) ** (2 * a + 2 * b + 3)) * eval_t2232_tilde(a, b)
+    """t({2}^a, 3, {2}^b): each int numerator of the rescaled form over
+    2^(2a+2b+3) 4^r (2m)!."""
+    return eval_t2232_tilde(a, b) * Fraction(1, 2 ** (2 * a + 2 * b + 3))
 
 
 def eval_z2232(a: int, b: int) -> SymPoly:
     """zeta({2}^a, 3, {2}^b) as a polynomial in odd zetas and pi2:
 
         sum_{r=1}^{a+b+1} (-1)^r 2 (A^r_{a,b} - B^r_{a,b}) zeta(2r+1) zeta({2}^(a+b+1-r))
+
+    with zeta({2}^m) = pi2^m / (2m+1)!.  Since 4^r B^r_{a,b} =
+    (4^r-1) C(2r,2b+1), the coefficient of z(2r+1) pi2^m, m = a+b+1-r, is
+    the int (-1)^r 2 [4^r C(2r,2a+2) - (4^r-1) C(2r,2b+1)] over
+    4^r (2m+1)!.
     """
-    if a < 0 or b < 0:
-        raise ValueError("need a, b >= 0")
-    return SymPoly.combination(((-1) ** r * 2 * (coeff_A(r, a, b) - coeff_B(r, a, b)),
-                                zeta_sym(2 * r + 1) * eval_z22(a + b + 1 - r)) for r in range(1, a + b + 2))
+    _need_nonneg({"a": a, "b": b})
+    cells = []
+    for r in range(1, a + b + 2):
+        q, m = 4 ** r, a + b + 1 - r
+        n = (-1) ** r * 2 * (q * math.comb(2 * r, 2 * a + 2) - (q - 1) * math.comb(2 * r, 2 * b + 1))
+        cells.append((r, m, n, q * math.factorial(2 * m + 1)))
+    return _zeta_pi2_poly(cells)

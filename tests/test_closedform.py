@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,10 @@ from mtv.closedform import (
     coeff_d_232,
     eval_t12n,
     eval_t22,
-    eval_t22_tilde,
     eval_t2212_sh,
     eval_t2212_star,
+    eval_t2232,
     eval_t2232_tilde,
-    eval_z22,
     eval_z2232,
     zbar_reduce,
     zl_2212,
@@ -24,6 +24,72 @@ from mtv.symring import LOG2, PI2, SymPoly, zeta_sym
 
 V = SymPoly.gen("V")
 W = SymPoly.gen("W")
+T = SymPoly.gen("T")
+
+
+# -- reference forms: each term a Fraction bracket times a SymPoly product ---
+
+def ref_t22_tilde(a):
+    """2^(2a) t({2}^a) = pi^(2a) / (2a)!."""
+    return SymPoly.const(Fraction(4 ** a)) * eval_t22(a)
+
+
+def ref_z22(m):
+    """zeta({2}^m) = pi^(2m) / (2m+1)!."""
+    return SymPoly.gen("pi2", m, Fraction(1, math.factorial(2 * m + 1))) if m else SymPoly.one()
+
+
+def ref_t2212_star(a, b, V=None):
+    V = SymPoly.gen("V") if V is None else SymPoly.coerce(V)
+    terms = []
+    for r in range(1, a + b + 1):
+        bracket = Fraction(math.comb(2 * r, 2 * a)) + Fraction(4 ** r, 4 ** r - 1) * math.comb(2 * r, 2 * b)
+        terms.append((-Fraction((-1) ** r, 4 ** r) * bracket, zbar_reduce(2 * r + 1) * eval_t22(a + b - r)))
+    if a == 0:
+        terms.append((1, LOG2 * eval_t22(b)))
+    if b == 0:
+        terms.append((1, (V - LOG2) * eval_t22(a)))
+    return SymPoly.combination(terms)
+
+
+def ref_t2212_sh(a, b):
+    return ref_t2212_star(a, b, V=(W + LOG2) * Fraction(1, 2))
+
+
+def ref_t2232_tilde(a, b):
+    def term(r):
+        bracket = Fraction(math.comb(2 * r, 2 * a + 1)) + (1 - Fraction(1, 4 ** r)) * math.comb(2 * r, 2 * b + 1)
+        return (-1) ** (r + 1) * 2 * bracket, zeta_sym(2 * r + 1) * ref_t22_tilde(a + b + 1 - r)
+
+    return SymPoly.combination(term(r) for r in range(1, a + b + 2))
+
+
+def ref_t2232(a, b):
+    return SymPoly.const(Fraction(1, 2) ** (2 * a + 2 * b + 3)) * ref_t2232_tilde(a, b)
+
+
+def ref_z2232(a, b):
+    return SymPoly.combination(((-1) ** r * 2 * (coeff_A(r, a, b) - coeff_B(r, a, b)),
+                                zeta_sym(2 * r + 1) * ref_z22(a + b + 1 - r)) for r in range(1, a + b + 2))
+
+
+def _stored(p):
+    return list(p.num.items()), p.den
+
+
+def test_closed_forms_store_what_the_reference_products_store():
+    # the same monomials in the same order over the same denominator
+    assert ref_t22_tilde(1) == PI2 * Fraction(1, 2)
+    assert ref_z22(2) == SymPoly.gen("pi2", 2, Fraction(1, 120))
+    pairs = [(eval_t2212_sh, ref_t2212_sh), (eval_t2232, ref_t2232),
+             (eval_t2232_tilde, ref_t2232_tilde), (eval_z2232, ref_z2232)]
+    for a in range(8):
+        for b in range(8):
+            assert _stored(eval_t2212_star(a, b)) == _stored(ref_t2212_star(a, b)), (a, b)
+            for v in (T, 0, (W + LOG2) * Fraction(1, 2)):
+                assert _stored(eval_t2212_star(a, b, v)) == _stored(ref_t2212_star(a, b, v)), (a, b, v)
+            for new, ref in pairs:
+                assert _stored(new(a, b)) == _stored(ref(a, b)), (new.__name__, a, b)
 
 
 def test_coefficient_values():
@@ -57,8 +123,6 @@ def test_eval_t22():
     assert eval_t22(0) == SymPoly.one()
     assert eval_t22(1) == PI2 * Fraction(1, 8)
     assert eval_t22(2) == SymPoly.gen("pi2", 2, Fraction(1, 384))
-    assert eval_t22_tilde(1) == PI2 * Fraction(1, 2)
-    assert eval_z22(2) == SymPoly.gen("pi2", 2, Fraction(1, 120))
 
 
 def test_zbar_reduce():
@@ -112,6 +176,28 @@ def test_z2232_base():
     p = eval_z2232(1, 0)
     assert p.coeff_of_power("z5", 1).const_value() == Fraction(-11, 2)
     assert p.coeff_of_power("z3", 1) == SymPoly.gen("pi2", 1, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("table, args, name", [
+    (coeff_A, (1, -1, 0), "a"),
+    (coeff_B, (-1, 0, 0), "r"),
+    (coeff_c_21, (-1,), "a"),
+    (coeff_c_231, (-1, 0), "a"),
+    (coeff_d_121, (0, -1), "b"),
+    (coeff_d_232, (-2, 1), "a"),
+    (zl_2212, (-1, 0), "alpha"),
+])
+def test_tables_refuse_a_negative_argument(table, args, name):
+    with pytest.raises(ValueError, match=f"need {name} >= 0, got -"):
+        table(*args)
+
+
+def test_evaluators_refuse_a_negative_argument():
+    for f in (eval_t2212_star, eval_t2212_sh, eval_t2232, eval_t2232_tilde, eval_z2232):
+        with pytest.raises(ValueError, match="need b >= 0, got -1"):
+            f(0, -1)
+    with pytest.raises(ValueError, match="need a >= 0, got -1"):
+        eval_t22(-1)
 
 
 def test_AB_tables():
