@@ -186,14 +186,10 @@ def cmd_matrix(args) -> int:
         print(json.dumps(m.to_json(), indent=1))
     else:
         head = [""] + ["".join(map(str, w)) if w else "(empty)" for w in m.cols]
-        widths = [max(len(str(x)) for x in col) for col in zip(*([head] + [
-            ["".join(map(str, w))] + [str(x) for x in row] for w, row in zip(m.rows, m.entries)
-        ]))]
-        def fmt_row(cells):
-            return "  ".join(str(c).rjust(w) for c, w in zip(cells, widths))
-        print(fmt_row(head))
-        for w, row in zip(m.rows, m.entries):
-            print(fmt_row(["".join(map(str, w))] + [str(x) for x in row]))
+        body = [["".join(map(str, w))] + [str(x) for x in row] for w, row in zip(m.rows, m.entries)]
+        widths = [max(map(len, col)) for col in zip(head, *body)]
+        for cells in [head] + body:
+            print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
     return 0
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .symring import LOG2, SymPoly, _reduced, zeta_sym
 
@@ -50,13 +49,11 @@ def _need_nonneg(args: dict) -> None:
 # rational coefficient tables
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def coeff_A(r: int, a: int, b: int) -> Fraction:
     _need_nonneg({"r": r, "a": a, "b": b})
     return Fraction(math.comb(2 * r, 2 * a + 2))
 
 
-@lru_cache(maxsize=None)
 def coeff_B(r: int, a: int, b: int) -> Fraction:
     _need_nonneg({"r": r, "a": a, "b": b})
     return (1 - Fraction(1, 4 ** r)) * math.comb(2 * r, 2 * b + 1)

@@ -21,8 +21,9 @@ factor is checked for validity and for level < l on every build, before
 any terms cancel, its validity and level read from a memo per right
 factor.  The graded factors are summed as integer numerators over one
 common denominator per row, and each nonzero entry becomes one Fraction.
-A matrix keeps its rows sparse, FiltMatrix.nonzero ({column: entry} per
-row), next to the dense entries that to_json and the CLI print.
+A matrix is its sparse rows only, FiltMatrix.nonzero ({column: entry}
+per row); the dense rows that to_json and the CLI print (entries) are a
+view built afresh from them on every read.
 A matrix is factorised once: FiltMatrix.blocks holds its diagonal
 blocks' determinants (ratmatrix.block_dets), and Hstar's are its H
 matrix's.  det() of S and H is their product; Hstar's affine determinant
@@ -55,7 +56,7 @@ from .indexcore import (
     trailing_run,
     word_level,
 )
-from .ratmatrix import block_dets, det_bareiss, diagonal_blocks, nonzero_rows, parity, sub_rows
+from .ratmatrix import block_dets, det_bareiss, diagonal_blocks, parity, sub_rows
 from .symring import SymPoly, lc_put
 
 LOG = ("log",)
@@ -355,26 +356,34 @@ def _level_row(w: tuple, word_kind: str, ell: int) -> dict:
 
 @dataclass(frozen=True)
 class FiltMatrix:
-    """A level matrix.  A built matrix is shared, by every build of its
-    (kind, N, ell) and by the Hstar matrices derived from it, so it is
-    read-only: copy its rows before changing any."""
+    """A level matrix, held as its sparse rows only.  A built matrix is
+    shared, by every build of its (kind, N, ell) and by the Hstar
+    matrices derived from it, so it is read-only: copy its nonzero rows
+    before changing any (entries is a fresh copy already)."""
 
     kind: str
     N: int
     ell: int
     rows: list
     cols: list
-    entries: list  # list of lists of Fractions; for Hstar, SymPolys lam - 1/2 + H's entry at the cells
+    nonzero: list  # the rows' nonzero entries {column offset: entry}; for Hstar, SymPolys lam - 1/2 + H's entry at the cells
     base: FiltMatrix | None = None  # Hstar: its kind-H matrix, the value at lam = 1/2
     cells: tuple = ()  # Hstar: the (row, column) offsets of the lam cells
-    nonzero: list | None = None  # the rows' nonzero entries {column offset: entry}; read off entries if None
 
-    def __post_init__(self):
-        if self.nonzero is None:
-            object.__setattr__(self, "nonzero", nonzero_rows(self.entries))
+    @property
+    def entries(self) -> list:
+        """The dense rows, built afresh from the nonzero rows on every
+        read, so a caller may change them."""
+        out = []
+        for nz in self.nonzero:
+            row = [_ZERO] * len(self.cols)
+            for j, x in nz.items():
+                row[j] = x
+            out.append(row)
+        return out
 
     def entry(self, w, wp):
-        return self.entries[self.rows.index(w)][self.cols.index(wp)]
+        return self.nonzero[self.rows.index(w)].get(self.cols.index(wp), _ZERO)
 
     @cached_property
     def blocks(self) -> list:
@@ -439,19 +448,14 @@ def _plain_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
     if len(B) != len(Bp):
         raise InvariantError(f"bases of unequal size at {kind} N={N} level {ell}: {len(B)} and {len(Bp)}")
     col = {u: j for j, u in enumerate(Bp)}
-    nonzero, entries = [], []
+    nonzero = []
     for w in B:
         row_map = _level_row(w, kind, ell)
         try:
-            nz = {col[u]: x for u, x in row_map.items()}
+            nonzero.append({col[u]: x for u, x in row_map.items()})
         except KeyError:
             raise InvariantError(f"row {w} hit non-basis words {sorted(set(row_map) - col.keys())}") from None
-        row = [_ZERO] * len(Bp)
-        for j, x in nz.items():
-            row[j] = x
-        nonzero.append(nz)
-        entries.append(row)
-    return FiltMatrix(kind, N, ell, list(B), list(Bp), entries, nonzero=nonzero)
+    return FiltMatrix(kind, N, ell, list(B), list(Bp), nonzero)
 
 
 def star_matrix(h: FiltMatrix) -> FiltMatrix:
@@ -462,7 +466,7 @@ def star_matrix(h: FiltMatrix) -> FiltMatrix:
     ell - 1.  A row whose w[:-1] is not a column raises InvariantError.
     """
     col = {u: j for j, u in enumerate(h.cols)}
-    entries, nonzero = list(h.entries), list(h.nonzero)
+    nonzero = list(h.nonzero)
     cells = []
     for i, w in enumerate(h.rows):
         if w[-1] != 1:
@@ -470,12 +474,9 @@ def star_matrix(h: FiltMatrix) -> FiltMatrix:
         j = col.get(w[:-1])
         if j is None:
             raise InvariantError(f"row {w} ends in 1 but {w[:-1]} is not a column")
-        cell = SymPoly.gen("lam") - Fraction(1, 2) + entries[i][j]
-        entries[i] = entries[i][:]
-        entries[i][j] = cell
-        nonzero[i] = {**nonzero[i], j: cell}
+        nonzero[i] = {**nonzero[i], j: SymPoly.gen("lam") - Fraction(1, 2) + nonzero[i].get(j, 0)}
         cells.append((i, j))
-    return FiltMatrix("Hstar", h.N, h.ell, h.rows, h.cols, entries, h, tuple(cells), nonzero)
+    return FiltMatrix("Hstar", h.N, h.ell, h.rows, h.cols, nonzero, h, tuple(cells))
 
 
 def _star_det(base: FiltMatrix, cells) -> SymPoly:

@@ -3,10 +3,9 @@
 A matrix is a list of rows, each row a dict {column: entry} of its
 nonzero entries (ints or Fractions); the parametric Hstar matrices are
 reduced to Fraction matrices in motivic before they get here.  The
-level matrices are about 12 % nonzero, so every pass but the Bareiss
-elimination itself reads only the nonzero entries: the cut scan, the
-block scaling and motivic's parity checks.  A dense caller converts
-once (nonzero_rows).
+level matrices are about 12 % nonzero and are kept as sparse rows only,
+so every pass but the Bareiss elimination itself reads only the nonzero
+entries: the cut scan, the block scaling and motivic's parity checks.
 
 A matrix is first cut into its diagonal blocks: one scan finds every c
 with all entries of rows[:c] in columns >= c zero, so the matrix is
@@ -25,14 +24,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def nonzero_rows(rows) -> list:
-    """The sparse rows {column: entry} of a dense square matrix."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError(f"non-square matrix: {n} rows of lengths {sorted({len(r) for r in rows})}")
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def sub_rows(rows, c0: int, c1: int) -> list:

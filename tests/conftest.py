@@ -1,12 +1,10 @@
 import pytest
 
-from mtv import closedform, indexcore, motivic, numoracle, regularize, symring, wordalg
+from mtv import indexcore, motivic, numoracle, regularize, symring, wordalg
 
 # Every process-wide memo of mtv, as README lists them: the lru_caches and
 # the dict memos.  test_memos.py fails if a module holds one not named here.
 MEMOS = (
-    closedform.coeff_A,
-    closedform.coeff_B,
     indexcore.from_int_word,
     motivic._deriv_D_all,
     motivic._right_factor,

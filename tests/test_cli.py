@@ -37,10 +37,23 @@ def test_matrix_json_roundtrip(capsys):
     assert data["entries"][0] == ["1", "0", "4", "0", "0", "-16", "0", "0", "0"]
 
 
-def test_matrix_text(capsys):
-    code, out, _ = run_cli(capsys, "matrix", "--kind", "H", "--N", "8", "--level", "2")
+_HSTAR_4_2 = """\
+           12        21   1
+112         1         0   0
+121  -1 + lam         1  -7
+211         0  -1 + lam  -7
+"""
+
+
+@pytest.mark.parametrize("kind, N, level, check", [
+    pytest.param("H", 8, 2, lambda out: "11222" in out and "-1905" in out, id="H"),
+    # the dense view of the sparse rows, lam cells included, exactly as printed
+    pytest.param("Hstar", 4, 2, lambda out: out == _HSTAR_4_2, id="Hstar"),
+])
+def test_matrix_text(capsys, kind, N, level, check):
+    code, out, _ = run_cli(capsys, "matrix", "--kind", kind, "--N", str(N), "--level", str(level))
     assert code == 0
-    assert "11222" in out and "-1905" in out
+    assert check(out), out
 
 
 def test_eval(capsys):

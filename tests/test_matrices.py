@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -10,13 +11,18 @@ from mtv import motivic, ratmatrix
 from mtv.errors import InvariantError
 from mtv.indexcore import basis_sets, trailing_ones_partition
 from mtv.motivic import FiltMatrix, build_matrix, det_mod2_structure
-from mtv.ratmatrix import det_bareiss, diagonal_blocks, nonzero_rows
+from mtv.ratmatrix import det_bareiss, diagonal_blocks
 from mtv.symring import SymPoly
 
 
 def _golden(name):
     with resources.files("mtv.data").joinpath(name).open() as fh:
         return json.load(fh)
+
+
+def _sparse(rows):
+    """The sparse rows {column: entry} of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def cofactor_det(m):
@@ -51,14 +57,14 @@ def gauss_det(m):
 
 
 def test_det_bareiss():
-    assert det_bareiss(nonzero_rows([[Fraction(1)]])) == 1
-    assert det_bareiss(nonzero_rows([[1, 2], [3, 4]])) == -2
-    assert det_bareiss(nonzero_rows([[0, 1], [1, 0]])) == -1
-    assert det_bareiss(nonzero_rows([[Fraction(1, 2), 1], [1, 2]])) == 0
+    assert det_bareiss(_sparse([[Fraction(1)]])) == 1
+    assert det_bareiss(_sparse([[1, 2], [3, 4]])) == -2
+    assert det_bareiss(_sparse([[0, 1], [1, 0]])) == -1
+    assert det_bareiss(_sparse([[Fraction(1, 2), 1], [1, 2]])) == 0
     m = [[Fraction(i * j + (i == j), 3) for j in range(5)] for i in range(5)]
-    assert det_bareiss(nonzero_rows(m)) == cofactor_det(m)
+    assert det_bareiss(_sparse(m)) == cofactor_det(m)
     m = [[Fraction((i * 7 + j * 3) % 5 - 2, 1 + ((i + j) % 3)) for j in range(5)] for i in range(5)]
-    assert det_bareiss(nonzero_rows(m)) == cofactor_det(m)
+    assert det_bareiss(_sparse(m)) == cofactor_det(m)
 
 
 def test_det_bareiss_integer_path_against_cofactors():
@@ -71,10 +77,10 @@ def test_det_bareiss_integer_path_against_cofactors():
         "0 x 0": [],
     }
     for name, m in cases.items():
-        det = det_bareiss(nonzero_rows(m))
+        det = det_bareiss(_sparse(m))
         assert isinstance(det, Fraction) and det == cofactor_det(m) == gauss_det(m), name
     assert cofactor_det(cases["zero pivot needing a row swap"]) != 0
-    assert det_bareiss(nonzero_rows(cases["singular"])) == 0
+    assert det_bareiss(_sparse(cases["singular"])) == 0
 
 
 def _block_lower(rng, sizes, dens=(1, 2, 3, 5)):
@@ -94,11 +100,11 @@ def test_det_bareiss_splits_block_lower_triangular_matrices():
         cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) + [n]
         sizes = [b - a for a, b in zip([0] + cuts, cuts)]
         m = _block_lower(rng, sizes)
-        assert det_bareiss(nonzero_rows(m)) == cofactor_det(m) == gauss_det(m), (sizes, m)
+        assert det_bareiss(_sparse(m)) == cofactor_det(m) == gauss_det(m), (sizes, m)
         # every cut of the construction is found (a block may split further)
-        assert set(cuts) <= {c1 for _, c1 in diagonal_blocks(nonzero_rows(m))}, (sizes, m)
+        assert set(cuts) <= {c1 for _, c1 in diagonal_blocks(_sparse(m))}, (sizes, m)
         # the nonzero rows give each block's determinant as the dense block's cofactor expansion
-        for c0, c1, d in ratmatrix.block_dets(nonzero_rows(m)):
+        for c0, c1, d in ratmatrix.block_dets(_sparse(m)):
             assert d == cofactor_det([row[c0:c1] for row in m[c0:c1]]), (sizes, m, c0, c1)
 
 
@@ -109,7 +115,37 @@ def test_nonzero_rows_are_the_nonzero_entries(kind):
             if not basis_sets("H" if kind == "Hstar" else kind, N, ell)[0]:
                 continue
             m = build_matrix(kind, N, ell)
-            assert m.nonzero == [{j: x for j, x in enumerate(row) if x} for row in m.entries], (kind, N, ell)
+            assert m.nonzero == _sparse(m.entries), (kind, N, ell)
+
+
+def test_entries_is_a_fresh_view():
+    # the dense rows are built from the sparse rows on every read, so
+    # changing them changes no memoised matrix, determinant or Hstar
+    h = build_matrix("H", 8, 2)
+    want = (h.to_json(), h.det(), build_matrix("Hstar", 8, 2).to_json())
+    build_matrix("H", 8, 2).entries[0][0] = Fraction(7)
+    h = build_matrix("H", 8, 2)
+    assert (h.to_json(), h.det(), build_matrix("Hstar", 8, 2).to_json()) == want
+
+
+def test_level_matrices_retain_only_their_sparse_rows():
+    # every S, H and Hstar matrix of weight <= 14, memoised: their sparse
+    # rows and the memos behind them retain 2.72 MB (Python 3.11), where
+    # the same matrices with a dense copy of every row retained 5.45 MB;
+    # the bound lies halfway
+    cases = [(kind, N, ell) for N in range(1, 15) for ell in range(2 - N % 2, N + 1, 2)
+             for kind in ("S", "H", "Hstar")
+             if (kind != "S" or N >= 2) and basis_sets("H" if kind == "Hstar" else kind, N, ell)[0]]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for case in cases:
+            build_matrix(*case)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cases) == 154
+    assert retained < 4_080_000, retained
 
 
 def test_det_bareiss_does_not_cut_below_an_entry_in_the_last_column():
@@ -119,9 +155,9 @@ def test_det_bareiss_does_not_cut_below_an_entry_in_the_last_column():
          [Fraction(1, 2), Fraction(1), Fraction(0), Fraction(0)],
          [Fraction(1), Fraction(0), Fraction(2), Fraction(1)],
          [Fraction(0), Fraction(1), Fraction(1), Fraction(1)]]
-    assert list(diagonal_blocks(nonzero_rows(m))) == [(0, 4)]
+    assert list(diagonal_blocks(_sparse(m))) == [(0, 4)]
     blocks = cofactor_det([r[:2] for r in m[:2]]) * cofactor_det([r[2:] for r in m[2:]])
-    assert det_bareiss(nonzero_rows(m)) == cofactor_det(m) != blocks
+    assert det_bareiss(_sparse(m)) == cofactor_det(m) != blocks
 
 
 def test_det_bareiss_with_a_singular_middle_block_is_zero():
@@ -133,12 +169,12 @@ def test_det_bareiss_with_a_singular_middle_block_is_zero():
     for i in (0, 1, 5, 6):  # the outer blocks stay invertible
         m[i][i] += 20
     assert cofactor_det([r[:2] for r in m[:2]]) != 0 and cofactor_det([r[5:] for r in m[5:]]) != 0
-    assert det_bareiss(nonzero_rows(m)) == cofactor_det(m) == 0
+    assert det_bareiss(_sparse(m)) == cofactor_det(m) == 0
 
 
 def _star_det(plain, cells):
     """The Hstar determinant of a hand-built matrix: plain + (lam - 1/2) at the cells."""
-    base = FiltMatrix("H", 0, 0, [], [], [[Fraction(x) for x in row] for row in plain])
+    base = FiltMatrix("H", 0, 0, [], [], _sparse([[Fraction(x) for x in row] for row in plain]))
     return FiltMatrix("Hstar", 0, 0, [], [], [], base, tuple(cells)).det()
 
 
@@ -280,7 +316,7 @@ def test_hstar_det_with_the_lam_block_in_the_middle():
              [1, 0, 2, 0, 3, 1],
              [half, 2, 0, 1, 1, 2]]
     cells = [(3, 2), (5, 0)]
-    assert list(diagonal_blocks(nonzero_rows(plain))) == [(0, 2), (2, 4), (4, 6)]
+    assert list(diagonal_blocks(_sparse(plain))) == [(0, 2), (2, 4), (4, 6)]
     det = _star_det(plain, cells)
     assert det.max_degree("lam") == 1
     for lam in (Fraction(0), half, Fraction(1), Fraction(2)):
@@ -301,7 +337,7 @@ def test_hstar_det_equals_per_lambda_substitution():
                 value = {"lam": SymPoly.const(lam)}
                 rows = [[x.substitute(value).const_value() if isinstance(x, SymPoly) else x for x in row]
                         for row in m.entries]
-                assert det.substitute(value).const_value() == det_bareiss(nonzero_rows(rows)), (N, ell, lam)
+                assert det.substitute(value).const_value() == det_bareiss(_sparse(rows)), (N, ell, lam)
 
 
 def test_hstar_is_h_plus_one_lam_cell_per_row_ending_in_1():
@@ -408,7 +444,7 @@ def test_singular_lambda_past_19_by_a_second_determinant_route():
 
         def det_at(lam):
             value = {"lam": SymPoly.const(lam)}
-            return det_bareiss(nonzero_rows([[x.substitute(value).const_value() if isinstance(x, SymPoly) else x
+            return det_bareiss(_sparse([[x.substitute(value).const_value() if isinstance(x, SymPoly) else x
                                               for x in row] for row in m.entries]))
 
         assert det_at(lam_s) == 0, N
@@ -428,10 +464,10 @@ def test_computed_singular_lambda_rises_below_3():
 
 def _with_entry(m, i, j, x):
     """A hand-built copy of the level matrix m with entry (i, j) set to x;
-    its nonzero rows are read off the entries."""
-    entries = [row[:] for row in m.entries]
+    its nonzero rows are read off a fresh dense view."""
+    entries = m.entries
     entries[i][j] = x
-    return FiltMatrix(m.kind, m.N, m.ell, m.rows, m.cols, entries)
+    return FiltMatrix(m.kind, m.N, m.ell, m.rows, m.cols, _sparse(entries))
 
 
 def test_structure_reports_refuse_a_broken_parity_pattern():
@@ -441,7 +477,7 @@ def test_structure_reports_refuse_a_broken_parity_pattern():
     assert not bad.ok and "expected upper unitriangular mod 2" in bad.notes
     s1 = build_matrix("S", 9, 1)
     assert det_mod2_structure(s1).ok
-    bad = det_mod2_structure(FiltMatrix("S", 9, 1, s1.rows, s1.cols, s1.entries[:-1] + [[Fraction(0)] * len(s1.cols)]))
+    bad = det_mod2_structure(FiltMatrix("S", 9, 1, s1.rows, s1.cols, s1.nonzero[:-1] + [{}]))
     assert not bad.ok and "last row vanishes" in bad.notes
     h = build_matrix("H", 9, 3)
     assert det_mod2_structure(h).ok and not h.entries[1][0] % 2
@@ -456,11 +492,11 @@ def test_h_structure_notes_one_line_per_nonzero_block_above_the_diagonal():
     # the trailing-ones classes sit contiguously, in ascending order, in the sorted bases
     sizes = [len(c) for c in trailing_ones_partition(m.rows, m.cols, m.N, m.ell)[0]]
     assert len(sizes) == 4 and sizes[0] >= 2 and sizes[1] >= 1
-    entries = [row[:] for row in m.entries]
+    entries = m.entries  # a fresh dense view, free to change
     for i in range(2):  # two entries of block (0, 1)
         entries[i][sizes[0]] = Fraction(1)
     entries[0][-1] = Fraction(1)  # one entry of block (0, 3)
-    bad_m = FiltMatrix(m.kind, m.N, m.ell, m.rows, m.cols, entries)  # its nonzero rows read off entries
+    bad_m = FiltMatrix(m.kind, m.N, m.ell, m.rows, m.cols, _sparse(entries))
     bad = det_mod2_structure(bad_m)
     assert not bad.ok
     # no class boundary is a cut now: the determinant and the final class's
