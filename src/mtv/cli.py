@@ -233,9 +233,15 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+NUM_MAX_WEIGHT = 1000  # a half word's prefix trie holds 2 w (prec + 10) integers
+
+
 def cmd_num(args) -> int:
     env = _env_from_args(args)
     idx = parse_argument(args.index)
+    weight = idx.weight if isinstance(idx, SignedIndex) else sum(idx)
+    if weight > NUM_MAX_WEIGHT:
+        raise ValueError(f"num takes an index of weight at most {NUM_MAX_WEIGHT}, got weight {weight}")
     if isinstance(idx, SignedIndex):
         v = altz_num(idx, env)
     else:

@@ -8,16 +8,16 @@ by one as operators on a single power series, so one pass over a word
 gives the value at 1/2 of each of its prefixes: one pass over the word
 and one over its transform to the upper half feed the convolution.  Its
 series run in exact integer fixed point, 20 guard bits below the
-precision, where each step is a shift or an integer floor division.  The
-truncation is sized from a geometric tail bound and the rounding counted
-per term, so the accuracy follows the precision.  The convolution
-multiplies and sums those integers exactly.  Each NumEnv keeps a prefix
-trie of the half words (``env._trie``): one node per half prefix with its
-series, carries, value and bound, reached in one step from the prefix one
-form shorter.  A pass walks a half word once through it, resumes from
-the series its words share and computes each prefix once; the terms are
-causal, so a memoised value is bit for bit a cold one.  ``env._sums``
-keeps each word's value, which t_num and altz_num look up first.
+precision, where each step is a shift or an integer floor division.  Every
+prefix's scaled terms are at most 2^-n, so every series of a NumEnv stops
+at the one length n0 = prec + 10, and the rounding is counted per term:
+the accuracy follows the precision.  The convolution multiplies and sums
+those integers exactly.  Each NumEnv keeps a prefix trie of the half
+words (``env._trie``): one node per half prefix with its series, value
+and bound, made once from the prefix one form shorter.  A pass walks a
+half word once through it and computes only the prefixes it lacks, so a
+memoised value is bit for bit a cold one.  ``env._sums`` keeps each
+word's value, which t_num and altz_num look up first.
 
 MPFloat arithmetic is exact and ignores mpmath's global precision.  Every
 rounding is a leaf value made here and charged to its own bound: the
@@ -28,6 +28,7 @@ engine, and at prec + 15 bits (``NumEnv.work``) rational coefficients
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -40,13 +41,17 @@ from .symring import SymPoly
 class MPFloat:
     """A value with a tracked absolute error bound.  Sums, differences,
     negations and products are formed exactly, whatever mpmath's global
-    precision, so the bound carries only the propagated input bounds."""
+    precision, so the bound carries only the propagated input bounds.  A
+    NaN, infinite or negative bound is a broken invariant."""
 
     __slots__ = ("val", "err")
 
     def __init__(self, val, err=0.0):
+        err = float(err)
+        if not 0.0 <= err < math.inf:  # NaN fails both comparisons
+            raise InvariantError(f"an error bound must be finite and non-negative, got {err!r}")
         self.val = val
-        self.err = float(err)
+        self.err = err
 
     def __repr__(self):
         return f"MPFloat({mpmath.nstr(mpmath.mpf(self.val), 20)} +- {self.err:.3e})"
@@ -95,7 +100,7 @@ class NumEnv:
     """Precision, cached constants and the memos of the oracle: ``_sums``
     maps ("split", word) to the word's value, ``_trie`` is the root of the
     half prefixes' trie (see _half_pass).  ``cutoff`` is accepted and
-    ignored: the engine sizes its own truncation from the precision, and
+    ignored: the engine stops every series at prec + 10 terms, and
     the benchmark's workloads still pass the cutoff of the float64 nested
     sums it replaced."""
 
@@ -106,7 +111,8 @@ class NumEnv:
         self._consts: dict = {}
         self._sums: dict = {}
         one = 1 << (prec + _GUARD_BITS)
-        self._trie = _Prefix(None, [one], 0, 0, (one, 0.0))
+        n0 = prec + 10  # every series' length: its dropped tail is at most 2^-(prec+9) (see _half_pass)
+        self._trie = _Prefix([one] + [0] * (n0 - 1), 0, (one, 0.0))
 
     def work(self):
         """Context manager for the leaf roundings of this module: working
@@ -171,15 +177,13 @@ _FORMS = {form: _form_consts(form) for form in (*_LOWER.values(), *_UPPER.values
 class _Prefix:
     """A node of a NumEnv's prefix trie: one half prefix, reached from the
     root (the empty word) one form at a time through ``next``.  It holds
-    the prefix's series phi_0 .. phi_(N-1), the carry of each part eta != 0
-    of its last form at phi's last term, its number of advancing forms and
-    of rounding units per term, and its (value, bound) once summed."""
+    the prefix's series phi_0 .. phi_(n0-1), its number of rounding units
+    per term and its (value, bound)."""
 
-    __slots__ = ("form", "phi", "carries", "steps", "units", "half", "next")
+    __slots__ = ("phi", "units", "half", "next")
 
-    def __init__(self, form, phi, steps: int, units: int, half=None):
-        self.form, self.phi, self.steps, self.units, self.half = form, phi, steps, units, half
-        self.carries = [0] * len(_FORMS[form][1]) if form else []
+    def __init__(self, phi, units: int, half):
+        self.phi, self.units, self.half = phi, units, half
         self.next = {}
 
 
@@ -195,35 +199,23 @@ def _half_pass(word, env: NumEnv) -> list:
         dx/(x - eta):  psi_n = -(1/n) sum_{m<n} phi_m y^(n-m),  y = 1/(2 eta),
 
     the second through a carry c(n) = y (c(n-1) + phi_(n-1)), psi_n = -c(n)/n.
-    The value of a prefix is the sum of its series over n < n0.
+    The value of a prefix is the sum of its series over n < n0 = prec + 10.
 
-    Memo.  env._trie holds one _Prefix per half prefix met so far: its
-    series phi_0 .. phi_(N-1) with the carry of each eta != 0 part at the
-    last term, and its (value, bound).  A word walks the trie from the
-    root one form at a time, making the nodes it lacks, so a prefix is
-    found in one step from the one before it.  A word needs every
-    prefix's series to n_max = _cut(prec, L') terms, L' the word's number
-    of forms with a part eta != 0, and each prefix is computed once: a
-    pass applies a form only where its node's series is shorter than
-    n_max, resuming from the stored terms and carries, and sums and
-    bounds a prefix, at its own n0 = _cut(prec, steps), only on its first
-    pass.  The operators are causal: psi_n depends only on phi_m, m <= n,
-    through the same shifts and floor divisions, and the carries continue
-    the same recurrence.  So every stored term is bit for bit the term a
-    cold pass computes, whatever length it was computed or extended to and
-    whatever words came before; and every prefix keeps its own n0 and
-    rounding count, so its value and bound are those of a cold pass.
+    Memo.  env._trie holds one _Prefix per half prefix met so far, with
+    its series to n0 terms and its (value, bound).  A word walks the trie
+    from the root one form at a time, making the nodes it lacks from the
+    series of the node before, so each prefix is computed once, to the one
+    length n0 of its env, and never extended: a memoised value is bit for
+    bit a cold one, whatever words came before.
 
-    Truncation.  Expand a prefix's value as a sum over paths 0 = n_0 <=
-    n_1 <= ... <= n_L, one step per form: a dx/x part keeps n and weighs at
-    most its coefficient, a part with eta != 0 advances n and weighs at most
-    its coefficient times 2^-(advance), as |y| <= 1/2 and 1/n <= 1.  Fix
-    which forms advance, r of them: their runs end at n with weight at most
-    C(n-1, r-1) 2^-n times the product of the chosen coefficient sums, and
-    these products sum to at most 1 over the choices, since each form's
-    coefficients sum to at most 1 in modulus.  As r <= L', the number of
-    forms with a part eta != 0, and _tail_bound(n0, r) grows with r, the
-    dropped tail is at most _tail_bound(n0, L').
+    Truncation.  Every prefix has |phi_n| <= 2^-n.  The empty word's
+    series 1, 0, 0, ... has it, and each operator keeps it: dx/x gives
+    2^-n / n (term 0 is 0 after the first form), and dx/(x - eta), as
+    |y| <= 1/2, gives at most
+    (1/n) sum_{m<n} 2^-m 2^-(n-m) = 2^-n; a form is a combination of these
+    with coefficients of modulus 2^-h summing to 1.  So the dropped tail
+    sum_{n >= n0} |phi_n| is at most _tail_bound(n0) = 2^(1-n0) =
+    2^-(prec+9), for every prefix of every word.
 
     Rounding.  The series run in integer fixed point: the product by y is
     a right shift and a sign, the form's 2^-h and 1/n one integer floor
@@ -233,106 +225,68 @@ def _half_pass(word, env: NumEnv) -> list:
     shift), so an output term by less than e + 3 (at most 2^h carries of
     weight 2^-h, plus the floor), and by less than e + 1 after dx/x.  The
     n0 - 1 terms of a prefix, summed exactly, are off by less than
-    (3 L' + Z) (n0 - 1) units, Z its number of dx/x forms.
+    (3 L' + Z) (n0 - 1) units, L' its number of forms with a part
+    eta != 0 and Z its number of dx/x forms.
     """
-    P = env.prec + _GUARD_BITS
-    root = node = env._trie
-    path = []
+    node = env._trie
+    halves = [node.half]
     for form in word:
         child = node.next.get(form)
         if child is None:
-            advances = bool(_FORMS[form][1])
-            child = node.next[form] = _Prefix(form, [0], node.steps + advances, node.units + (3 if advances else 1))
-        path.append(child)
+            phi = _apply(form, node.phi)
+            units = node.units + (3 if _FORMS[form][1] else 1)
+            n0 = len(phi)
+            err = _tail_bound(n0) + units * (n0 - 1) * 2.0 ** -(env.prec + _GUARD_BITS)
+            child = node.next[form] = _Prefix(phi, units, (sum(phi), err))
+        halves.append(child.half)
         node = child
-    n_max = _cut(env.prec, node.steps)
-    src = root.phi  # the empty word's series: 1, then zeros
-    src.extend([0] * (n_max - len(src)))
-    halves = [root.half]
-    for node in path:
-        phi = node.phi
-        if len(phi) < n_max:
-            _apply(node.form, src, phi, node.carries, n_max)
-        if node.half is None:
-            n0 = _cut(env.prec, node.steps)
-            node.half = (sum(phi[:n0]), _tail_bound(n0, node.steps) + node.units * (n0 - 1) * 2.0 ** -P)
-        halves.append(node.half)
-        src = phi
     return halves
 
 
-def _apply(form, src, phi, carries, n_max: int) -> None:
-    """Extend phi, the series after form, from its len(phi) terms to n_max
-    from src, the series before form (at least n_max terms long); carries
-    holds the carry of each part eta != 0 of form at phi's last term and
-    is advanced with it.  One pass over the terms: the carries advance
-    together, acc_n = c_1(n) + sign_1 sign_2 c_2(n), and term n is
-    (zero src_n - sign_1 acc_n) // (n 2^h).  The only two-carry forms are
-    the lower t letters, eta = 1 then eta = -1; the dx/x part of a form
-    with carries, the upper t letters', has sign 1."""
+def _apply(form, src) -> list:
+    """The series after form from src, the series before it, to as many
+    terms.  One pass over the terms: the carries of the parts eta != 0
+    advance together, acc_n = c_1(n) + sign_1 sign_2 c_2(n), and term n is
+    (zero src_n - sign_1 acc_n) // (n 2^h); term 0 is 0.  The only
+    two-carry forms are the lower t letters, eta = 1 then eta = -1; the
+    dx/x part of a form with carries, the upper t letters', has sign 1."""
     zero, parts, h = _FORMS[form]
-    start = len(phi)
-    xs, dens = src[start:n_max], range(start << h, n_max << h, 1 << h)
+    xs, dens = src[1:], range(1 << h, len(src) << h, 1 << h)
     if not parts:  # dx/x alone, h = 0
-        phi.extend([x // n for x, n in zip(xs, dens)] if zero > 0 else [-x // n for x, n in zip(xs, dens)])
-        return
+        return [0] + ([x // n for x, n in zip(xs, dens)] if zero > 0 else [-x // n for x, n in zip(xs, dens)])
     s, sign, neg = parts[0]
-    acc, c = [], carries[0]
+    acc, c = [], 0
     if len(parts) == 2:
         t, sign2, _ = parts[1]
-        d = carries[1]
+        d = 0
         if sign2 == sign:
-            for x in src[start - 1:n_max - 1]:
+            for x in src[:-1]:
                 c = (c + x) >> s
                 d = -((d + x) >> t)
                 acc.append(c + d)
         else:
-            for x in src[start - 1:n_max - 1]:
+            for x in src[:-1]:
                 c = (c + x) >> s
                 d = -((d + x) >> t)
                 acc.append(c - d)
-        carries[1] = d
     elif neg:
-        for x in src[start - 1:n_max - 1]:
+        for x in src[:-1]:
             c = -((c + x) >> s)
             acc.append(c)
     else:
-        for x in src[start - 1:n_max - 1]:
+        for x in src[:-1]:
             c = (c + x) >> s
             acc.append(c)
-    carries[0] = c
     if zero:
         terms = zip(xs, acc, dens)
-        phi.extend([(x + a) // m for x, a, m in terms] if sign < 0 else [(x - a) // m for x, a, m in terms])
-    else:
-        phi.extend([a // m for a, m in zip(acc, dens)] if sign < 0 else [-a // m for a, m in zip(acc, dens)])
+        return [0] + ([(x + a) // m for x, a, m in terms] if sign < 0 else [(x - a) // m for x, a, m in terms])
+    return [0] + ([a // m for a, m in zip(acc, dens)] if sign < 0 else [-a // m for a, m in zip(acc, dens)])
 
 
-@functools.lru_cache(maxsize=None)
-def _cut(prec: int, steps: int) -> int:
-    """The first dropped n: the least n0 with _tail_bound(n0, steps) <= 2^-(prec+8)."""
-    n0 = max(1, 2 * steps - 1)
-    while _tail_bound(n0, steps) > 2.0 ** (-prec - 8):
-        n0 += 1
-    return n0
-
-
-def _tail_bound(n0: int, d: int) -> float:
-    """Bound on sum_{n >= n0} C(n-1, d-1) 2^-n, the absolute weight of the
-    paths with n_d >= n0 that a series of d advances at 1/2 drops.  The
-    term ratio n/(2(n-d+1)) decreases in n and is below 1 once n0 > 2(d-1);
-    below that the sum, a binomial probability, is at most 1."""
-    if n0 <= 2 * (d - 1):
-        return 1.0
-    ratio = n0 / (2 * (n0 - d + 1))
-    return 2.0 * _binom_float(n0 - 1, d - 1) * 0.5 ** n0 / (1 - ratio)
-
-
-def _binom_float(n, k):
-    out = 1.0
-    for i in range(k):
-        out *= (n - i) / (i + 1)
-    return out
+def _tail_bound(n0: int) -> float:
+    """sum_{n >= n0} 2^-n, the bound on the tail that a series with
+    |phi_n| <= 2^-n drops at n0 (see _half_pass)."""
+    return 2.0 ** (1 - n0)
 
 
 def _split(w: tuple, env: NumEnv, what: str) -> MPFloat:
@@ -531,7 +485,7 @@ def genseries_residual(x, y, V, a_max: int, env: NumEnv) -> MPFloat:
         s = a_max + 1
         tail_geo = (s + 1) * big ** s / (1 - big) ** 2
     sup_t = 3.4 * (a_max + 2) * (1.0 + abs(float(V.val)))
-    lhs.err += sup_t * tail_geo
+    lhs = MPFloat(lhs.val, lhs.err + sup_t * tail_geo)
 
     log2 = env.const_mpf("log2")
     with env.work():

@@ -10,7 +10,6 @@ MEMOS = (
     motivic._right_factor,
     motivic._graded_factor,
     motivic._plain_matrix,  # S, H and Hstar matrices
-    numoracle._cut,
     numoracle._t_word,
     numoracle._altz_word,
     regularize._st_table_cache,

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 from fractions import Fraction
@@ -269,6 +270,38 @@ def test_num_prints_certified_digits(capsys):
         assert abs(mp.mpf(value) - true) <= mp.mpf(bound), out
     code, out, _ = run_cli(capsys, "num", "t(2,1,2)")
     assert float(out.split(" +- ")[1]) <= 1e-35
+
+
+def test_num_of_weight_1000(capsys):
+    # t(1000) = (1 - 2^-1000) zeta(1000) lies within the printed bound of 1;
+    # every prefix stops at prec + 10 terms, so no bound overflows to NaN
+    code, out, err = run_cli(capsys, "num", "t(1000)")
+    value, bound = out.split(" +- ")
+    assert code == 0 and err == "" and 0 < float(bound) < 1e-35, out
+    mp = mpmath.mp.clone()
+    mp.prec = 1100
+    assert abs(mp.mpf(value) - (1 - mp.mpf(2) ** -1000) * mp.zeta(1000)) <= mp.mpf(bound), out
+
+
+@pytest.mark.parametrize("index", ["t(1001)", "t(1000,1)", "z(-1,1000)", "z_1(1000)"])
+def test_num_refuses_a_weight_above_1000_before_any_series(capsys, monkeypatch, index):
+    from mtv import cli
+
+    def evaluated(*args):
+        raise AssertionError(f"{index} was evaluated")
+
+    monkeypatch.setattr(cli, "t_num", evaluated)
+    monkeypatch.setattr(cli, "altz_num", evaluated)
+    code, out, err = run_cli(capsys, "num", index)
+    assert (code, out) == (2, "") and err == "error: num takes an index of weight at most 1000, got weight 1001\n"
+
+
+def test_num_reports_a_nan_bound_as_a_broken_invariant(capsys, monkeypatch):
+    from mtv import numoracle
+
+    monkeypatch.setattr(numoracle, "_tail_bound", lambda n0: math.nan)
+    code, out, err = run_cli(capsys, "num", "t(2)")
+    assert (code, out) == (3, "") and err.startswith("error: ") and "got nan" in err and "Traceback" not in err
 
 
 def test_coeff(capsys):
