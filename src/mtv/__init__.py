@@ -38,7 +38,6 @@ from .motivic import (
     build_matrix,
     d1_project,
     deriv_D,
-    deriv_D1_fast,
     deriv_D_star,
     det_mod2_structure,
     graded_partial,

@@ -5,13 +5,14 @@ rewritten through their eta-function values, even zetas become powers
 of pi2, so two equal closed forms are structurally identical SymPolys.
 
 The insertion families t*({2}^a, 1, {2}^b), t({2}^a, 3, {2}^b) and
-zeta({2}^a, 3, {2}^b) are sums of z(2r+1) pi2^m, one term per r.  Each
-evaluator computes the coefficient of z(2r+1) pi2^m as an int numerator
-over an int denominator and builds one canonical SymPoly over their lcm,
-with no Fraction and no SymPoly product per term.  The numerators are
-ints because the factor 1 - 4^(-r) of zeta(bar 2r+1) and of Zagier's
-B-table cancels against 4^r: (4^r/(4^r-1)) (1 - 4^(-r)) = 1, and
-4^r (1 - 4^(-r)) = 4^r - 1.  With m the pi2 exponent:
+zeta({2}^a, 3, {2}^b) are sums of z(2r+1) pi2^m, one term per r.  One
+cell function per family (t2212_cell, t2232_tilde_cell, z2232_cell)
+gives the coefficient of z(2r+1) pi2^m as an int numerator over an int
+denominator; each evaluator builds one canonical SymPoly from its cells
+over their lcm, with no Fraction and no SymPoly product per term.  The
+numerators are ints because the factor 1 - 4^(-r) of zeta(bar 2r+1) and
+of Zagier's B-table cancels against 4^r: (4^r/(4^r-1)) (1 - 4^(-r)) = 1,
+and 4^r (1 - 4^(-r)) = 4^r - 1.  With m the pi2 exponent:
 
     t*({2}^a,1,{2}^b)   (-1)^r [C(2r,2a) (4^r-1) + 4^r C(2r,2b)]
                             / (4^(2r+m) (2m)!),                 m = a+b-r
@@ -26,8 +27,12 @@ The derivation matrices consume four coefficient families, written here
 with word subscripts: c[2^a 3 2^b] and c[2^a 1] are the single-zeta
 coefficients of depth-one-reducible zeta blocks in the linearized
 quotient, d[2^a 1 2^b] and d[2^a 3 2^b] the corresponding coefficients
-for the rescaled t blocks.  Every table refuses a negative argument
-with a ValueError naming it.
+for the rescaled t blocks.  Each of c[2^a 3 2^b], d[2^a 1 2^b] and
+d[2^a 3 2^b] is the pi2^0 cell of its closed form, read as a Fraction
+(d[2^a 1 2^b] rescaled by 2^(2a+2b+1)), and c[2^a 1 2^b] (zl_2212) is by
+duality the three-insertion table c[2^(b-1) 3 2^a], or c[2^a 1] at
+b = 0.  Every table refuses a negative argument with a ValueError
+naming it.
 """
 
 from __future__ import annotations
@@ -46,18 +51,33 @@ def _need_nonneg(args: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# rational coefficient tables
+# the integer cells: (n, d) for the coefficient n/d of z(2r+1) pi2^m
 # ---------------------------------------------------------------------------
 
-def coeff_A(r: int, a: int, b: int) -> Fraction:
-    _need_nonneg({"r": r, "a": a, "b": b})
-    return Fraction(math.comb(2 * r, 2 * a + 2))
+def t2212_cell(r: int, a: int, b: int) -> tuple:
+    """The cell of t*({2}^a, 1, {2}^b) at r, m = a+b-r."""
+    q, m = 4 ** r, a + b - r
+    n = (-1) ** r * (math.comb(2 * r, 2 * a) * (q - 1) + q * math.comb(2 * r, 2 * b))
+    return n, q * q * 4 ** m * math.factorial(2 * m)
 
 
-def coeff_B(r: int, a: int, b: int) -> Fraction:
-    _need_nonneg({"r": r, "a": a, "b": b})
-    return (1 - Fraction(1, 4 ** r)) * math.comb(2 * r, 2 * b + 1)
+def t2232_tilde_cell(r: int, a: int, b: int) -> tuple:
+    """The cell of the rescaled t({2}^a, 3, {2}^b) at r, m = a+b+1-r."""
+    q, m = 4 ** r, a + b + 1 - r
+    n = (-1) ** (r + 1) * 2 * (q * math.comb(2 * r, 2 * a + 1) + (q - 1) * math.comb(2 * r, 2 * b + 1))
+    return n, q * math.factorial(2 * m)
 
+
+def z2232_cell(r: int, a: int, b: int) -> tuple:
+    """The cell of zeta({2}^a, 3, {2}^b) at r, m = a+b+1-r."""
+    q, m = 4 ** r, a + b + 1 - r
+    n = (-1) ** r * 2 * (q * math.comb(2 * r, 2 * a + 2) - (q - 1) * math.comb(2 * r, 2 * b + 1))
+    return n, q * math.factorial(2 * m + 1)
+
+
+# ---------------------------------------------------------------------------
+# rational coefficient tables: the pi2^0 cells of the closed forms
+# ---------------------------------------------------------------------------
 
 def coeff_c_21(a: int) -> Fraction:
     """Coefficient of z(2a+1) in the linearized zeta({2}^a, 1); zero at a = 0."""
@@ -70,35 +90,29 @@ def coeff_c_21(a: int) -> Fraction:
 def coeff_c_231(a: int, b: int) -> Fraction:
     """Coefficient of z(2a+2b+3) in the linearized zeta({2}^a, 3, {2}^b)."""
     _need_nonneg({"a": a, "b": b})
-    n = a + b + 1
-    return 2 * Fraction((-1) ** (a + b)) * (
-        -Fraction(math.comb(2 * n, 2 * a + 2)) + (1 - Fraction(1, 4 ** n)) * math.comb(2 * n, 2 * b + 1)
-    )
+    return Fraction(*z2232_cell(a + b + 1, a, b))
 
 
 def coeff_d_121(a: int, b: int) -> Fraction:
-    """Coefficient of z(2a+2b+1) in the linearized rescaled t({2}^a, 1, {2}^b)."""
+    """Coefficient of z(2a+2b+1) in the linearized rescaled t({2}^a, 1, {2}^b):
+    2^(2a+2b+1) times the t*({2}^a, 1, {2}^b) cell at r = a+b, which is
+    the weight-one normalization 2 at a = b = 0."""
     _need_nonneg({"a": a, "b": b})
-    n = a + b
-    return 4 * Fraction((-1) ** n) * (1 - Fraction(1, 2 ** (2 * n + 1))) * math.comb(2 * n, 2 * a)
+    return Fraction(*t2212_cell(a + b, a, b)) * 2 ** (2 * a + 2 * b + 1)
 
 
 def coeff_d_232(a: int, b: int) -> Fraction:
     """Coefficient of z(2a+2b+3) in the linearized rescaled t({2}^a, 3, {2}^b)."""
     _need_nonneg({"a": a, "b": b})
-    n = a + b + 1
-    return 4 * Fraction((-1) ** (a + b)) * (1 - Fraction(1, 2 ** (2 * n + 1))) * math.comb(2 * n, 2 * a + 1)
+    return Fraction(*t2232_tilde_cell(a + b + 1, a, b))
 
 
 def zl_2212(alpha: int, beta: int) -> Fraction:
     """Coefficient of z(2*alpha+2*beta+1) in the linearized
-    zeta({2}^alpha, 1, {2}^beta), for beta >= 1 via the duality-shuffled
-    table, and the trailing-1 value for beta = 0."""
+    zeta({2}^alpha, 1, {2}^beta): by duality the three-insertion entry
+    c[2^(beta-1) 3 2^alpha] for beta >= 1, the trailing-1 value at beta = 0."""
     _need_nonneg({"alpha": alpha, "beta": beta})
-    if beta == 0:
-        return coeff_c_21(alpha)
-    r = alpha + beta
-    return 2 * Fraction((-1) ** r) * (coeff_A(r, beta - 1, alpha) - coeff_B(r, beta - 1, alpha))
+    return coeff_c_231(beta - 1, alpha) if beta else coeff_c_21(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +162,12 @@ def eval_t2212_star(a: int, b: int, V=None) -> SymPoly:
             zeta(bar 2r+1) t({2}^(a+b-r))
         + [a=0] log2 t({2}^b) + [b=0] (V - log2) t({2}^a)
 
-    With zeta(bar 2r+1) = -(1 - 4^(-r)) z(2r+1) and
-    (4^r/(4^r-1)) (1 - 4^(-r)) = 1, the coefficient of z(2r+1) pi2^m,
-    m = a+b-r, is the int (-1)^r [C(2r,2a) (4^r-1) + 4^r C(2r,2b)] over
-    4^(2r+m) (2m)!.
+    With zeta(bar 2r+1) = -(1 - 4^(-r)) z(2r+1), the coefficient of
+    z(2r+1) pi2^(a+b-r) is t2212_cell(r, a, b).
     """
     _need_nonneg({"a": a, "b": b})
     V = SymPoly.gen("V") if V is None else SymPoly.coerce(V)
-    cells = []
-    for r in range(1, a + b + 1):
-        q, m = 4 ** r, a + b - r
-        n = (-1) ** r * (math.comb(2 * r, 2 * a) * (q - 1) + q * math.comb(2 * r, 2 * b))
-        cells.append((r, m, n, q * q * 4 ** m * math.factorial(2 * m)))
+    cells = [(r, a + b - r, *t2212_cell(r, a, b)) for r in range(1, a + b + 1)]
     extra = []
     if a == 0:
         extra.append(LOG2 * eval_t22(b))
@@ -197,19 +205,13 @@ def eval_t2232_tilde(a: int, b: int) -> SymPoly:
         sum_{r=1}^{a+b+1} (-1)^(r+1) 2 [C(2r,2a+1) + (1-2^(-2r)) C(2r,2b+1)]
             zeta(2r+1) ttilde({2}^(a+b+1-r))
 
-    with ttilde({2}^m) = pi2^m / (2m)!.  Since 4^r (1 - 4^(-r)) = 4^r - 1,
-    the coefficient of z(2r+1) pi2^m, m = a+b+1-r, is the int
-    (-1)^(r+1) 2 [4^r C(2r,2a+1) + (4^r-1) C(2r,2b+1)] over 4^r (2m)!.
+    with ttilde({2}^m) = pi2^m / (2m)!: the coefficient of z(2r+1)
+    pi2^(a+b+1-r) is t2232_tilde_cell(r, a, b).
 
     Divide by 2^(2a+2b+3) for the plain t value.
     """
     _need_nonneg({"a": a, "b": b})
-    cells = []
-    for r in range(1, a + b + 2):
-        q, m = 4 ** r, a + b + 1 - r
-        n = (-1) ** (r + 1) * 2 * (q * math.comb(2 * r, 2 * a + 1) + (q - 1) * math.comb(2 * r, 2 * b + 1))
-        cells.append((r, m, n, q * math.factorial(2 * m)))
-    return _zeta_pi2_poly(cells)
+    return _zeta_pi2_poly([(r, a + b + 1 - r, *t2232_tilde_cell(r, a, b)) for r in range(1, a + b + 2)])
 
 
 def eval_t2232(a: int, b: int) -> SymPoly:
@@ -223,15 +225,9 @@ def eval_z2232(a: int, b: int) -> SymPoly:
 
         sum_{r=1}^{a+b+1} (-1)^r 2 (A^r_{a,b} - B^r_{a,b}) zeta(2r+1) zeta({2}^(a+b+1-r))
 
-    with zeta({2}^m) = pi2^m / (2m+1)!.  Since 4^r B^r_{a,b} =
-    (4^r-1) C(2r,2b+1), the coefficient of z(2r+1) pi2^m, m = a+b+1-r, is
-    the int (-1)^r 2 [4^r C(2r,2a+2) - (4^r-1) C(2r,2b+1)] over
-    4^r (2m+1)!.
+    with Zagier's A^r_{a,b} = C(2r,2a+2), B^r_{a,b} = (1 - 4^(-r))
+    C(2r,2b+1) and zeta({2}^m) = pi2^m / (2m+1)!: the coefficient of
+    z(2r+1) pi2^(a+b+1-r) is z2232_cell(r, a, b).
     """
     _need_nonneg({"a": a, "b": b})
-    cells = []
-    for r in range(1, a + b + 2):
-        q, m = 4 ** r, a + b + 1 - r
-        n = (-1) ** r * 2 * (q * math.comb(2 * r, 2 * a + 2) - (q - 1) * math.comb(2 * r, 2 * b + 1))
-        cells.append((r, m, n, q * math.factorial(2 * m + 1)))
-    return _zeta_pi2_poly(cells)
+    return _zeta_pi2_poly([(r, a + b + 1 - r, *z2232_cell(r, a, b)) for r in range(1, a + b + 2)])

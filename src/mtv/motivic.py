@@ -146,18 +146,6 @@ def _cut_terms(k: tuple):
                         yield r, LOG, right, 1
 
 
-def deriv_D1_fast(k: tuple) -> dict:
-    """D_1 in closed form: deconcatenation of a leading 1 (coefficient 2)
-    and of a trailing 1 (coefficient -1)."""
-    k = tuple(k)
-    out: dict = {}
-    if k and k[0] == 1:
-        lc_put(out, (LOG, k[1:]), Fraction(2))
-    if k and k[-1] == 1:
-        lc_put(out, (LOG, k[:-1]), Fraction(-1))
-    return out
-
-
 def deriv_D_star(r: int, k: tuple) -> dict:
     """D_r on the stuffle-regularized rescaled t value with t*(1) = lam log2.
 
@@ -639,9 +627,6 @@ def singular_lambda(N: int) -> Fraction:
 #   ("z", n)       a single zeta value, n >= 2
 # A linear combination maps monomials to Fractions.
 
-ONE = ()
-
-
 def mot_mono(*atoms) -> tuple:
     return tuple(sorted(atoms))
 
@@ -653,8 +638,8 @@ def _d1_atom(atom):
         return [(None, Fraction(1))]
     if kind == "z":
         return []
-    if kind == "t":  # the plain normalization halves every coefficient of deriv_D1_fast
-        return [(("t", right) if right else None, c / 2) for (_, right), c in deriv_D1_fast(atom[1]).items()]
+    if kind == "t":  # the plain normalization halves every coefficient of D_1 on the rescaled value
+        return [(("t", right) if right else None, c / 2) for (_, right), c in reduce_deriv(deriv_D(1, atom[1])).items()]
     if kind == "zalt":
         parts = atom[1]
         if all(x > 0 for x in parts[:-1]) and parts[-1] <= -2:

@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from mtv.closedform import (
-    coeff_A,
-    coeff_B,
     coeff_c_21,
     coeff_c_231,
     coeff_d_121,
@@ -20,6 +18,8 @@ from mtv.closedform import (
     zbar_reduce,
     zl_2212,
 )
+from mtv.indexcore import SignedIndex
+from mtv.numoracle import NumEnv, altz_num, eval_num
 from mtv.symring import LOG2, PI2, SymPoly, zeta_sym
 
 V = SymPoly.gen("V")
@@ -68,9 +68,45 @@ def ref_t2232(a, b):
     return SymPoly.const(Fraction(1, 2) ** (2 * a + 2 * b + 3)) * ref_t2232_tilde(a, b)
 
 
+def ref_A(r, a):
+    """Zagier's A^r_{a,b} = C(2r, 2a+2)."""
+    return Fraction(math.comb(2 * r, 2 * a + 2))
+
+
+def ref_B(r, b):
+    """Zagier's B^r_{a,b} = (1 - 4^(-r)) C(2r, 2b+1)."""
+    return (1 - Fraction(1, 4 ** r)) * math.comb(2 * r, 2 * b + 1)
+
+
 def ref_z2232(a, b):
-    return SymPoly.combination(((-1) ** r * 2 * (coeff_A(r, a, b) - coeff_B(r, a, b)),
+    return SymPoly.combination(((-1) ** r * 2 * (ref_A(r, a) - ref_B(r, b)),
                                 zeta_sym(2 * r + 1) * ref_z22(a + b + 1 - r)) for r in range(1, a + b + 2))
+
+
+# -- reference tables: the Fraction formulas, independent of the int cells ---
+
+def ref_c_231(a, b):
+    n = a + b + 1
+    return 2 * Fraction((-1) ** (a + b)) * (
+        -Fraction(math.comb(2 * n, 2 * a + 2)) + (1 - Fraction(1, 4 ** n)) * math.comb(2 * n, 2 * b + 1)
+    )
+
+
+def ref_d_121(a, b):
+    n = a + b
+    return 4 * Fraction((-1) ** n) * (1 - Fraction(1, 2 ** (2 * n + 1))) * math.comb(2 * n, 2 * a)
+
+
+def ref_d_232(a, b):
+    n = a + b + 1
+    return 4 * Fraction((-1) ** (a + b)) * (1 - Fraction(1, 2 ** (2 * n + 1))) * math.comb(2 * n, 2 * a + 1)
+
+
+def ref_zl_2212(alpha, beta):
+    if beta == 0:
+        return coeff_c_21(alpha)
+    r = alpha + beta
+    return 2 * Fraction((-1) ** r) * (ref_A(r, beta - 1) - ref_B(r, alpha))
 
 
 def _stored(p):
@@ -90,6 +126,17 @@ def test_closed_forms_store_what_the_reference_products_store():
                 assert _stored(eval_t2212_star(a, b, v)) == _stored(ref_t2212_star(a, b, v)), (a, b, v)
             for new, ref in pairs:
                 assert _stored(new(a, b)) == _stored(ref(a, b)), (new.__name__, a, b)
+
+
+def test_tables_equal_the_fraction_formulas():
+    # each table reads a pi2^0 int cell of its closed form; the value and
+    # the type are the Fraction formula's
+    pairs = [(coeff_c_231, ref_c_231), (coeff_d_121, ref_d_121), (coeff_d_232, ref_d_232), (zl_2212, ref_zl_2212)]
+    for a in range(12):
+        for b in range(12):
+            for table, ref in pairs:
+                got, want = table(a, b), ref(a, b)
+                assert (got, type(got)) == (want, Fraction), (table.__name__, a, b)
 
 
 def test_coefficient_values():
@@ -179,13 +226,11 @@ def test_z2232_base():
 
 
 @pytest.mark.parametrize("table, args, name", [
-    (coeff_A, (1, -1, 0), "a"),
-    (coeff_B, (-1, 0, 0), "r"),
-    (coeff_c_21, (-1,), "a"),
-    (coeff_c_231, (-1, 0), "a"),
-    (coeff_d_121, (0, -1), "b"),
-    (coeff_d_232, (-2, 1), "a"),
-    (zl_2212, (-1, 0), "alpha"),
+    pytest.param(coeff_c_21, (-1,), "a", id="coeff_c_21-args2-a"),  # fixed ids: stable case names in reports
+    pytest.param(coeff_c_231, (-1, 0), "a", id="coeff_c_231-args3-a"),
+    pytest.param(coeff_d_121, (0, -1), "b", id="coeff_d_121-args4-b"),
+    pytest.param(coeff_d_232, (-2, 1), "a", id="coeff_d_232-args5-a"),
+    pytest.param(zl_2212, (-1, 0), "alpha", id="zl_2212-args6-alpha"),
 ])
 def test_tables_refuse_a_negative_argument(table, args, name):
     with pytest.raises(ValueError, match=f"need {name} >= 0, got -"):
@@ -200,11 +245,14 @@ def test_evaluators_refuse_a_negative_argument():
         eval_t22(-1)
 
 
-def test_AB_tables():
-    assert coeff_A(1, 0, 0) == 1
-    assert coeff_B(1, 0, 0) == Fraction(3, 2)
-    assert coeff_A(2, 1, 0) == 1
-    assert coeff_B(2, 1, 0) == Fraction(15, 4)
+def test_z2232_against_the_oracle():
+    # the zeta({2}^a, 3, {2}^b) closed form, whose cells coeff_c_231 and
+    # zl_2212 read, against the path-split value, each residual within its bound
+    env = NumEnv(prec=53)
+    for a in range(4):
+        for b in range(4 - a):
+            d = eval_num(eval_z2232(a, b), env) - altz_num(SignedIndex((2,) * a + (3,) + (2,) * b, 0), env)
+            assert abs(float(d.val)) <= d.err <= 1e-6, (a, b)
 
 
 def test_unshuffle_lie_projection_cross_check():
