@@ -217,7 +217,12 @@ def cmd_singular_lambda(args) -> int:
     return 0
 
 
+ENUMERATE_MAX_WEIGHT = 25  # F_26 = 121,393 {1,2} words; the count grows by about 1.6 per weight
+
+
 def cmd_enumerate(args) -> int:
+    if args.N > ENUMERATE_MAX_WEIGHT:
+        raise ValueError(f"enumerate takes a weight of at most {ENUMERATE_MAX_WEIGHT}, got {args.N}")
     if args.bprime and args.level is None:
         raise ValueError("--bprime lists the lower-level basis of one level; give --level")
     if args.level is not None:
@@ -276,9 +281,12 @@ def cmd_coeff(args) -> int:
         raise ValueError(f"no coefficient family {args.family} {args.pattern}")
     if args.b is not None and "b" not in args.pattern:
         raise ValueError(f"the pattern {args.pattern} has no b, so --b is refused")
+    if args.b is None:
+        if args.a < 0:
+            raise ValueError(f"--a must be non-negative, got {args.a}")
+    elif args.a < 0 or args.b < 0:
+        raise ValueError(f"--a and --b must be non-negative, got {args.a} and {args.b}")
     b = args.b or 0
-    if args.a < 0 or b < 0:
-        raise ValueError(f"--a and --b must be non-negative, got {args.a} and {b}")
     print(fn(args.a, b))
     return 0
 

@@ -172,20 +172,23 @@ def sort_words(words) -> list:
     return sorted(words, key=colex_key)
 
 
-def _words_of_level(kind: str, weight: int, level: int) -> list:
-    """The words of one weight and level, built directly; [] if there are none.
+@lru_cache(maxsize=None)
+def _words_of_level(kind: str, weight: int, level: int) -> tuple:
+    """The words of one weight and level, built directly; () if there are none.
 
     A level-l {1,2} word (kind "H") of weight n places its l ones among
     l + (n - l)/2 letters.  A one-two-three word (kind "S") is a level-l
     {1,2} word of weight n - 2 followed by a 2, or a level-(l-1) one of
-    weight n - 3 followed by a 3.
+    weight n - 3 followed by a 3.  Memoised, so every basis_sets call
+    reads each lower weight's words once built; a tuple, so no caller
+    can change the shared value.
     """
     if kind == "S":
-        return ([w + (2,) for w in _words_of_level("H", weight - 2, level)]
-                + [w + (3,) for w in _words_of_level("H", weight - 3, level - 1)])
+        return (tuple(w + (2,) for w in _words_of_level("H", weight - 2, level))
+                + tuple(w + (3,) for w in _words_of_level("H", weight - 3, level - 1)))
     twos = weight - level
     if level < 0 or twos < 0 or twos % 2:
-        return []
+        return ()
     n = level + twos // 2
     words = []
     for ones in itertools.combinations(range(n), level):
@@ -193,7 +196,7 @@ def _words_of_level(kind: str, weight: int, level: int) -> list:
         for i in ones:
             w[i] = 1
         words.append(tuple(w))
-    return words
+    return tuple(words)
 
 
 def enumerate_hoffman(N: int) -> list:

@@ -19,8 +19,10 @@ A row is built in one walk over its word's cuts (_cut_terms, the one
 statement of the cut rules, which deriv_D sums too): every term's right
 factor is checked for validity and for level < l on every build, before
 any terms cancel, its validity and level read from a memo per right
-factor.  The graded factors are summed as integer numerators over one
-common denominator per row, and each nonzero entry becomes one Fraction.
+factor.  A left tag's graded factor is memoised as an int pair
+(numerator, denominator), None for a class that dies; a row sums those
+ints over one common denominator, and each nonzero entry becomes one
+Fraction.
 A matrix is its sparse rows only, FiltMatrix.nonzero ({column: entry}
 per row); the dense rows that to_json and the CLI print (entries) are a
 view built afresh from them on every read.
@@ -122,26 +124,27 @@ def _cut_terms(k: tuple):
     # the cut (i, j) of weight wij contributes to every odd r < wij - 1
     # with r >= w_in (zero-headed) or r >= w_out (zero-tailed); on a
     # {1,2} word that range holds at most one r, so most cuts build nothing
+    rev = k[::-1]  # k[a:b] reversed is rev[d - b:d - a]
     for i in range(1, d):
         before = k[:i - 1]
+        first, start = k[i - 1], pre[i - 1]
         for j in range(i + 1, d + 1):
-            wij = pre[j] - pre[i - 1]
-            w_in = wij - k[i - 1]
+            wij = pre[j] - start
+            w_in = wij - first
             w_out = wij - k[j - 1]
-            rs = range((w_in if w_in < w_out else w_out) | 1, wij - 1, 2)
-            if not rs:
+            lo = (w_in if w_in < w_out else w_out) | 1
+            if lo >= wij - 1:
                 continue
             head = k[i:j]
-            tail = tuple(reversed(k[i - 1:j - 1]))  # the zero-tailed subindex, reversed
             after = k[j:]
-            for r in rs:
+            for r in range(lo, wij - 1, 2):
                 right = before + (wij - r,) + after
                 if w_in <= r:
                     yield r, ("zl", r - w_in, head), right, 1
                     if r == 1:
                         yield r, LOG, right, -1
                 if w_out <= r:
-                    yield r, ("zl", r - w_out, tail), right, -1
+                    yield r, ("zl", r - w_out, rev[d - j + 1:d - i + 1]), right, -1  # the zero-tailed subindex, reversed
                     if r == 1:
                         yield r, LOG, right, 1
 
@@ -277,11 +280,15 @@ def _refuse_right_factor(r: int, w: tuple, ell: int, right: tuple, level) -> Non
 
 @lru_cache(maxsize=None)
 def _graded_factor(tag):
-    """What one unit of the left tag adds to a matrix entry: its reduced
-    coefficient times the projection of its generator, or 0 for a class
-    that dies.  A tag that raises IrreducibleLeftFactor is not cached."""
+    """What one unit of the left tag adds to a matrix entry, its reduced
+    coefficient times the projection of its generator, as the int pair
+    (numerator, denominator) in lowest terms, or None for a class that
+    dies.  A tag that raises IrreducibleLeftFactor is not cached."""
     red, gen = lie_reduce(tag)
-    return 0 if gen is None else red * pitilde(gen)
+    if gen is None:
+        return None
+    factor = red * pitilde(gen)
+    return (factor.numerator, factor.denominator) if factor else None
 
 
 def graded_partial(kind: str, N: int, ell: int, w: tuple):
@@ -308,7 +315,12 @@ def graded_partial(kind: str, N: int, ell: int, w: tuple):
                 _refuse_right_factor(r, w, ell, right, level)
             if level < ell - 1:
                 continue
-            factor = _graded_factor(tag)
+            if tag[0] == "zst1":  # D*_r's trailing-ones term, at r = 1 a SymPoly in lam
+                red, gen = lie_reduce(tag)
+                factor = red * pitilde(gen)
+            else:
+                pair = _graded_factor(tag)
+                factor = 0 if pair is None else Fraction(*pair)
             if factor:
                 lc_put(out, right, factor if coeff == 1 else -factor if coeff == -1 else coeff * factor)
     return out
@@ -319,26 +331,28 @@ def _level_row(w: tuple, word_kind: str, ell: int) -> dict:
     level-ell word w, in one walk over its cuts (_cut_terms).
 
     Every term's right factor is checked before any terms cancel, so a
-    bad factor raises on every build.  The graded factors are summed as
-    integer numerators over one common denominator, raised to the lcm as
-    factors arrive, and each nonzero entry becomes one Fraction at the end.
+    bad factor raises on every build; a factor of level ell - 1 is valid
+    and below ell, so only the others are tested further.  The graded
+    factors' int pairs are summed as numerators over one common
+    denominator, raised to the lcm as factors arrive, and each nonzero
+    entry becomes one Fraction at the end.
     """
-    nums, den = {}, 1
+    nums, den, below = {}, 1, ell - 1
     for r, tag, right, sign in _cut_terms(w):
         valid, level = _right_factor(right, word_kind)
-        if not valid or level >= ell:
-            _refuse_right_factor(r, w, ell, right, level)
-        if level < ell - 1:
+        if level != below:
+            if not valid or level >= ell:
+                _refuse_right_factor(r, w, ell, right, level)
             continue
-        factor = _graded_factor(tag)
-        if factor:
-            d = factor.denominator
+        pair = _graded_factor(tag)
+        if pair is not None:
+            n, d = pair
             if den % d:
                 m = d // math.gcd(den, d)
                 den *= m
                 for u in nums:
                     nums[u] *= m
-            nums[right] = nums.get(right, 0) + sign * factor.numerator * (den // d)
+            nums[right] = nums.get(right, 0) + sign * n * (den // d)
     return {u: Fraction(x, den) for u, x in nums.items() if x}
 
 
@@ -456,13 +470,14 @@ def star_matrix(h: FiltMatrix) -> FiltMatrix:
     col = {u: j for j, u in enumerate(h.cols)}
     nonzero = list(h.nonzero)
     cells = []
+    cell = SymPoly.gen("lam") - Fraction(1, 2)
     for i, w in enumerate(h.rows):
         if w[-1] != 1:
             continue
         j = col.get(w[:-1])
         if j is None:
             raise InvariantError(f"row {w} ends in 1 but {w[:-1]} is not a column")
-        nonzero[i] = {**nonzero[i], j: SymPoly.gen("lam") - Fraction(1, 2) + nonzero[i].get(j, 0)}
+        nonzero[i] = {**nonzero[i], j: cell + nonzero[i].get(j, 0)}
         cells.append((i, j))
     return FiltMatrix("Hstar", h.N, h.ell, h.rows, h.cols, nonzero, h, tuple(cells))
 

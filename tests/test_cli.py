@@ -150,6 +150,24 @@ def test_enumerate(capsys):
     assert code == 0 and out.split() == ["22", "112", "13"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "H", "--N", "26"],
+    ["--kind", "S", "--N", "40"],
+    ["--kind", "H", "--N", "26", "--level", "2"],
+    ["--kind", "S", "--N", "26", "--level", "2", "--bprime", "--format", "json"],
+])
+def test_enumerate_refuses_a_weight_above_25_before_enumerating(capsys, monkeypatch, argv):
+    from mtv import cli
+
+    def enumerated(*args):
+        raise AssertionError(f"{argv} was enumerated")
+
+    for name in ("enumerate_hoffman", "enumerate_saha", "basis_sets"):
+        monkeypatch.setattr(cli, name, enumerated)
+    code, out, err = run_cli(capsys, "enumerate", *argv)
+    assert (code, out) == (2, "") and err == f"error: enumerate takes a weight of at most 25, got {argv[3]}\n"
+
+
 def test_level_above_the_weight_exits_2(capsys):
     for argv in (["det", "--kind", "H", "--N", "3", "--level", "5", "--structure"],
                  ["det", "--kind", "S", "--N", "3", "--level", "5", "--structure"],
@@ -310,6 +328,9 @@ def test_coeff(capsys):
     for args in (("c", "2a1", "--a", "-1"), ("d", "2a12b", "--a", "1", "--b", "-2")):
         code, out, err = run_cli(capsys, "coeff", *args)
         assert code == 2 and "non-negative" in err
+    # the pattern 2a1 has no b, so its refusal names --a alone
+    code, out, err = run_cli(capsys, "coeff", "c", "2a1", "--a", "-1")
+    assert (code, out, err) == (2, "", "error: --a must be non-negative, got -1\n")
 
 
 def test_verify_counting(capsys):

@@ -155,17 +155,17 @@ def test_level_generation_matches_enumerate_sort_filter():
 
 
 def test_levels_outside_the_range_are_empty():
-    assert _words_of_level("H", 0, 0) == [()]
+    assert _words_of_level("H", 0, 0) == ((),)
     for kind in ("S", "H"):
         for N in range(0, 12):
             for ell in (-1, N + 1, N + 2):
-                assert _words_of_level(kind, N, ell) == []
-            assert _words_of_level(kind, -1, 0) == []
+                assert _words_of_level(kind, N, ell) == ()
+            assert _words_of_level(kind, -1, 0) == ()
     for N in range(1, 12):
         # a {1,2} word's level has the parity of its weight
-        assert all(_words_of_level("H", N, ell) == [] for ell in range(N % 2 + 1, N + 1, 2))
+        assert all(_words_of_level("H", N, ell) == () for ell in range(N % 2 + 1, N + 1, 2))
         # a one-two-three word has level at most N - 2
-        assert _words_of_level("S", N, N - 1) == [] and _words_of_level("S", N, N) == []
+        assert _words_of_level("S", N, N - 1) == () and _words_of_level("S", N, N) == ()
 
 
 def test_ordering_total_and_idempotent():

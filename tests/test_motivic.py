@@ -1,12 +1,13 @@
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from mtv import motivic
 from mtv.cli import main
 from mtv.errors import InvariantError
-from mtv.indexcore import basis_sets, compositions, word_level
+from mtv.indexcore import basis_sets, compositions, enumerate_hoffman, enumerate_saha, word_level
 from mtv.motivic import (
     IrreducibleLeftFactor,
     LOG,
@@ -272,6 +273,48 @@ def _deriv_D_by_slices(r, k):
     return out
 
 
+def _reference_cut_terms(k: tuple):
+    """The cut rules written plainly, the reference for _cut_terms: a
+    range object per cut, k[i - 1] and pre[i - 1] read per j, and the
+    reversed tail built for every cut whose range is nonempty."""
+    d = len(k)
+    pre = list(accumulate(k, initial=0))
+    for j in range(1, d + 1):
+        if pre[j] % 2:
+            yield pre[j], ("t", k[:j]), k[j:], 1
+    for i in range(1, d):
+        before = k[:i - 1]
+        for j in range(i + 1, d + 1):
+            wij = pre[j] - pre[i - 1]
+            w_in = wij - k[i - 1]
+            w_out = wij - k[j - 1]
+            rs = range((w_in if w_in < w_out else w_out) | 1, wij - 1, 2)
+            if not rs:
+                continue
+            head = k[i:j]
+            tail = tuple(reversed(k[i - 1:j - 1]))
+            after = k[j:]
+            for r in rs:
+                right = before + (wij - r,) + after
+                if w_in <= r:
+                    yield r, ("zl", r - w_in, head), right, 1
+                    if r == 1:
+                        yield r, LOG, right, -1
+                if w_out <= r:
+                    yield r, ("zl", r - w_out, tail), right, -1
+                    if r == 1:
+                        yield r, LOG, right, 1
+
+
+def test_cut_walk_equals_the_reference_term_for_term():
+    # every index of weight <= 10 (entries >= 3 included) and every basis word of weight <= 14
+    indices = [k for w in range(1, 11) for k in compositions(w)]
+    indices += [k for N in range(1, 15) for k in enumerate_hoffman(N)]
+    indices += [k for N in range(2, 15) for k in enumerate_saha(N)]
+    for k in indices:
+        assert list(motivic._cut_terms(k)) == list(_reference_cut_terms(k)), k
+
+
 def test_deriv_D_matches_slice_sums_with_integer_coefficients():
     for w in range(1, 11):
         for k in compositions(w):
@@ -326,8 +369,10 @@ def _reference_row(kind, N, ell, w, cols):
             assert motivic._valid_word(right, word_kind), (w, r, right)
             level = word_level(right, word_kind)
             assert level < ell, (w, r, right)
-            if level == ell - 1 and (factor := motivic._graded_factor(tag)):
-                lc_put(out, right, coeff * factor)
+            if level == ell - 1:
+                red, gen = lie_reduce(tag)  # not through the memo under test
+                if gen is not None and (factor := red * motivic.pitilde(gen)):
+                    lc_put(out, right, coeff * factor)
     assert set(out) <= set(cols), (w, sorted(set(out) - set(cols)))
     return out, [out.get(u, Fraction(0)) for u in cols]
 
