@@ -26,6 +26,7 @@ from .closedform import coeff_c_21, coeff_c_231, coeff_d_121, coeff_d_232, eval_
 from .errors import InvariantError
 from .indexcore import (
     SignedIndex,
+    basis_order,
     basis_sets,
     enumerate_hoffman,
     enumerate_saha,
@@ -180,13 +181,24 @@ def cmd_dr(args) -> int:
     return 0
 
 
+MATRIX_MAX_ORDER = 3003  # the largest order at weight <= 20: kind H, N = 20, level 10
+
+
+def _refuse_large_order(kind: str, N: int, ell: int):
+    """Refuse a matrix of more than MATRIX_MAX_ORDER rows before any word is built."""
+    order = basis_order("H" if kind == "Hstar" else kind, N, ell)
+    if order > MATRIX_MAX_ORDER:
+        raise ValueError(f"the {kind} matrix of weight {N} and level {ell} has order {order}; the cap is {MATRIX_MAX_ORDER} rows")
+
+
 def cmd_matrix(args) -> int:
+    _refuse_large_order(args.kind, args.N, args.level)
     m = build_matrix(args.kind, args.N, args.level)
     if args.format == "json":
         print(json.dumps(m.to_json(), indent=1))
     else:
-        head = [""] + ["".join(map(str, w)) if w else "(empty)" for w in m.cols]
-        body = [["".join(map(str, w))] + [str(x) for x in row] for w, row in zip(m.rows, m.entries)]
+        head = [""] + [format_word(w) for w in m.cols]
+        body = [[format_word(w)] + [str(x) for x in row] for w, row in zip(m.rows, m.entries)]
         widths = [max(map(len, col)) for col in zip(head, *body)]
         for cells in [head] + body:
             print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
@@ -198,6 +210,7 @@ def cmd_det(args) -> int:
         raise ValueError(f"--lam applies only to --kind Hstar, whose determinant is parametric; got --kind {args.kind}")
     if args.structure and args.kind not in ("S", "H"):
         raise ValueError(f"structure report is defined for kinds S and H, got --kind {args.kind}")
+    _refuse_large_order(args.kind, args.N, args.level)
     m = build_matrix(args.kind, args.N, args.level)
     rep = det_mod2_structure(m) if args.structure else None
     det = m.det()
@@ -213,6 +226,7 @@ def cmd_det(args) -> int:
 
 
 def cmd_singular_lambda(args) -> int:
+    _refuse_large_order("Hstar", args.N, 1)
     print(singular_lambda(args.N))
     return 0
 

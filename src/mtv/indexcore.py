@@ -12,6 +12,8 @@ Three interchangeable presentations of the same objects appear throughout:
 The filtration bases are words over {1,2} (one-two words) or over {1,2}
 with a final 3 allowed (one-two-three words ending in 2 or 3).  Both are
 plain tuples of small ints and are freely reinterpreted as indices.
+Basis order is reverse colexicographic: read right to left, 2 before 1
+before 3, and a word after every word that extends it on the left.
 """
 
 from __future__ import annotations
@@ -145,72 +147,66 @@ def is_hoffman_word(w) -> bool:
 
 def is_saha_word(w) -> bool:
     """Word over {1,2} with terminal letter 2 or 3 (3 only final)."""
-    if not w:
-        return False
-    return all(x in (1, 2) for x in w[:-1]) and w[-1] in (2, 3)
+    return bool(w) and w[-1] in (2, 3) and all(x in (1, 2) for x in w[:-1])
 
 
 def word_level(w, kind: str) -> int:
     if kind == "S":
         return sum(1 for x in w if x in (1, 3))
-    if kind in ("H", "Hstar"):
+    if kind == "H":
         return sum(1 for x in w if x == 1)
     raise ValueError(f"unknown kind {kind!r}")
 
 
-# Reverse colexicographic order: read right to left, largest letter first,
-# with 3 < 1 < 2; a word extending a common reversed prefix sorts first.
-_LETTER_RANK = {2: 0, 1: 1, 3: 2}
-_END_RANK = 3
-
-
-def colex_key(w):
-    return tuple(_LETTER_RANK[x] for x in reversed(w)) + (_END_RANK,)
-
-
-def sort_words(words) -> list:
-    return sorted(words, key=colex_key)
-
-
-@lru_cache(maxsize=None)
-def _words_of_level(kind: str, weight: int, level: int) -> tuple:
-    """The words of one weight and level, built directly; () if there are none.
-
-    A level-l {1,2} word (kind "H") of weight n places its l ones among
-    l + (n - l)/2 letters.  A one-two-three word (kind "S") is a level-l
-    {1,2} word of weight n - 2 followed by a 2, or a level-(l-1) one of
-    weight n - 3 followed by a 3.  Memoised, so every basis_sets call
-    reads each lower weight's words once built; a tuple, so no caller
-    can change the shared value.
-    """
+def basis_order(kind: str, N: int, ell: int) -> int:
+    """The number of kind-S or kind-H words of weight N and level ell, the
+    order of their matrix, counted without building one.  A {1,2} word
+    places its ell ones among ell + (N - ell)/2 letters, and a
+    one-two-three word is a {1,2} word and a final 2 or 3, so
+    H(N, ell) = C(ell + (N - ell)/2, ell), S(N, ell) = H(N - 2, ell) + H(N - 3, ell - 1)."""
     if kind == "S":
-        return (tuple(w + (2,) for w in _words_of_level("H", weight - 2, level))
-                + tuple(w + (3,) for w in _words_of_level("H", weight - 3, level - 1)))
-    twos = weight - level
-    if level < 0 or twos < 0 or twos % 2:
-        return ()
-    n = level + twos // 2
+        return basis_order("H", N - 2, ell) + basis_order("H", N - 3, ell - 1)
+    twos = N - ell
+    return math.comb(ell + twos // 2, ell) if ell >= 0 and twos >= 0 and twos % 2 == 0 else 0
+
+
+def _basis_walk(kind: str, lo: int, hi: int, level=None) -> list:
+    """The kind-S or kind-H words of weight lo..hi and the given level
+    (every level if None), in basis order without a sort: each word is
+    built from its last letter (kind S from a final 2, then a final 3),
+    and a suffix is listed after its extensions by 2, then by 1.  The
+    loop visits the mirror order and reverses it once.  A suffix of
+    weight w with k ones missing is extended while w + k <= hi."""
+    roots = [((2,), 2, 0), ((3,), 3, 1)] if kind == "S" else [((), 0, 0)]
+    stack = [(s, w, 0 if level is None else level - l) for s, w, l in roots]
+    stack = [(s, w, k) for s, w, k in stack if k >= 0 and w + k <= hi]
     words = []
-    for ones in itertools.combinations(range(n), level):
-        w = [2] * n
-        for i in ones:
-            w[i] = 1
-        words.append(tuple(w))
-    return tuple(words)
+    while stack:
+        s, w, k = stack.pop()
+        if not k and w >= lo:
+            words.append(s)
+        if w + k + 2 <= hi:
+            stack.append(((2,) + s, w + 2, k))
+        if k:
+            stack.append(((1,) + s, w + 1, k - 1))
+        elif level is None and w < hi:
+            stack.append(((1,) + s, w + 1, 0))
+    words.reverse()
+    return words
 
 
 def enumerate_hoffman(N: int) -> list:
-    """All {1,2} words of weight N, in reverse colexicographic order."""
+    """All {1,2} words of weight N, in basis order."""
     if N < 1:
         raise ValueError("weight must be >= 1")
-    return sort_words(w for ell in range(N + 1) for w in _words_of_level("H", N, ell))
+    return _basis_walk("H", N, N)
 
 
 def enumerate_saha(N: int) -> list:
-    """All words of weight N ending in 2 or 3, {1,2} before; sorted."""
+    """All words of weight N ending in 2 or 3, {1,2} before, in basis order."""
     if N < 2:
         raise ValueError("weight must be >= 2")
-    return sort_words(w for ell in range(N + 1) for w in _words_of_level("S", N, ell))
+    return _basis_walk("S", N, N)
 
 
 def basis_sets(kind: str, N: int, ell: int):
@@ -218,7 +214,7 @@ def basis_sets(kind: str, N: int, ell: int):
 
     B holds the weight-N level-ell words; B' holds all level-(ell-1)
     words of smaller weight, plus the empty word when ell = 1.  Both are
-    sorted; the two sets always have equal cardinality.
+    lists in basis order; the two sets always have equal cardinality.
     """
     if kind not in ("S", "H"):
         raise ValueError(f"kind must be 'S' or 'H', got {kind!r}")
@@ -228,13 +224,10 @@ def basis_sets(kind: str, N: int, ell: int):
         raise ValueError(f"level {ell} exceeds the weight N = {N}")
     if (N - ell) % 2 != 0:
         raise ValueError(f"N = {N} and ell = {ell} must have equal parity")
-    B = _words_of_level(kind, N, ell)
-    Bp = []
-    for m in range(1, N):
-        Bp.extend(_words_of_level(kind, m, ell - 1))
+    Bp = _basis_walk(kind, 1, N - 1, ell - 1)
     if ell == 1:
-        Bp.append(())
-    return sort_words(B), sort_words(Bp)
+        Bp.append(())  # every word extends the empty word, so it comes last
+    return _basis_walk(kind, N, N, ell), Bp
 
 
 def trailing_run(w, letter) -> int:

@@ -252,11 +252,8 @@ def reduce_deriv(terms: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _valid_word(w: tuple, kind: str) -> bool:
-    if w == ():
-        return True
-    if kind == "S":
-        return is_saha_word(w)
-    return is_hoffman_word(w)
+    """Whether w is empty or a kind-S or kind-H word."""
+    return (not w or is_saha_word(w)) if kind == "S" else is_hoffman_word(w)
 
 
 @lru_cache(maxsize=None)
@@ -457,7 +454,7 @@ def _plain_matrix(kind: str, N: int, ell: int) -> FiltMatrix:
             nonzero.append({col[u]: x for u, x in row_map.items()})
         except KeyError:
             raise InvariantError(f"row {w} hit non-basis words {sorted(set(row_map) - col.keys())}") from None
-    return FiltMatrix(kind, N, ell, list(B), list(Bp), nonzero)
+    return FiltMatrix(kind, N, ell, B, Bp, nonzero)
 
 
 def star_matrix(h: FiltMatrix) -> FiltMatrix:
@@ -589,7 +586,7 @@ def det_mod2_structure(m: FiltMatrix) -> Mod2Report:
         sizes_B = [len(c) for c in classes_B]
         if sizes_B != [len(c) for c in classes_Bp]:
             fail("trailing-ones classes of unequal sizes")
-        # the sorted bases list the classes contiguously in ascending order
+        # basis order lists the classes contiguously, in ascending order
         if [w for c in classes_B for w in c] != m.rows or [u for c in classes_Bp for u in c] != m.cols:
             fail("trailing-ones classes not contiguous in the basis order")
         offsets = list(accumulate(sizes_B, initial=0))

@@ -105,13 +105,8 @@ def counting_checks() -> list:
     out.append(_check("saha set sizes are Fibonacci numbers", "count-saha", ok))
     ok = all(len(enumerate_hoffman(N)) == fibonacci(N + 1) for N in range(1, 21))
     out.append(_check("one-two set sizes are Fibonacci numbers", "count-hoffman", ok))
-    ok = True
-    for kind in ("S", "H"):
-        for N in range(2 if kind == "S" else 1, 17):
-            for ell in range(2 - N % 2, N + 1, 2):
-                B, Bp = basis_sets(kind, N, ell)
-                if len(B) != len(Bp):
-                    ok = False
+    ok = all(len(B) == len(Bp) for kind in ("S", "H") for N in range(2 if kind == "S" else 1, 17)
+             for B, Bp in (basis_sets(kind, N, ell) for ell in range(2 - N % 2, N + 1, 2)))
     out.append(_check("matrix bases are square", "count-bases", ok))
     return out
 

@@ -6,7 +6,6 @@ from mtv import indexcore, motivic, numoracle, regularize, symring, wordalg
 # the dict memos.  test_memos.py fails if a module holds one not named here.
 MEMOS = (
     indexcore.from_int_word,
-    indexcore._words_of_level,
     motivic._deriv_D_all,
     motivic._right_factor,
     motivic._graded_factor,

@@ -168,6 +168,29 @@ def test_enumerate_refuses_a_weight_above_25_before_enumerating(capsys, monkeypa
     assert (code, out) == (2, "") and err == f"error: enumerate takes a weight of at most 25, got {argv[3]}\n"
 
 
+@pytest.mark.parametrize("argv, matrix", [
+    (["matrix", "--kind", "H", "--N", "40", "--level", "18"], "H matrix of weight 40 and level 18 has order 34597290"),
+    (["matrix", "--kind", "Hstar", "--N", "22", "--level", "10", "--format", "json"],
+     "Hstar matrix of weight 22 and level 10 has order 8008"),
+    (["det", "--kind", "S", "--N", "22", "--level", "10", "--structure"],
+     "S matrix of weight 22 and level 10 has order 5005"),  # 3003 + 2002
+    (["det", "--kind", "H", "--N", "21", "--level", "7"], "H matrix of weight 21 and level 7 has order 3432"),
+    (["det", "--kind", "Hstar", "--N", "22", "--level", "10", "--lam", "1"],
+     "Hstar matrix of weight 22 and level 10 has order 8008"),
+    (["singular-lambda", "--N", "6007"], "Hstar matrix of weight 6007 and level 1 has order 3004"),
+])
+def test_matrix_commands_refuse_an_order_above_3003_before_building(capsys, monkeypatch, argv, matrix):
+    from mtv import cli
+
+    def built(*args):
+        raise AssertionError(f"{argv} was built")
+
+    for name in ("build_matrix", "singular_lambda", "basis_sets"):
+        monkeypatch.setattr(cli, name, built)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err == f"error: the {matrix}; the cap is 3003 rows\n"
+
+
 def test_level_above_the_weight_exits_2(capsys):
     for argv in (["det", "--kind", "H", "--N", "3", "--level", "5", "--structure"],
                  ["det", "--kind", "S", "--N", "3", "--level", "5", "--structure"],

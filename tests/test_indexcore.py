@@ -1,13 +1,15 @@
+import gc
 import itertools
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 
 from mtv.indexcore import (
     SignedIndex,
-    _words_of_level,
+    _basis_walk,
+    basis_order,
     basis_sets,
-    colex_key,
     compositions,
     enumerate_hoffman,
     enumerate_saha,
@@ -17,7 +19,6 @@ from mtv.indexcore import (
     from_int_word,
     parse_argument,
     phi_inverse,
-    sort_words,
     to_int_word,
     trailing_ones_partition,
     word_level,
@@ -75,7 +76,14 @@ def test_hoffman_weight3_order():
 def test_saha_8_2_order():
     words = [w for w in enumerate_saha(8) if word_level(w, "S") == 2]
     expect = ["11222", "12122", "21122", "12212", "21212", "22112", "1223", "2123", "2213"]
-    assert ["".join(map(str, w)) for w in sort_words(words)] == expect
+    assert ["".join(map(str, w)) for w in words] == expect
+    assert basis_sets("S", 8, 2)[0] == words
+
+
+def test_word_level_takes_kinds_s_and_h():
+    assert word_level((1, 2, 3), "S") == 2 and word_level((1, 2, 1), "H") == 2
+    with pytest.raises(ValueError, match="unknown kind 'Hstar'"):
+        word_level((1, 2, 1), "Hstar")
 
 
 def test_basis_sets_examples():
@@ -103,6 +111,13 @@ def test_basis_sets_sizes_match():
                 assert len(B) == len(Bp)
 
 
+def _colex_key(w):
+    """The reference's own sort key: reverse colexicographic, read right
+    to left with 2 < 1 < 3, and a word after every word extending it on
+    the left (the end of a word ranks above every letter)."""
+    return tuple({2: 0, 1: 1, 3: 2}[x] for x in reversed(w)) + (3,)
+
+
 def _reference_onetwo_words(weight):
     """All {1,2} words of the given weight, by first letter."""
     if weight == 0:
@@ -117,13 +132,13 @@ def _reference_onetwo_words(weight):
 def _reference_pool(kind, weight):
     """Every word of a weight, sorted: the enumerate-then-sort path."""
     if kind == "H":
-        return sort_words(_reference_onetwo_words(weight)) if weight >= 1 else []
+        return sorted(_reference_onetwo_words(weight), key=_colex_key) if weight >= 1 else []
     if weight < 2:
         return []
     words = [w + (2,) for w in _reference_onetwo_words(weight - 2)]
     if weight >= 3:
         words += [w + (3,) for w in _reference_onetwo_words(weight - 3)]
-    return sort_words(words)
+    return sorted(words, key=_colex_key)
 
 
 def _reference_level(kind, weight, level):
@@ -134,45 +149,72 @@ def _reference_basis_sets(kind, N, ell):
     Bp = [w for m in range(1, N) for w in _reference_level(kind, m, ell - 1)]
     if ell == 1:
         Bp.append(())
-    return sort_words(_reference_level(kind, N, ell)), sort_words(Bp)
+    return sorted(_reference_level(kind, N, ell), key=_colex_key), sorted(Bp, key=_colex_key)
 
 
 def test_level_generation_matches_enumerate_sort_filter():
+    for N in range(1, 19):
+        assert enumerate_hoffman(N) == _reference_pool("H", N), N
+        if N >= 2:
+            assert enumerate_saha(N) == _reference_pool("S", N), N
     for kind in ("S", "H"):
         for N in range(1, 17):
-            if kind == "H" or N >= 2:
-                enumerate_all = enumerate_hoffman if kind == "H" else enumerate_saha
-                assert enumerate_all(N) == _reference_pool(kind, N), (kind, N)
             for ell in range(N + 2):
-                words = _words_of_level(kind, N, ell)
-                ref = _reference_level(kind, N, ell)
-                assert sort_words(words) == ref and len(set(words)) == len(words), (kind, N, ell)
-                if ell < 1 or (N - ell) % 2:
+                if ell < 1 or ell > N or (N - ell) % 2:
                     with pytest.raises(ValueError):
                         basis_sets(kind, N, ell)
                 else:
                     assert basis_sets(kind, N, ell) == _reference_basis_sets(kind, N, ell), (kind, N, ell)
 
 
+def test_basis_order_counts_the_words():
+    for kind in ("S", "H"):
+        for N in range(-1, 17):
+            for ell in range(-1, N + 3):
+                assert basis_order(kind, N, ell) == len(_basis_walk(kind, N, N, ell)), (kind, N, ell)
+
+
 def test_levels_outside_the_range_are_empty():
-    assert _words_of_level("H", 0, 0) == ((),)
+    assert _basis_walk("H", 0, 0, 0) == [()]
     for kind in ("S", "H"):
         for N in range(0, 12):
             for ell in (-1, N + 1, N + 2):
-                assert _words_of_level(kind, N, ell) == ()
-            assert _words_of_level(kind, -1, 0) == ()
+                assert _basis_walk(kind, N, N, ell) == []
+            assert _basis_walk(kind, -1, -1, 0) == []
     for N in range(1, 12):
         # a {1,2} word's level has the parity of its weight
-        assert all(_words_of_level("H", N, ell) == () for ell in range(N % 2 + 1, N + 1, 2))
+        assert all(_basis_walk("H", N, N, ell) == [] for ell in range(N % 2 + 1, N + 1, 2))
         # a one-two-three word has level at most N - 2
-        assert _words_of_level("S", N, N - 1) == () and _words_of_level("S", N, N) == ()
+        assert _basis_walk("S", N, N, N - 1) == [] and _basis_walk("S", N, N, N) == []
 
 
 def test_ordering_total_and_idempotent():
-    words = enumerate_saha(9)
-    keys = [colex_key(w) for w in words]
-    assert len(set(keys)) == len(keys)
-    assert sort_words(sort_words(words)) == sort_words(words)
+    for kind in ("S", "H"):
+        words = _basis_walk(kind, 0, 11)  # every weight up to 11, every level
+        keys = [_colex_key(w) for w in words]
+        # distinct keys, and sorting the walk's list changes nothing
+        assert len(set(keys)) == len(keys) and keys == sorted(keys), kind
+        position = {w: i for i, w in enumerate(words)}
+        # a word comes after every word that extends it on the left
+        assert all(position[(x,) + w] < position[w] for w in words for x in (1, 2) if (x,) + w in position)
+
+
+def test_dropped_word_lists_leave_no_memory_held():
+    # a full collection also empties the free lists that keep freed small
+    # tuples allocated, so only what something still holds is counted
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        words = enumerate_hoffman(20)
+        B, Bp = basis_sets("H", 20, 6)
+        assert len(words) == fibonacci(21) and len(B) == len(Bp) > 0
+        del words, B, Bp
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, f"{held} bytes still held"
 
 
 def test_phi_partition():
